@@ -29,6 +29,7 @@ from .recursion import (
     RationalExponentialForm,
     TailCertificate,
     closed_form,
+    first_negative_mu,
     mu_gamma_numerators,
     mu_prefix,
     rational_closed_form,
@@ -68,7 +69,6 @@ class Mechanism(enum.Enum):
 class StabilityAnswer(enum.Enum):
     YES = "yes"
     NO = "no"
-    UNKNOWN = "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ class FeasibleCert:
 @dataclass(frozen=True)
 class InfeasibleWitness:
     n: int
-    value: str  # exact rational, or certified-negative interval endpoints
+    value: str  # exact rational, or how the negative sign was certified
     exact: bool
 
     kind = "negative_witness"
@@ -204,25 +204,16 @@ def damped_root_poly(m: Method, lam: Fraction) -> List[Fraction]:
     return [r - Fraction(lam) * s for r, s in zip(rho, sigma)]
 
 
-def in_stability_interior(
-    m: Method,
-    lam: Fraction,
-    digits: int = DEFAULT_DIGITS,
-    digits_cap: int = DEFAULT_DIGITS_CAP,
-) -> StabilityAnswer:
+def in_stability_interior(m: Method, lam: Fraction) -> StabilityAnswer:
     """Exact interior test: nonzero leading coefficient and every root of
-    rho - lambda*sigma strictly inside the unit circle."""
+    rho - lambda*sigma strictly inside the unit circle (Schur-Cohn)."""
     lam = Fraction(lam)
     if 1 - lam * m.b0 == 0:
         return StabilityAnswer.NO
     p = damped_root_poly(m, lam)
     if poly.degree(poly.strip(p)) < 1:
         return StabilityAnswer.NO
-    try:
-        inside = poly.all_roots_strictly_inside(p, digits, digits_cap)
-    except EnclosureError:
-        return StabilityAnswer.UNKNOWN
-    return StabilityAnswer.YES if inside else StabilityAnswer.NO
+    return StabilityAnswer.YES if poly.all_roots_strictly_inside(p) else StabilityAnswer.NO
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +248,7 @@ def check_scb(
         horizon = max(32, 4 * m.k)
     digits_used = digits
 
-    st = in_stability_interior(m, -gamma, min(digits, 64), digits_cap)
-    if st is StabilityAnswer.NO:
+    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
         return ScbVerdict(
             Feasibility.INFEASIBLE,
             m.name,
@@ -268,15 +258,6 @@ def check_scb(
             ),
             horizon,
             digits_used,
-        )
-    if st is StabilityAnswer.UNKNOWN:
-        return ScbVerdict(
-            Feasibility.INCONCLUSIVE,
-            m.name,
-            gamma,
-            InconclusiveHorizon(0, digits_cap),
-            horizon,
-            digits_cap,
         )
 
     # exact prefix scan: cheap witnesses, and exact zero detection
@@ -379,17 +360,13 @@ def check_scb(
                     coeff_modulus=_interval_str(c_box.modulus()),
                 )
                 if horizon > prefix_n:
-                    run = run_mu_signs(
-                        m, gamma, horizon, max(digits, dig), stop_at_negative=True
-                    )
-                    digits_used = max(digits_used, run.digits)
-                    if run.first_negative is not None:
-                        n = run.first_negative
+                    n = first_negative_mu(m, gamma, horizon)
+                    if n is not None:
                         return ScbVerdict(
                             Feasibility.INFEASIBLE,
                             m.name,
                             gamma,
-                            InfeasibleWitness(n, "certified negative enclosure", False),
+                            InfeasibleWitness(n, "negative integer-scaled numerator", True),
                             horizon,
                             digits_used,
                         )

@@ -130,16 +130,16 @@ def emit(report: dict, args, timings: Optional[dict] = None) -> None:
     report["schema_version"] = SCHEMA_VERSION
     if timings is not None:
         report["timings"] = timings
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True)
-    elif fmt == "text":
-        text = _render_text(report)
     else:
-        raise UsageError("unsupported format {!r} for this command".format(fmt))
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        text = _render_text(report)
+    write_text(text, args)
+
+
+def write_text(text: str, args) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -243,17 +243,12 @@ def cmd_tau(args) -> int:
     n_max = args.n
     if n_max < 1:
         raise UsageError("--n must be at least 1")
-    taus = recursion.tau_prefix(m, n_max)
     t0 = time.time()
+    taus = recursion.tau_prefix(m, n_max)
     verdict = analyzer.scb_exists(m, digits=args.precision, digits_cap=_precision_cap(args))
     timings = {"seconds": round(time.time() - t0, 3)}
     if args.format == "csv":
-        text = "\n".join(recursion.sequence_csv_rows(m, "tau", n_max))
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        write_text("\n".join(recursion.prefix_csv_rows(taus)), args)
     else:
         report = {
             "command": "tau",
@@ -315,12 +310,7 @@ def cmd_mu_curve(args) -> int:
         mus = recursion.mu_prefix(m, mark, n_hi)
         for n in range(n_lo, n_hi + 1):
             lines.append("{},{},{},mark".format(fraction_str(mark), n, fraction_str(mus[n])))
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    write_text("\n".join(lines), args)
     return EXIT_FEASIBLE
 
 
@@ -465,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma=False, tol=False):
+    def common(p, gamma=False, tol=False, formats=("json", "text")):
         p.add_argument(
             "--method",
             "-m",
@@ -481,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int, default=64, help="starting precision (digits)")
         p.add_argument("--precision-cap", type=int, default=None,
                        help="escalation cap in digits (env {} as default)".format(PRECISION_CAP_ENV))
-        p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", "-o", default=None, help="write the report to a file")
 
     p = sub.add_parser("catalog", help="list built-in methods")
@@ -500,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gamma_sup)
 
     p = sub.add_parser("tau", help="tau prefix and existence verdict")
-    common(p)
+    common(p, formats=("json", "text", "csv"))
     p.add_argument("--n", type=int, default=10, help="how many terms to print")
     p.set_defaults(func=cmd_tau)
 
@@ -514,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("mu-curve", help="CSV samples of the member functions")
-    common(p)
+    common(p, formats=("csv",))
     p.add_argument("--n", required=True, help="index range, e.g. 1..21")
     p.add_argument("--gamma", required=True, help="grid start:end:step (exact rationals)")
     p.add_argument("--mark-gamma", default=None, help="emit marker rows at this gamma")

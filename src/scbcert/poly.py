@@ -6,8 +6,9 @@ signed subresultant (Sturm) chains over the integers and refined by exact
 rational bisection; complex roots are enclosed by floating approximations
 that are then rigorously certified and refined with the interval Newton
 operator.  Membership of roots on the unit circle is decided exactly via
-the gcd with the reversed polynomial and a z + 1/z degree reduction, never
-numerically.
+the gcd with the reversed polynomial and a z + 1/z degree reduction, and
+membership of the open unit disk by the Schur-Cohn reduction over the
+integers, never numerically.
 """
 
 from __future__ import annotations
@@ -949,31 +950,26 @@ class RootCondition(enum.Enum):
     VIOLATED = "violated"
 
 
-def _classify_moduli(
-    q: Sequence[int],
-    expected_on_circle: int,
-    digits_start: int,
-    digits_cap: int,
-) -> Tuple[int, int, int]:
-    """Exact (inside, on, outside) unit-circle counts for squarefree q."""
-    for digits in precision_ladder(max(digits_start, 32), digits_cap):
-        width = Fraction(1, 10) ** max(6, digits // 2)
-        try:
-            encs = enclose_roots_squarefree(q, width, digits, digits)
-        except EnclosureError:
-            continue
-        inside = outside = straddle = 0
-        for e in encs:
-            msq = e.box.abs_sq()
-            if msq.hi_fraction() < 1:
-                inside += 1
-            elif msq.lo_fraction() > 1:
-                outside += 1
-            else:
-                straddle += 1
-        if straddle == expected_on_circle:
-            return inside, expected_on_circle, outside
-    raise EnclosureError("unit-disk classification did not converge at precision cap")
+def _schur_cohn_inside(a: Sequence[int]) -> bool:
+    """Exact Schur-Cohn test: every root of the integer polynomial a has
+    modulus < 1.
+
+    With lead and const the extreme coefficients, the roots all lie strictly
+    inside the unit disk iff |lead| > |const| and the same holds for
+    (lead*a - const*a*)/z, where a* is the reversed polynomial of the same
+    degree (Marden, Geometry of Polynomials, the Schur-Cohn criterion).  The
+    transform lowers the degree by one, so the test takes deg(a) integer
+    steps.
+    """
+    a = primitive(a)
+    while len(a) > 1:
+        lead, const = a[0], a[-1]
+        if abs(lead) <= abs(const):
+            return False
+        # a[::-1] keeps the leading zeros of a* when const == 0, so that the
+        # coefficients stay aligned; the constant term cancels exactly
+        a = primitive([lead * x - const * y for x, y in zip(a, a[::-1])][:-1])
+    return True
 
 
 def _strip_zero_roots(q: Sequence[int]) -> list:
@@ -983,11 +979,7 @@ def _strip_zero_roots(q: Sequence[int]) -> list:
     return qq
 
 
-def root_condition(
-    p: Sequence[Fraction],
-    digits_start: int = 64,
-    digits_cap: int = 20000,
-) -> RootCondition:
+def root_condition(p: Sequence[Fraction]) -> RootCondition:
     """Exact root-condition test: all |root| <= 1, modulus-1 roots simple."""
     ip = to_integer(p)
     if degree(ip) < 1:
@@ -1000,34 +992,25 @@ def root_condition(
         n_circ, _e, _f, _h = unit_circle_roots(qq)
         if n_circ > 0 and m >= 2:
             return RootCondition.VIOLATED
-        _inside, on, outside = _classify_moduli(qq, n_circ, digits_start, digits_cap)
-        if outside > 0:
+        # the roots of u are the roots z of qq with 1/z a root too; beyond the
+        # circle roots they come in pairs r, 1/r, one of which lies outside
+        u = gcd_int_poly(qq, reverse(qq))
+        if degree(u) > n_circ:
             return RootCondition.VIOLATED
-        if on > 0:
+        rest = to_integer(divexact([Fraction(c) for c in qq], [Fraction(c) for c in u]))
+        if not _schur_cohn_inside(rest):
+            return RootCondition.VIOLATED
+        if n_circ > 0:
             strict = False
     return RootCondition.SATISFIED_STRICTLY if strict else RootCondition.SATISFIED
 
 
-def all_roots_strictly_inside(
-    p: Sequence[Fraction],
-    digits_start: int = 64,
-    digits_cap: int = 20000,
-) -> bool:
+def all_roots_strictly_inside(p: Sequence[Fraction]) -> bool:
     """Exact test: every root has modulus < 1."""
     ip = to_integer(p)
     if degree(ip) < 1:
         raise ValueError("needs a non-constant polynomial")
-    for q, _m in yun_squarefree(ip):
-        qq = _strip_zero_roots(q)
-        if degree(qq) < 1:
-            continue
-        n_circ, _e, _f, _h = unit_circle_roots(qq)
-        if n_circ > 0:
-            return False
-        _inside, _on, outside = _classify_moduli(qq, 0, digits_start, digits_cap)
-        if outside > 0:
-            return False
-    return True
+    return _schur_cohn_inside(ip)
 
 
 # ---------------------------------------------------------------------------

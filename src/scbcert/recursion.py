@@ -11,6 +11,7 @@ positive real root into a proof of positivity beyond a computed index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -54,6 +55,38 @@ def mu_prefix(m: Method, gamma: Fraction, n_max: int) -> List[Fraction]:
             acc += (m.a[j - 1] - gamma * m.b[j]) * out[n - j]
         out.append(acc / den)
     return out
+
+
+def first_negative_mu(m: Method, gamma: Fraction, n_max: int) -> Optional[int]:
+    """Least n in 1..n_max with mu_n < 0, or None; decided exactly.
+
+    With gamma = p/q and L the common denominator of the coefficients, put
+    E = qL + p*L*b0 and C_j = qL*a_j - p*L*b_j.  Then mu_n = M_n / E^(n+1)
+    for the integers M_n = qL*b_n*E^n + sum_j C_j*E^(j-1)*M_(n-j), so every
+    step multiplies big integers by small ones and needs no gcd.
+    """
+    gamma = Fraction(gamma)
+    p, q = gamma.numerator, gamma.denominator
+    L = math.lcm(*(c.denominator for c in m.a + m.b))
+    E = q * L + p * int(L * m.b0)
+    if E == 0:
+        raise ArithmeticDomainError("1 + gamma*b0 vanishes")
+    D = [
+        (q * int(L * m.a[j - 1]) - p * int(L * m.b[j])) * E ** (j - 1)
+        for j in range(1, m.k + 1)
+    ]
+    window = [q * int(L * m.b0)]  # M_0
+    for n in range(1, n_max + 1):
+        acc = q * int(L * m.b[n]) * E**n if n <= m.k else 0
+        for j in range(1, min(n, m.k) + 1):
+            acc += D[j - 1] * window[-j]
+        # sign(mu_n) = sign(M_n) * sign(E)^(n+1)
+        if acc != 0 and (acc < 0) == (E > 0 or n % 2 == 1):
+            return n
+        window.append(acc)
+        if len(window) > m.k:
+            window.pop(0)
+    return None
 
 
 def eval_mu(m: Method, gamma: Fraction, n: int) -> Fraction:
@@ -135,8 +168,14 @@ def sequence_csv_rows(
         vals = tau_prefix(m, n_max)
     else:
         vals = mu_prefix(m, Fraction(gamma), n_max)
+    return prefix_csv_rows(vals)
+
+
+def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:
+    """CSV rows (n, exact value, sign) for an already computed prefix
+    vals[0..n_max]; the row for n = 0 is left out."""
     rows = ["n,value,sign"]
-    for n in range(1, n_max + 1):
+    for n in range(1, len(vals)):
         sign = "positive" if vals[n] > 0 else ("negative" if vals[n] < 0 else "zero")
         num, den = vals[n].numerator, vals[n].denominator
         text = str(num) if den == 1 else "{}/{}".format(num, den)

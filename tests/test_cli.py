@@ -1,6 +1,10 @@
 import json
 from fractions import Fraction as F
+from types import SimpleNamespace
 
+import pytest
+
+from scbcert import analyzer, cli, recursion
 from scbcert.cli import (
     EXIT_FEASIBLE,
     EXIT_INCONCLUSIVE,
@@ -156,6 +160,66 @@ class TestMuCurveCommand:
         code = main(["mu-curve", "--method", "bdf1", "--n", "1..3",
                      "--gamma", "2:1:1/2"])
         assert code == EXIT_USAGE
+
+
+def never(*args, **kwargs):
+    raise AssertionError("computed before the format was checked")
+
+
+class TestFormatChoices:
+    @pytest.mark.parametrize("argv", [
+        ["check", "--method", "bdf2", "--gamma", "1/2", "--format", "csv"],
+        ["gamma-sup", "--method", "bdf4", "--tol", "1e-7", "--format", "csv"],
+    ])
+    def test_csv_refused_before_computing(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(analyzer, "check_scb", never)
+        monkeypatch.setattr(analyzer, "gamma_sup", never)
+        assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_mu_curve_is_csv_only(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(recursion, "mu_prefix", never)
+        code = main(["mu-curve", "--method", "bdf2", "--n", "1..2",
+                     "--gamma", "0:1:1/2", "--format", fmt])
+        assert code == EXIT_USAGE
+
+    def test_mu_curve_default_is_csv(self, capsys):
+        argv = ["mu-curve", "--method", "bdf2", "--n", "1..2", "--gamma", "0:1:1/2"]
+        code, default = run_cli(capsys, *argv)
+        assert code == EXIT_FEASIBLE
+        assert run_cli(capsys, *argv, "--format", "csv") == (code, default)
+        assert default.splitlines()[0] == "gamma,n,value,marker"
+
+
+class TestTauTimingAndReuse:
+    def test_timer_covers_prefix_and_csv_reuses_it(self, capsys, monkeypatch):
+        clock = [0.0]
+        calls = []
+        real_tau_prefix = recursion.tau_prefix
+
+        def slow_tau_prefix(m, n_max):
+            calls.append(n_max)
+            clock[0] += 5.0
+            return real_tau_prefix(m, n_max)
+
+        # only the command's own prefix advances the clock; scb_exists keeps
+        # its own binding of tau_prefix
+        monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: clock[0]))
+        monkeypatch.setattr(cli, "recursion", SimpleNamespace(
+            tau_prefix=slow_tau_prefix, prefix_csv_rows=recursion.prefix_csv_rows))
+        code, rep = run_json(capsys, "tau", "--method", "ebdf3", "--n", "3")
+        assert code == EXIT_FEASIBLE
+        assert rep["timings"]["seconds"] >= 5.0
+        assert calls == [3]
+
+        calls.clear()
+        code, out = run_cli(capsys, "tau", "--method", "ebdf3", "--n", "3",
+                            "--format", "csv")
+        assert code == EXIT_FEASIBLE
+        assert calls == [3]
+        assert out.strip().splitlines() == [
+            "n,value,sign", "1,18/11,positive", "2,126/121,positive", "3,1212/1331,positive",
+        ]
 
 
 class TestCatalogCommand:

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scbcert import poly
+from scbcert import analyzer, methods, poly
 from scbcert.poly import RootCondition
 
 BDF3_QUARTIC = [5184, -539352, 4277340, -7093698, 3248425]
@@ -197,6 +199,76 @@ class TestRootCondition:
                 2: RootCondition.VIOLATED,
             }[worst]
             assert got is expect, (factors, got, expect)
+
+
+def _linear(p, q):
+    """q z - p: the single root p/q."""
+    return [F(q), F(-p)]
+
+
+# Factors with known root moduli, drawn as (layout, integer factor).  A layout
+# is "inside", "circle" (simple roots of modulus 1) or "outside" (at least one
+# root of modulus > 1).  The circle factors have pairwise distinct roots.
+CIRCLE_FACTORS = [[1, -1], [1, 1], [1, 0, 1], [1, -1, 1], [1, 1, 1]]
+
+_ratio = st.tuples(st.integers(-40, 40), st.integers(1, 40))
+_inside_real = _ratio.filter(lambda pq: abs(pq[0]) < pq[1]).map(lambda pq: _linear(*pq))
+_outside_real = _ratio.filter(lambda pq: abs(pq[0]) > pq[1]).map(lambda pq: _linear(*pq))
+# (q z - p)(p z - q): roots p/q and q/p, neither on the circle
+_reciprocal_pair = (
+    st.tuples(st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, -1]))
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: poly.mul(_linear(t[2] * t[0], t[1]), _linear(t[2] * t[1], t[0])))
+)
+# d z^2 + b z + c with b^2 < 4dc: a conjugate pair of modulus^2 c/d < 1
+_inside_pair = (
+    st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(-60, 60))
+    .filter(lambda t: t[0] < t[1] and t[2] * t[2] < 4 * t[0] * t[1])
+    .map(lambda t: [F(t[1]), F(t[2]), F(t[0])])
+)
+_factor = st.one_of(
+    st.tuples(st.just("inside"), st.one_of(_inside_real, _inside_pair, st.just([F(1), F(0)]))),
+    st.tuples(st.just("circle"), st.sampled_from(CIRCLE_FACTORS).map(lambda f: [F(c) for c in f])),
+    st.tuples(st.just("outside"), st.one_of(_outside_real, _reciprocal_pair)),
+)
+
+
+class TestSchurCohn:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_factor, min_size=1, max_size=5))
+    def test_known_root_layout(self, factors):
+        p = [F(1)]
+        for _layout, f in factors:
+            p = poly.mul(p, f)
+        layouts = [layout for layout, _f in factors]
+        circle = [tuple(f) for layout, f in factors if layout == "circle"]
+        assert poly.all_roots_strictly_inside(p) is all(x == "inside" for x in layouts)
+        if "outside" in layouts or len(set(circle)) < len(circle):
+            expect = RootCondition.VIOLATED
+        elif circle:
+            expect = RootCondition.SATISFIED
+        else:
+            expect = RootCondition.SATISFIED_STRICTLY
+        assert poly.root_condition(p) is expect
+
+    def test_zero_constant_term_keeps_alignment(self):
+        # z (z^2 - 4): the reversed polynomial has a leading zero
+        assert not poly.all_roots_strictly_inside([F(1), F(0), F(-4), F(0)])
+        # z^2 (2z - 1)
+        assert poly.all_roots_strictly_inside([F(2), F(-1), F(0), F(0)])
+
+    def test_decisions_use_no_enclosures(self, monkeypatch):
+        def no_enclosures(*args, **kwargs):
+            raise AssertionError("stability decided through a root enclosure")
+
+        monkeypatch.setattr(poly, "enclose_roots_squarefree", no_enclosures)
+        grid = [F(i, 8) for i in range(1, 41)]
+        for name in methods.catalog_names():
+            m = methods.catalog(name)
+            assert methods.validate(m).ok, name
+            answers = {analyzer.in_stability_interior(m, -g) for g in grid}
+            assert answers <= {analyzer.StabilityAnswer.YES, analyzer.StabilityAnswer.NO}
+            assert analyzer.StabilityAnswer.YES in answers, name
 
 
 class TestDiscriminant:

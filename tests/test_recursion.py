@@ -5,13 +5,14 @@ import pytest
 
 from scbcert import poly, published, recursion
 from scbcert.arith import IntervalScalar, Sign
-from scbcert.methods import catalog
+from scbcert.methods import Method, catalog
 from scbcert.recursion import (
     MultipleRootError,
     closed_form,
     eval_mu,
     eval_mu_interval,
     eval_tau,
+    first_negative_mu,
     mu_gamma_numerators,
     mu_prefix,
     rational_closed_form,
@@ -66,6 +67,24 @@ class TestExactEvaluation:
         mus = mu_prefix(catalog("ab2"), F(4, 9), 60)
         for n in range(1, 61):
             assert mus[n] == F(3) ** (1 - n) * (2**n - 4 * (-1) ** n) / 4
+
+    def test_first_negative_matches_fraction_prefix(self):
+        rng = random.Random(5)
+        # b0 < 0 makes 1 + gamma*b0 negative for gamma > 3: alternating scale
+        custom = Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7)))
+        cases = [(catalog(name), F(rng.randint(1, 3000), rng.randint(1, 1000)))
+                 for name in ALL_NAMES for _ in range(6)]
+        cases += [(custom, F(i, 4)) for i in range(1, 50) if i != 12]
+        for m, g in cases:
+            mus = mu_prefix(m, g, 60)
+            expected = next((n for n in range(1, 61) if mus[n] < 0), None)
+            assert first_negative_mu(m, g, 60) == expected, (m.name, g)
+
+    def test_first_negative_bdf4_published_witness(self):
+        data = published.BDF4_WITNESS_RUN
+        n = first_negative_mu(catalog("bdf4"), data["gamma"], data["horizon"])
+        assert n == data["negative_indices"][0]
+        assert first_negative_mu(catalog("bdf4"), data["gamma"], n - 1) is None
 
 
 class TestIntervalEvaluation:

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
 from .arith import IntervalScalar, precision_ladder
-from .methods import Method, generating_polys, validate
+from .methods import Method, generating_polys, n0, validate
 from .poly import EnclosureError, RealRootEnclosure
 from .recursion import (
     ClosedForm,
@@ -29,13 +29,14 @@ from .recursion import (
     RationalExponentialForm,
     TailCertificate,
     closed_form,
+    eval_mu,
+    eval_tau,
     first_negative_mu,
     mu_gamma_numerators,
-    mu_prefix,
+    mu_signs,
     rational_closed_form,
     run_mu_signs,
     tail_certificate,
-    tau_prefix,
 )
 
 DEFAULT_DIGITS = 64
@@ -225,6 +226,14 @@ def _interval_str(v: IntervalScalar) -> Tuple[str, str]:
     return (str(v.lo_fraction()), str(v.hi_fraction()))
 
 
+def _first_negative(signs: Sequence[int]) -> Optional[int]:
+    return next((n for n in range(1, len(signs)) if signs[n] < 0), None)
+
+
+def _zero_indices(signs: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(n for n in range(1, len(signs)) if signs[n] == 0)
+
+
 def _dominance_split(cf: ClosedForm) -> Tuple[Optional[int], Optional[str]]:
     """Dominant class index plus its kind ('real' or 'pair'), when certified."""
     di = cf.dominant_index()
@@ -260,19 +269,22 @@ def check_scb(
             digits_used,
         )
 
+    def exact_witness(n: int) -> ScbVerdict:
+        return ScbVerdict(
+            Feasibility.INFEASIBLE,
+            m.name,
+            gamma,
+            InfeasibleWitness(n, str(eval_mu(m, gamma, n)), True),
+            horizon,
+            digits_used,
+        )
+
     # exact prefix scan: cheap witnesses, and exact zero detection
     prefix_n = min(horizon, max(2 * m.k + 4, 16))
-    mus = mu_prefix(m, gamma, prefix_n)
-    for n in range(1, prefix_n + 1):
-        if mus[n] < 0:
-            return ScbVerdict(
-                Feasibility.INFEASIBLE,
-                m.name,
-                gamma,
-                InfeasibleWitness(n, str(mus[n]), True),
-                horizon,
-                digits_used,
-            )
+    signs = mu_signs(m, gamma, prefix_n)
+    neg = _first_negative(signs)
+    if neg is not None:
+        return exact_witness(neg)
 
     multiple_root = False
     for dig in precision_ladder(min(digits, 64), digits_cap):
@@ -286,12 +298,11 @@ def check_scb(
             continue
         if cf.order == 0:
             # identically zero beyond the window; the exact prefix was clean
-            zeros = tuple(n for n in range(1, prefix_n + 1) if mus[n] == 0)
             return ScbVerdict(
                 Feasibility.FEASIBLE,
                 m.name,
                 gamma,
-                FeasibleCert(max(prefix_n, cf.window_start), zeros, None, None),
+                FeasibleCert(max(prefix_n, cf.window_start), _zero_indices(signs), None, None),
                 horizon,
                 digits_used,
             )
@@ -310,17 +321,10 @@ def check_scb(
             if n_check > prefix_n:
                 if n_check > EXACT_SCAN_CAP:
                     break  # unreasonable finite range; fall back to scanning
-                mus = mu_prefix(m, gamma, n_check)
-            for n in range(1, n_check + 1):
-                if mus[n] < 0:
-                    return ScbVerdict(
-                        Feasibility.INFEASIBLE,
-                        m.name,
-                        gamma,
-                        InfeasibleWitness(n, str(mus[n]), True),
-                        horizon,
-                        digits_used,
-                    )
+                signs = mu_signs(m, gamma, n_check)
+                neg = _first_negative(signs)
+                if neg is not None:
+                    return exact_witness(neg)
             # interval consistency pass over the requested horizon
             if horizon > tc.n_start:
                 run = run_mu_signs(m, gamma, horizon, dig)
@@ -329,7 +333,7 @@ def check_scb(
                         "soundness violation: certified tail contradicts a "
                         "certified negative term at n={}".format(run.negative[0])
                     )
-            zeros = tuple(n for n in range(1, len(mus)) if mus[n] == 0)
+            zeros = _zero_indices(signs)
             if any(n >= tc.n_start for n in zeros):
                 raise AnalyzerError(
                     "soundness violation: exact zero inside the certified tail"
@@ -380,23 +384,15 @@ def check_scb(
         if form is not None:
             if form.all_terms_nonnegative():
                 upto = max(prefix_n, form.window_start)
-                mus = mu_prefix(m, gamma, upto)
-                neg = next((n for n in range(1, upto + 1) if mus[n] < 0), None)
-                if neg is None:
-                    zeros = tuple(n for n in range(1, upto + 1) if mus[n] == 0)
-                    return ScbVerdict(
-                        Feasibility.FEASIBLE,
-                        m.name,
-                        gamma,
-                        FeasibleCert(max(upto, horizon), zeros, None, form),
-                        horizon,
-                        digits_used,
-                    )
+                signs = mu_signs(m, gamma, upto)
+                neg = _first_negative(signs)
+                if neg is not None:
+                    return exact_witness(neg)
                 return ScbVerdict(
-                    Feasibility.INFEASIBLE,
+                    Feasibility.FEASIBLE,
                     m.name,
                     gamma,
-                    InfeasibleWitness(neg, str(mus[neg]), True),
+                    FeasibleCert(max(upto, horizon), _zero_indices(signs), None, form),
                     horizon,
                     digits_used,
                 )
@@ -464,24 +460,25 @@ def scb_exists(
             "method fails the standing assumptions: "
             + "; ".join(c.name for c in report.failures())
         )
-    from .methods import n0 as n0_of
-
-    n_zero = n0_of(m)
     if horizon is None:
         horizon = max(64, 8 * m.k)
-    taus = tau_prefix(m, horizon)
+    signs = mu_signs(m, Fraction(0), max(horizon, m.k))  # signs of tau
+    n_zero = n0(m, signs)
+
+    def witness(n: int, circle_ok: Optional[bool]) -> ExistenceVerdict:
+        return ExistenceVerdict(
+            Existence.NOT_EXISTS,
+            m.name,
+            n_zero,
+            InfeasibleWitness(n, str(eval_tau(m, n)), True),
+            circle_ok,
+            horizon,
+        )
 
     # disproof: a nonpositive term at a multiple of the first nonzero index
     for n in range(n_zero, horizon + 1, n_zero):
-        if taus[n] <= 0:
-            return ExistenceVerdict(
-                Existence.NOT_EXISTS,
-                m.name,
-                n_zero,
-                InfeasibleWitness(n, str(taus[n]), True),
-                None,
-                horizon,
-            )
+        if signs[n] <= 0:
+            return witness(n, None)
 
     rho = list(generating_polys(m).rho)
     circle_ok = _only_circle_root_is_one(rho)
@@ -494,10 +491,10 @@ def scb_exists(
             tc = None
         if tc is not None:
             n_check = tc.n_start - 1
-            if n_check > horizon:
-                taus = tau_prefix(m, n_check)
+            if n_check >= len(signs):
+                signs = mu_signs(m, Fraction(0), n_check)
             bad = next(
-                (n for n in range(n_zero, n_check + 1) if taus[n] <= 0), None
+                (n for n in range(n_zero, n_check + 1) if signs[n] <= 0), None
             )
             if bad is None:
                 return ExistenceVerdict(
@@ -509,14 +506,7 @@ def scb_exists(
                     horizon,
                 )
             if bad % n_zero == 0:
-                return ExistenceVerdict(
-                    Existence.NOT_EXISTS,
-                    m.name,
-                    n_zero,
-                    InfeasibleWitness(bad, str(taus[bad]), True),
-                    True,
-                    horizon,
-                )
+                return witness(bad, True)
     return ExistenceVerdict(
         Existence.INCONCLUSIVE,
         m.name,

@@ -425,6 +425,20 @@ def cmd_reproduce(args) -> int:
                 }
             )
             ok_all = ok_all and ok15
+        # the same pattern from exact signs: mu_n = M_n / E^(n+1) with integer M_n
+        signs = recursion.mu_signs(m, data["gamma"], data["horizon"])
+        exact_negative = [n for n in range(1, len(signs)) if signs[n] < 0]
+        ok_exact = set(exact_negative) == expected
+        rows.append(
+            {
+                "gamma": fraction_str(data["gamma"]),
+                "arithmetic": "exact integer-scaled recurrence",
+                "expected_negative": sorted(expected),
+                "computed_negative": exact_negative,
+                "pass": ok_exact,
+            }
+        )
+        ok_all = ok_all and ok_exact
     else:
         raise UsageError(
             "unknown target {!r}; choose from theorem-2.1, theorem-2.2, "

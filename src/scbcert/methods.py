@@ -10,10 +10,11 @@ assumptions: consistency, zero-stability, irreducibility, and b_0 >= 0.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import poly, published
 from .poly import RootCondition
@@ -174,6 +175,13 @@ def catalog(name: str) -> Method:
         raise MethodError(
             "unknown method {!r}; available: {}".format(name, ", ".join(catalog_names()))
         )
+    return _validated_catalog_method(key)
+
+
+@functools.lru_cache(maxsize=None)
+def _validated_catalog_method(key: str) -> Method:
+    """Built and validated once per catalog key; Method is immutable, so
+    every lookup can share the result."""
     family, k, builder = _CATALOG_BUILDERS[key]
     a, b = builder(k)
     m = Method(k=k, a=tuple(a), b=tuple(b), name=key, family=family)
@@ -265,11 +273,16 @@ def char_poly_mu(m: Method, gamma: Fraction) -> List[Fraction]:
     return [lead] + [-(m.a[j - 1] - gamma * m.b[j]) for j in range(1, m.k + 1)]
 
 
-def n0(m: Method) -> int:
-    """Smallest index 1..k with a nonzero tau value."""
-    from . import recursion
+def n0(m: Method, taus: Optional[Sequence] = None) -> int:
+    """Smallest index 1..k with a nonzero tau value.
 
-    taus = recursion.tau_prefix(m, m.k)
+    taus, when given, holds tau_0..tau_k or more (values or signs) that the
+    caller has already computed.
+    """
+    if taus is None:
+        from . import recursion
+
+        taus = recursion.tau_prefix(m, m.k)
     for n in range(1, m.k + 1):
         if taus[n] != 0:
             return n

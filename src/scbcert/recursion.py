@@ -2,8 +2,9 @@
 
 The damped sequence (called mu here) resolves the implicit term of the
 one-leg recursion; its gamma=0 specialization (tau) drives the existence
-test.  Both are evaluated exactly over the rationals, or as containing
-intervals at a chosen working precision.  Closed forms combine certified
+test.  Both are evaluated exactly, through one integer-scaled recurrence
+whose integer numerators also give the signs, or as containing intervals
+at a chosen working precision.  Closed forms combine certified
 root enclosures of the characteristic polynomial with an interval solve of
 the starting-value system, and the tail certificate turns a dominant
 positive real root into a proof of positivity beyond a computed index.
@@ -11,6 +12,7 @@ positive real root into a proof of positivity beyond a computed index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,74 +44,94 @@ class MultipleRootError(ArithmeticDomainError):
 # ---------------------------------------------------------------------------
 
 
-def mu_prefix(m: Method, gamma: Fraction, n_max: int) -> List[Fraction]:
-    """Exact values mu_0..mu_{n_max}; terms for n < 0 are zero."""
-    gamma = Fraction(gamma)
-    den = 1 + gamma * m.b0
-    if den == 0:
-        raise ArithmeticDomainError("1 + gamma*b0 vanishes")
-    out: List[Fraction] = []
-    for n in range(n_max + 1):
-        acc = m.b[n] if n <= m.k else Fraction(0)
-        for j in range(1, min(n, m.k) + 1):
-            acc += (m.a[j - 1] - gamma * m.b[j]) * out[n - j]
-        out.append(acc / den)
-    return out
-
-
-def first_negative_mu(m: Method, gamma: Fraction, n_max: int) -> Optional[int]:
-    """Least n in 1..n_max with mu_n < 0, or None; decided exactly.
+def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
+    """The integer-scaled recurrence behind every exact value of mu and tau.
 
     With gamma = p/q and L the common denominator of the coefficients, put
     E = qL + p*L*b0 and C_j = qL*a_j - p*L*b_j.  Then mu_n = M_n / E^(n+1)
     for the integers M_n = qL*b_n*E^n + sum_j C_j*E^(j-1)*M_(n-j), so every
-    step multiplies big integers by small ones and needs no gcd.
+    step multiplies big integers by small ones and needs no gcd, and
+    sign(mu_n) = sign(M_n) * sign(E)^(n+1).  tau is the case gamma = 0.
+
+    Returns E and an endless iterator over M_0, M_1, ...
     """
     gamma = Fraction(gamma)
     p, q = gamma.numerator, gamma.denominator
     L = math.lcm(*(c.denominator for c in m.a + m.b))
-    E = q * L + p * int(L * m.b0)
+    B = [int(L * c) for c in m.b]
+    E = q * L + p * B[0]
     if E == 0:
         raise ArithmeticDomainError("1 + gamma*b0 vanishes")
-    D = [
-        (q * int(L * m.a[j - 1]) - p * int(L * m.b[j])) * E ** (j - 1)
-        for j in range(1, m.k + 1)
-    ]
-    window = [q * int(L * m.b0)]  # M_0
-    for n in range(1, n_max + 1):
-        acc = q * int(L * m.b[n]) * E**n if n <= m.k else 0
-        for j in range(1, min(n, m.k) + 1):
-            acc += D[j - 1] * window[-j]
-        # sign(mu_n) = sign(M_n) * sign(E)^(n+1)
-        if acc != 0 and (acc < 0) == (E > 0 or n % 2 == 1):
+    inhom = [q * B[n] * E**n for n in range(m.k + 1)]
+    D = [(q * int(L * m.a[j - 1]) - p * B[j]) * E ** (j - 1) for j in range(1, m.k + 1)]
+
+    def numerators() -> Iterator[int]:
+        window: List[int] = []  # window[-j] = M_(n-j)
+        for n in itertools.count():
+            acc = inhom[n] if n <= m.k else 0
+            for j in range(1, min(n, m.k) + 1):
+                acc += D[j - 1] * window[-j]
+            yield acc
+            window.append(acc)
+            if len(window) > m.k:
+                del window[0]
+
+    return E, numerators()
+
+
+def _sign(M: int, E: int, n: int) -> int:
+    """Sign of mu_n = M / E^(n+1)."""
+    s = (M > 0) - (M < 0)
+    return -s if E < 0 and n % 2 == 0 else s
+
+
+def _fractions(E: int, nums: Iterator[int], n_max: int) -> List[Fraction]:
+    """mu_0..mu_{n_max} as M_n / E^(n+1), with a running power of E."""
+    out: List[Fraction] = []
+    den = E
+    for M in itertools.islice(nums, n_max + 1):
+        out.append(Fraction(M, den))
+        den *= E
+    return out
+
+
+def mu_prefix(m: Method, gamma: Fraction, n_max: int) -> List[Fraction]:
+    """Exact values mu_0..mu_{n_max}; terms for n < 0 are zero."""
+    E, nums = _scaled_numerators(m, gamma)
+    return _fractions(E, nums, n_max)
+
+
+def mu_signs(m: Method, gamma: Fraction, n_max: int) -> List[int]:
+    """Signs (-1, 0 or 1) of mu_0..mu_{n_max}, decided exactly without
+    building the rationals; gamma = 0 gives the signs of tau."""
+    E, nums = _scaled_numerators(m, gamma)
+    return [_sign(M, E, n) for n, M in enumerate(itertools.islice(nums, n_max + 1))]
+
+
+def first_negative_mu(m: Method, gamma: Fraction, n_max: int) -> Optional[int]:
+    """Least n in 1..n_max with mu_n < 0, or None; decided exactly."""
+    E, nums = _scaled_numerators(m, gamma)
+    for n, M in enumerate(itertools.islice(nums, n_max + 1)):
+        if n and _sign(M, E, n) < 0:
             return n
-        window.append(acc)
-        if len(window) > m.k:
-            window.pop(0)
     return None
 
 
 def eval_mu(m: Method, gamma: Fraction, n: int) -> Fraction:
     if n < 0:
         return Fraction(0)
-    return mu_prefix(m, gamma, n)[n]
+    E, nums = _scaled_numerators(m, gamma)
+    return Fraction(next(itertools.islice(nums, n, None)), E ** (n + 1))
 
 
 def tau_prefix(m: Method, n_max: int) -> List[Fraction]:
     """Exact values tau_0..tau_{n_max}."""
-    out: List[Fraction] = []
-    for n in range(n_max + 1):
-        acc = m.b[n] if n <= m.k else Fraction(0)
-        for j in range(1, min(n, m.k) + 1):
-            acc += m.a[j - 1] * out[n - j]
-        out.append(acc)
-    return out
+    E, nums = _scaled_numerators(m, Fraction(0))
+    return _fractions(E, nums, n_max)
 
 
 def eval_tau(m: Method, n: int) -> Fraction:
-    if n < 0:
-        return Fraction(0)
-    return tau_prefix(m, n)[n]
+    return eval_mu(m, Fraction(0), n)
 
 
 # ---------------------------------------------------------------------------

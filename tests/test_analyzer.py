@@ -173,6 +173,21 @@ class TestScbExists:
         assert v.status is Existence.NOT_EXISTS
         assert v.evidence.n == 2
 
+    def test_ebdf3_kernel_passes(self, monkeypatch):
+        # one exact pass for the tau signs (n0 included) and one for the
+        # closed form's starting values; the tail needs no further terms
+        passes = []
+        kernel = recursion._scaled_numerators
+
+        def counting(m, gamma):
+            passes.append(gamma)
+            return kernel(m, gamma)
+
+        monkeypatch.setattr(recursion, "_scaled_numerators", counting)
+        v = scb_exists(catalog("ebdf3"))
+        assert v.status is Existence.EXISTS and v.n0 == 1
+        assert len(passes) == 2
+
     def test_whole_catalog_consistent(self):
         for name in methods.catalog_names():
             v = scb_exists(catalog(name))

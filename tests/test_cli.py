@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from scbcert import analyzer, cli, recursion
+from scbcert import analyzer, cli, published, recursion
 from scbcert.cli import (
     EXIT_FEASIBLE,
     EXIT_INCONCLUSIVE,
@@ -294,6 +294,24 @@ class TestReproduceCommand:
         assert rows["bdf1"]["expected"] == "unbounded"
         assert all(r["pass"] for r in rep["rows"])
         assert rows["bdf5"]["poly_check"] == "confirmed"
+
+    def test_remark_bdf4_exact_row(self, capsys, monkeypatch):
+        # the 16000-digit interval run is criterion 5's; stand in for it so
+        # the exact 27000-term row is checked on its own
+        data = published.BDF4_WITNESS_RUN
+
+        def interval_run(m, gamma, n_max, digits, stop_at_negative=False):
+            return recursion.IntervalRun(n_max, digits, list(data["negative_indices"]))
+
+        monkeypatch.setattr(recursion, "run_mu_signs", interval_run)
+        code, rep = run_json(capsys, "reproduce", "--target", "remark-bdf4")
+        assert code == EXIT_FEASIBLE and rep["pass"] is True
+        assert len(rep["rows"]) == 2
+        exact = rep["rows"][-1]
+        assert exact["arithmetic"] == "exact integer-scaled recurrence"
+        assert exact["gamma"] == "389/800"
+        assert exact["computed_negative"] == list(data["negative_indices"])
+        assert exact["pass"] is True
 
     def test_unknown_target(self, capsys):
         code = main(["reproduce", "--target", "theorem-9.9"])

@@ -174,6 +174,21 @@ class TestN0:
             assert n0(catalog(name)) == 1
 
 
+class TestCatalogLookup:
+    def test_second_lookup_skips_validation(self, monkeypatch):
+        first = catalog("bdf4")
+        calls = []
+
+        def counting(m):
+            calls.append(m.name)
+            return validate(m)
+
+        monkeypatch.setattr(methods, "validate", counting)
+        assert catalog("bdf4") is first
+        assert catalog(" BDF4 ") is first
+        assert calls == []
+
+
 class TestCatalogInvariants:
     def test_consistency_sums(self):
         for name in methods.catalog_names():

@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scbcert import poly, published, recursion
-from scbcert.arith import IntervalScalar, Sign
+from scbcert import cli, poly, published, recursion
+from scbcert.arith import ArithmeticDomainError, IntervalScalar, Sign
 from scbcert.methods import Method, catalog
 from scbcert.recursion import (
     MultipleRootError,
@@ -15,6 +21,7 @@ from scbcert.recursion import (
     first_negative_mu,
     mu_gamma_numerators,
     mu_prefix,
+    mu_signs,
     rational_closed_form,
     run_mu_signs,
     tail_certificate,
@@ -85,6 +92,112 @@ class TestExactEvaluation:
         n = first_negative_mu(catalog("bdf4"), data["gamma"], data["horizon"])
         assert n == data["negative_indices"][0]
         assert first_negative_mu(catalog("bdf4"), data["gamma"], n - 1) is None
+
+
+def fraction_mu_prefix(m, gamma, n_max):
+    """Reference: mu_0..mu_{n_max} by the recursion itself in Fraction
+    arithmetic, a gcd at every step."""
+    gamma = F(gamma)
+    den = 1 + gamma * m.b0
+    if den == 0:
+        raise ArithmeticDomainError("1 + gamma*b0 vanishes")
+    out = []
+    for n in range(n_max + 1):
+        acc = m.b[n] if n <= m.k else F(0)
+        for j in range(1, min(n, m.k) + 1):
+            acc += (m.a[j - 1] - gamma * m.b[j]) * out[n - j]
+        out.append(acc / den)
+    return out
+
+
+_small_fraction = st.builds(F, st.integers(-40, 40), st.integers(1, 30))
+
+
+@st.composite
+def _method_and_gamma(draw):
+    """A catalog method at a random gamma, or a random custom method whose
+    b0 may be negative; then gamma is sometimes a multiple t/b0 of -1/b0,
+    so that 1 + gamma*b0 = 1 - t is zero (t = 1) or negative (t > 1)."""
+    if draw(st.booleans()):
+        m = catalog(draw(st.sampled_from(ALL_NAMES)))
+    else:
+        k = draw(st.integers(1, 4))
+        a = draw(st.lists(_small_fraction, min_size=k, max_size=k))
+        b = draw(st.lists(_small_fraction, min_size=k + 1, max_size=k + 1))
+        m = Method(k, tuple(a), tuple(b))
+    if m.b0 < 0 and draw(st.booleans()):
+        t = draw(st.sampled_from([F(1, 2), F(1), F(1), F(3, 2), F(3), F(7)]))
+        return m, -t / m.b0
+    return m, draw(st.builds(F, st.integers(0, 3000), st.integers(1, 1000)))
+
+
+def _sign(v):
+    return (v > 0) - (v < 0)
+
+
+class TestIntegerScaledKernel:
+    """Every exact entry point against the Fraction recursion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_method_and_gamma(), st.integers(0, 60))
+    def test_against_fraction_recursion(self, case, n_max):
+        m, g = case
+        taus = fraction_mu_prefix(m, 0, n_max)
+        assert tau_prefix(m, n_max) == taus
+        assert eval_tau(m, n_max) == taus[-1]
+        assert mu_signs(m, F(0), n_max) == [_sign(v) for v in taus]
+        if 1 + g * m.b0 == 0:
+            for call in (mu_prefix, mu_signs, first_negative_mu, eval_mu):
+                with pytest.raises(ArithmeticDomainError):
+                    call(m, g, n_max)
+            return
+        mus = fraction_mu_prefix(m, g, n_max)
+        assert mu_prefix(m, g, n_max) == mus
+        assert eval_mu(m, g, n_max) == mus[-1]
+        assert mu_signs(m, g, n_max) == [_sign(v) for v in mus]
+        expected = next((n for n in range(1, n_max + 1) if mus[n] < 0), None)
+        assert first_negative_mu(m, g, n_max) == expected
+
+    def test_negative_scale_alternates(self):
+        # b0 = -1/3 at gamma = 6: 1 + gamma*b0 = -1, so mu_n = M_n * (-1)^(n+1)
+        m = Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7)))
+        mus = fraction_mu_prefix(m, F(6), 40)
+        assert any(v < 0 for v in mus[1:]) and any(v > 0 for v in mus[1:])
+        assert mu_prefix(m, F(6), 40) == mus
+        assert mu_signs(m, F(6), 40) == [_sign(v) for v in mus]
+
+    def test_vanishing_scale_raises(self):
+        m = Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7)))
+        for call in (mu_prefix, mu_signs, first_negative_mu, eval_mu):
+            with pytest.raises(ArithmeticDomainError):
+                call(m, F(3), 5)
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
+
+
+def _golden_cases():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize(
+    "case",
+    _golden_cases(),
+    ids=lambda c: "-".join(c["argv"][:1] + c["argv"][2::2]).replace("/", "_"),
+)
+def test_report_matches_golden(case):
+    """check and tau reports, timings aside, are byte-stable: a tail
+    certificate, prefix witnesses, the order-0 zero window, the
+    multiple-root rational form, complex dominance with and without its
+    exact witness, and both existence verdicts."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(case["argv"])
+    report = json.loads(out.getvalue())
+    del report["timings"]
+    assert code == case["exit"]
+    assert report == case["report"]
 
 
 class TestIntervalEvaluation:

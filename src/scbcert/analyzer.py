@@ -17,10 +17,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
-from .arith import IntervalScalar, precision_ladder
+from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, IntervalScalar, precision_ladder
 from .methods import Method, generating_polys, n0, validate
 from .poly import EnclosureError, RealRootEnclosure
 from .recursion import (
@@ -28,7 +28,6 @@ from .recursion import (
     MultipleRootError,
     RationalExponentialForm,
     TailCertificate,
-    closed_form,
     eval_mu,
     eval_tau,
     first_negative_mu,
@@ -39,9 +38,13 @@ from .recursion import (
     tail_certificate,
 )
 
-DEFAULT_DIGITS = 64
-DEFAULT_DIGITS_CAP = 20000
 EXACT_SCAN_CAP = 8192
+# gamma_sup's search: doubling from gamma = 1 past UNBOUNDED_CAP reports an
+# unbounded coefficient, halving below EPS_MIN gives up; a requested
+# crossover bracket is refined to CROSSOVER_TOL
+UNBOUNDED_CAP = Fraction(2**20)
+EPS_MIN = Fraction(1, 2**40)
+CROSSOVER_TOL = Fraction(1, 10**7)
 
 
 class AnalyzerError(RuntimeError):
@@ -234,12 +237,41 @@ def _zero_indices(signs: Sequence[int]) -> Tuple[int, ...]:
     return tuple(n for n in range(1, len(signs)) if signs[n] == 0)
 
 
-def _dominance_split(cf: ClosedForm) -> Tuple[Optional[int], Optional[str]]:
-    """Dominant class index plus its kind ('real' or 'pair'), when certified."""
-    di = cf.dominant_index()
-    if di is None:
-        return None, None
-    return di, "pair" if cf.roots[di].is_pair else "real"
+def _closed_forms(
+    m: Method, gamma: Optional[Fraction], kind: str, digits: int, digits_cap: int
+) -> Iterator[Tuple[int, ClosedForm]]:
+    """The one precision-escalation driver: (rung, closed form certified at
+    that rung) for each rung of the ladder from digits to digits_cap.
+
+    A rung where certification fails is skipped; MultipleRootError (no
+    closed form at any precision) propagates to the caller.
+    """
+    for dig in precision_ladder(digits, digits_cap):
+        try:
+            cf = recursion.closed_form(m, gamma, kind, dig)
+        except MultipleRootError:
+            raise  # an ArithmeticDomainError too, but no rung can help
+        except (EnclosureError, recursion.ArithmeticDomainError):
+            continue
+        yield dig, cf
+
+
+def _complex_dominance(cf: ClosedForm, di: int) -> Optional[InfeasibleComplexDominance]:
+    """Evidence for the dominant pair di, or None while its coefficient box
+    still contains zero."""
+    c_box = cf.coeffs[di]
+    if c_box.abs_sq().lo_fraction() <= 0:
+        return None
+    return InfeasibleComplexDominance(
+        pair_modulus=_interval_str(cf.roots[di].modulus()),
+        others_modulus_max=str(
+            max(
+                (rec.modulus().hi_fraction() for i, rec in enumerate(cf.roots) if i != di),
+                default=Fraction(0),
+            )
+        ),
+        coeff_modulus=_interval_str(c_box.modulus()),
+    )
 
 
 def check_scb(
@@ -257,26 +289,30 @@ def check_scb(
         horizon = max(32, 4 * m.k)
     digits_used = digits
 
-    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
-        return ScbVerdict(
+    def verdict(status: Feasibility, evidence: Evidence) -> ScbVerdict:
+        return ScbVerdict(status, m.name, gamma, evidence, horizon, digits_used)
+
+    def exact_witness(n: int) -> ScbVerdict:
+        return verdict(
+            Feasibility.INFEASIBLE, InfeasibleWitness(n, str(eval_mu(m, gamma, n)), True)
+        )
+
+    def scanned_witness() -> Optional[ScbVerdict]:
+        """First negative term through the horizon (the prefix was clean)."""
+        n = first_negative_mu(m, gamma, horizon) if horizon > prefix_n else None
+        if n is None:
+            return None
+        return verdict(
             Feasibility.INFEASIBLE,
-            m.name,
-            gamma,
+            InfeasibleWitness(n, "negative integer-scaled numerator", True),
+        )
+
+    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
+        return verdict(
+            Feasibility.INFEASIBLE,
             InfeasibleStability(
                 "root condition of the damped polynomial fails strictly at -gamma"
             ),
-            horizon,
-            digits_used,
-        )
-
-    def exact_witness(n: int) -> ScbVerdict:
-        return ScbVerdict(
-            Feasibility.INFEASIBLE,
-            m.name,
-            gamma,
-            InfeasibleWitness(n, str(eval_mu(m, gamma, n)), True),
-            horizon,
-            digits_used,
         )
 
     # exact prefix scan: cheap witnesses, and exact zero detection
@@ -286,33 +322,26 @@ def check_scb(
     if neg is not None:
         return exact_witness(neg)
 
-    multiple_root = False
-    for dig in precision_ladder(min(digits, 64), digits_cap):
-        digits_used = max(digits_used, dig)
-        try:
-            cf = closed_form(m, gamma, "mu", dig, dig)
-        except MultipleRootError:
-            multiple_root = True
-            break
-        except (EnclosureError, recursion.ArithmeticDomainError):
-            continue
-        if cf.order == 0:
-            # identically zero beyond the window; the exact prefix was clean
-            return ScbVerdict(
-                Feasibility.FEASIBLE,
-                m.name,
-                gamma,
-                FeasibleCert(max(prefix_n, cf.window_start), _zero_indices(signs), None, None),
-                horizon,
-                digits_used,
-            )
-        di, kind = _dominance_split(cf)
-        if di is None:
-            continue
-        if kind == "real":
-            dom = cf.roots[di]
-            c_box = cf.coeffs[di]
-            if dom.box.re.hi_fraction() < 0 or c_box.re.hi_fraction() < 0:
+    try:
+        for dig, cf in _closed_forms(m, gamma, "mu", min(digits, 64), digits_cap):
+            digits_used = max(digits_used, dig)
+            if cf.order == 0:
+                # identically zero beyond the window; the exact prefix was clean
+                return verdict(
+                    Feasibility.FEASIBLE,
+                    FeasibleCert(
+                        max(prefix_n, cf.window_start), _zero_indices(signs), None, None
+                    ),
+                )
+            di = cf.dominant_index()
+            if di is None:
+                continue
+            if cf.roots[di].is_pair:
+                evidence = _complex_dominance(cf, di)
+                if evidence is None:
+                    continue  # coefficient box still contains zero: sharpen
+                return scanned_witness() or verdict(Feasibility.INFEASIBLE, evidence)
+            if cf.roots[di].box.re.hi_fraction() < 0 or cf.coeffs[di].re.hi_fraction() < 0:
                 break  # dominant term eventually negative: witness scan below
             tc = tail_certificate(cf)
             if tc is None:
@@ -338,87 +367,29 @@ def check_scb(
                 raise AnalyzerError(
                     "soundness violation: exact zero inside the certified tail"
                 )
-            return ScbVerdict(
-                Feasibility.FEASIBLE,
-                m.name,
-                gamma,
-                FeasibleCert(max(n_check, horizon), zeros, tc, None),
-                horizon,
-                digits_used,
+            return verdict(
+                Feasibility.FEASIBLE, FeasibleCert(max(n_check, horizon), zeros, tc, None)
             )
-        if kind == "pair":
-            c_box = cf.coeffs[di]
-            if c_box.abs_sq().lo_fraction() > 0:
-                evidence = InfeasibleComplexDominance(
-                    pair_modulus=_interval_str(cf.roots[di].modulus()),
-                    others_modulus_max=str(
-                        max(
-                            (
-                                rec.modulus().hi_fraction()
-                                for i, rec in enumerate(cf.roots)
-                                if i != di
-                            ),
-                            default=Fraction(0),
-                        )
-                    ),
-                    coeff_modulus=_interval_str(c_box.modulus()),
-                )
-                if horizon > prefix_n:
-                    n = first_negative_mu(m, gamma, horizon)
-                    if n is not None:
-                        return ScbVerdict(
-                            Feasibility.INFEASIBLE,
-                            m.name,
-                            gamma,
-                            InfeasibleWitness(n, "negative integer-scaled numerator", True),
-                            horizon,
-                            digits_used,
-                        )
-                return ScbVerdict(
-                    Feasibility.INFEASIBLE, m.name, gamma, evidence, horizon, digits_used
-                )
-            continue  # coefficient box still contains zero: sharpen
-
-    if multiple_root:
+        else:
+            digits_used = max(digits_used, digits_cap)  # the last rung is the cap
+    except MultipleRootError:
+        # raised at the first rung, since the test is exact: no closed form
+        # at any precision, but all roots may be rational
         form = rational_closed_form(m, gamma, "mu")
-        if form is not None:
-            if form.all_terms_nonnegative():
-                upto = max(prefix_n, form.window_start)
-                signs = mu_signs(m, gamma, upto)
-                neg = _first_negative(signs)
-                if neg is not None:
-                    return exact_witness(neg)
-                return ScbVerdict(
-                    Feasibility.FEASIBLE,
-                    m.name,
-                    gamma,
-                    FeasibleCert(max(upto, horizon), _zero_indices(signs), None, form),
-                    horizon,
-                    digits_used,
-                )
-
-    # fallback: certified witness scan over the horizon
-    for dig in precision_ladder(digits, digits_cap):
-        digits_used = max(digits_used, dig)
-        run = run_mu_signs(m, gamma, horizon, dig, stop_at_negative=True)
-        if run.first_negative is not None:
-            return ScbVerdict(
-                Feasibility.INFEASIBLE,
-                m.name,
-                gamma,
-                InfeasibleWitness(run.first_negative, "certified negative enclosure", False),
-                horizon,
-                digits_used,
+        if form is not None and form.all_terms_nonnegative():
+            upto = max(prefix_n, form.window_start)
+            signs = mu_signs(m, gamma, upto)
+            neg = _first_negative(signs)
+            if neg is not None:
+                return exact_witness(neg)
+            return verdict(
+                Feasibility.FEASIBLE,
+                FeasibleCert(max(upto, horizon), _zero_indices(signs), None, form),
             )
-        if run.all_certified:
-            break
-    return ScbVerdict(
-        Feasibility.INCONCLUSIVE,
-        m.name,
-        gamma,
-        InconclusiveHorizon(horizon, digits_used),
-        horizon,
-        digits_used,
+
+    # fallback: exact witness scan over the horizon
+    return scanned_witness() or verdict(
+        Feasibility.INCONCLUSIVE, InconclusiveHorizon(horizon, digits_used)
     )
 
 
@@ -483,12 +454,11 @@ def scb_exists(
     rho = list(generating_polys(m).rho)
     circle_ok = _only_circle_root_is_one(rho)
     if circle_ok:
-        tc = None
         try:
-            cf = closed_form(m, None, "tau", digits, digits_cap)
-            tc = tail_certificate(cf)
-        except (MultipleRootError, EnclosureError):
-            tc = None
+            first = next(_closed_forms(m, None, "tau", digits, digits_cap), None)
+        except MultipleRootError:
+            first = None
+        tc = tail_certificate(first[1]) if first is not None else None
         if tc is not None:
             n_check = tc.n_start - 1
             if n_check >= len(signs):
@@ -563,29 +533,28 @@ def _dominance_gap_sign(
     """+1 when the largest positive real root strictly dominates every complex
     pair, -1 when some pair strictly dominates every real root; None when the
     ordering cannot be certified (e.g. at the crossover itself)."""
-    for dig in precision_ladder(digits, digits_cap):
-        try:
-            cf = closed_form(m, gamma, "mu", dig, dig)
-        except MultipleRootError:
-            return None
-        except (EnclosureError, recursion.ArithmeticDomainError):
-            continue
-        real_pos = [
-            rec.modulus() for rec in cf.roots if not rec.is_pair and rec.box.re.lo_fraction() > 0
-        ]
-        pairs = [rec.modulus() for rec in cf.roots if rec.is_pair]
-        if not pairs:
-            return 1 if real_pos else None
-        if not real_pos:
-            return -1
-        rmax_lo = max(v.lo_fraction() for v in real_pos)
-        rmax_hi = max(v.hi_fraction() for v in real_pos)
-        pmax_lo = max(v.lo_fraction() for v in pairs)
-        pmax_hi = max(v.hi_fraction() for v in pairs)
-        if rmax_lo > pmax_hi:
-            return 1
-        if pmax_lo > rmax_hi:
-            return -1
+    try:
+        for _dig, cf in _closed_forms(m, gamma, "mu", digits, digits_cap):
+            real_pos = [
+                rec.modulus()
+                for rec in cf.roots
+                if not rec.is_pair and rec.box.re.lo_fraction() > 0
+            ]
+            pairs = [rec.modulus() for rec in cf.roots if rec.is_pair]
+            if not pairs:
+                return 1 if real_pos else None
+            if not real_pos:
+                return -1
+            rmax_lo = max(v.lo_fraction() for v in real_pos)
+            rmax_hi = max(v.hi_fraction() for v in real_pos)
+            pmax_lo = max(v.lo_fraction() for v in pairs)
+            pmax_hi = max(v.hi_fraction() for v in pairs)
+            if rmax_lo > pmax_hi:
+                return 1
+            if pmax_lo > rmax_hi:
+                return -1
+    except MultipleRootError:
+        pass
     return None
 
 
@@ -593,7 +562,7 @@ def crossover(
     m: Method,
     search_lo: Fraction,
     search_hi: Fraction,
-    tol: Fraction = Fraction(1, 10**7),
+    tol: Fraction = CROSSOVER_TOL,
     digits: int = DEFAULT_DIGITS,
     digits_cap: int = DEFAULT_DIGITS_CAP,
 ) -> Optional[CrossoverBound]:
@@ -656,31 +625,19 @@ def infeasible_by_complex_dominance(
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise AnalyzerError("gamma must be positive")
-    for dig in precision_ladder(digits, digits_cap):
-        try:
-            cf = closed_form(m, gamma, "mu", dig, dig)
-        except MultipleRootError:
-            return None
-        except (EnclosureError, recursion.ArithmeticDomainError):
-            continue
-        di, kind = _dominance_split(cf)
-        if di is None:
-            continue
-        if kind != "pair":
-            return None
-        c_box = cf.coeffs[di]
-        if c_box.abs_sq().lo_fraction() > 0:
-            return InfeasibleComplexDominance(
-                pair_modulus=_interval_str(cf.roots[di].modulus()),
-                others_modulus_max=str(
-                    max(
-                        (rec.modulus().hi_fraction() for i, rec in enumerate(cf.roots) if i != di),
-                        default=Fraction(0),
-                    )
-                ),
-                coeff_modulus=_interval_str(c_box.modulus()),
-            )
-        # coefficient not yet separated from zero: escalate
+    try:
+        for _dig, cf in _closed_forms(m, gamma, "mu", digits, digits_cap):
+            di = cf.dominant_index()
+            if di is None:
+                continue
+            if not cf.roots[di].is_pair:
+                return None
+            evidence = _complex_dominance(cf, di)
+            if evidence is not None:
+                return evidence
+            # coefficient not yet separated from zero: escalate
+    except MultipleRootError:
+        pass
     return None
 
 
@@ -694,16 +651,10 @@ class GammaSupOptions:
     digits: int = DEFAULT_DIGITS
     digits_cap: int = DEFAULT_DIGITS_CAP
     horizon: Optional[int] = None
-    ladder_cap: Fraction = Fraction(2**20)
-    eps_min: Fraction = Fraction(1, 2**40)
     compute_crossover: bool = False
-    crossover_tol: Fraction = Fraction(1, 10**7)
-    verify_published: bool = True
 
 
-def _certify_none_positive(
-    m: Method, verdict: ScbVerdict, options: GammaSupOptions
-) -> Optional[NonePositiveProof]:
+def _certify_none_positive(m: Method, verdict: ScbVerdict) -> Optional[NonePositiveProof]:
     """Try to prove that no gamma in (0, verdict.gamma] is feasible, using the
     exact member-function numerator of the witness index."""
     ev = verdict.evidence
@@ -765,7 +716,7 @@ def gamma_sup(
         ladder.append(g)
         while True:
             g = g * 2
-            if g > opts.ladder_cap:
+            if g > UNBOUNDED_CAP:
                 return GammaSupResult(
                     method_name=m.name,
                     mechanism=Mechanism.UNBOUNDED,
@@ -783,7 +734,7 @@ def gamma_sup(
                 hi, cert_hi = g, v
                 break
     else:
-        proof = _certify_none_positive(m, v, opts)
+        proof = _certify_none_positive(m, v)
         if proof is not None:
             return GammaSupResult(
                 method_name=m.name,
@@ -795,8 +746,8 @@ def gamma_sup(
         hi, cert_hi = g, v
         while True:
             g = g / 2
-            if g < opts.eps_min:
-                proof = _certify_none_positive(m, cert_hi, opts)
+            if g < EPS_MIN:
+                proof = _certify_none_positive(m, cert_hi)
                 if proof is not None:
                     return GammaSupResult(
                         method_name=m.name,
@@ -806,16 +757,14 @@ def gamma_sup(
                         tol=tol,
                     )
                 raise AnalyzerError(
-                    "no feasible gamma found above {} and no none-positive proof".format(
-                        opts.eps_min
-                    )
+                    "no feasible gamma found above {} and no none-positive proof".format(EPS_MIN)
                 )
             v = feas(g)
             if v.status is Feasibility.FEASIBLE:
                 lo, cert_lo = g, v
                 break
             hi, cert_hi = g, v
-            proof = _certify_none_positive(m, v, opts)
+            proof = _certify_none_positive(m, v)
             if proof is not None:
                 return GammaSupResult(
                     method_name=m.name,
@@ -849,13 +798,13 @@ def gamma_sup(
         cert_hi=cert_hi,
         tol=tol,
     )
-    if opts.verify_published and m.name in published.GAMMA_SUP_POLYS:
+    if m.name in published.GAMMA_SUP_POLYS:
         entry = published.GAMMA_SUP_POLYS[m.name]
         outcome = verify_against_poly(result, entry["poly"], entry["selector"])
         result.poly_check = outcome
     if opts.compute_crossover:
         upper = hi * 2
-        bound = crossover(m, hi, max(upper, hi + 1), tol=opts.crossover_tol,
+        bound = crossover(m, hi, max(upper, hi + 1), tol=CROSSOVER_TOL,
                           digits=opts.digits, digits_cap=opts.digits_cap)
         result.crossover_bound = bound
     return result

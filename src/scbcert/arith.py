@@ -32,7 +32,6 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_pow_int,
-    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_ceiling,
@@ -112,10 +111,6 @@ def _fraction_to_mpf(q: Fraction, bits: int, rnd: str):
     return from_rational(q.numerator, q.denominator, bits, rnd)
 
 
-def _is_finite(x) -> bool:
-    return x not in (finf, fninf, fnan)
-
-
 def _mpf_min(a, b):
     return a if mpf_cmp(a, b) <= 0 else b
 
@@ -190,18 +185,9 @@ class IntervalScalar:
     def width_fraction(self) -> Fraction:
         return self.hi_fraction() - self.lo_fraction()
 
-    def is_finite(self) -> bool:
-        return _is_finite(self.lo) and _is_finite(self.hi)
-
     def contains_fraction(self, q: RationalLike) -> bool:
         q = Fraction(q)
         return self.lo_fraction() <= q <= self.hi_fraction()
-
-    def contains_interval(self, other: "IntervalScalar") -> bool:
-        return (
-            self.lo_fraction() <= other.lo_fraction()
-            and other.hi_fraction() <= self.hi_fraction()
-        )
 
     def contains_zero(self) -> bool:
         return mpf_cmp(self.lo, fzero) <= 0 and mpf_cmp(self.hi, fzero) >= 0
@@ -216,9 +202,6 @@ class IntervalScalar:
     def __repr__(self) -> str:
         d = min(self.digits, 17)
         return "[{}, {}]".format(to_str(self.lo, d), to_str(self.hi, d))
-
-    def str_at(self, digits: int) -> str:
-        return "[{}, {}]".format(to_str(self.lo, digits), to_str(self.hi, digits))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -376,11 +359,6 @@ class IntervalScalar:
             )
         return IntervalScalar(fzero, mpf_pow_int(self.mag(), n, bits, round_ceiling), bits)
 
-    def union(self, other: "IntervalScalar") -> "IntervalScalar":
-        return IntervalScalar(
-            _mpf_min(self.lo, other.lo), _mpf_max(self.hi, other.hi), self._bits_with(other)
-        )
-
     def intersect(self, other: "IntervalScalar") -> "IntervalScalar":
         lo = _mpf_max(self.lo, other.lo)
         hi = _mpf_min(self.hi, other.hi)
@@ -393,22 +371,7 @@ class IntervalScalar:
             mpf_cmp(self.hi, other.lo) < 0 or mpf_cmp(other.hi, self.lo) < 0
         )
 
-    def widen_2exp(self, e: int) -> "IntervalScalar":
-        """Widen both endpoints outward by 2**e (e may be negative)."""
-        pad = mpf_shift(fone, e)
-        return IntervalScalar(
-            mpf_sub(self.lo, pad, self.bits, round_floor),
-            mpf_add(self.hi, pad, self.bits, round_ceiling),
-            self.bits,
-        )
-
     # -- certified comparisons --------------------------------------------
-
-    def lt_certain(self, other: "IntervalScalar") -> bool:
-        return mpf_cmp(self.hi, other.lo) < 0
-
-    def gt_certain(self, other: "IntervalScalar") -> bool:
-        return mpf_cmp(self.lo, other.hi) > 0
 
     def strictly_inside(self, other: "IntervalScalar") -> bool:
         return mpf_cmp(other.lo, self.lo) < 0 and mpf_cmp(self.hi, other.hi) < 0
@@ -416,13 +379,6 @@ class IntervalScalar:
 
 def certified_sign(x: IntervalScalar) -> Sign:
     return x.sign()
-
-
-def interval_sum(terms, digits: int = DEFAULT_DIGITS) -> IntervalScalar:
-    acc = IntervalScalar.exact_int(0, digits)
-    for t in terms:
-        acc = acc.add(t)
-    return acc
 
 
 class ComplexBox:
@@ -442,10 +398,6 @@ class ComplexBox:
             IntervalScalar.from_fraction(re, digits),
             IntervalScalar.from_fraction(im, digits),
         )
-
-    @classmethod
-    def from_real_interval(cls, re: IntervalScalar) -> "ComplexBox":
-        return cls(re, IntervalScalar.exact_int(0, re.digits))
 
     def __repr__(self) -> str:
         return "({} + {}*i)".format(self.re, self.im)

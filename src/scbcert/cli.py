@@ -482,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", default="1e-9",
                            help="enclosure width target (exact rational or decimal)")
         p.add_argument("--horizon", type=int, default=None, help="finite-check depth")
-        p.add_argument("--precision", type=int, default=64, help="starting precision (digits)")
+        p.add_argument("--precision", type=int, default=analyzer.DEFAULT_DIGITS,
+                       help="starting precision (digits)")
         p.add_argument("--precision-cap", type=int, default=None,
                        help="escalation cap in digits (env {} as default)".format(PRECISION_CAP_ENV))
         p.add_argument("--format", choices=formats, default=formats[0])

@@ -46,9 +46,6 @@ class Method:
     def b0(self) -> Fraction:
         return self.b[0]
 
-    def is_explicit(self) -> bool:
-        return self.b0 == 0
-
     def __str__(self) -> str:
         return "{} (k={})".format(self.name, self.k)
 

@@ -22,13 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .arith import (
-    ArithmeticDomainError,
-    ComplexBox,
-    IntervalScalar,
-    digits_to_bits,
-    precision_ladder,
-)
+from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, digits_to_bits
 
 # ---------------------------------------------------------------------------
 # dense coefficient-list helpers (descending order)
@@ -98,20 +92,6 @@ def eval_at(a: Sequence, x):
     for c in a:
         acc = acc * x + c
     return acc
-
-
-def eval_fraction(a: Sequence[int], q: Fraction) -> Fraction:
-    """Exact value of an integer polynomial at p/s via homogenization."""
-    a = strip(a)
-    if is_zero(a):
-        return Fraction(0)
-    p, s = q.numerator, q.denominator
-    acc = 0
-    spow = 1
-    for c in a:
-        acc = acc * p + c * spow
-        spow *= s
-    return Fraction(acc, s ** degree(a))
 
 
 def sign_of(x) -> int:
@@ -792,6 +772,32 @@ def newton_refine(
     raise EnclosureError("Newton refinement stalled before target width")
 
 
+def newton_root(
+    coeffs: Sequence[ComplexBox],
+    dcoeffs: Sequence[ComplexBox],
+    z_re: Fraction,
+    z_im: Fraction,
+    width: Fraction,
+    digits: int,
+) -> Optional[ComplexBox]:
+    """Certified box of width <= width around the one root near z_re + i*z_im.
+
+    The trial box grows from a radius tied to the precision until interval
+    Newton maps it strictly inside itself; the box found is then refined.
+    None when no trial box certifies or the refinement stalls.
+    """
+    radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 3)
+    while radius <= Fraction(1, 2):
+        box = newton_certify(coeffs, dcoeffs, z_re, z_im, radius, digits)
+        if box is not None:
+            try:
+                return newton_refine(coeffs, dcoeffs, box, width, digits)
+            except EnclosureError:
+                return None
+        radius *= 4
+    return None
+
+
 def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
@@ -819,12 +825,10 @@ def _pairwise_disjoint(boxes: Sequence[ComplexBox]) -> bool:
 
 
 def enclose_roots_squarefree(
-    q: Sequence[int],
-    target_width: Fraction,
-    digits_start: int = 64,
-    digits_cap: int = 20000,
+    q: Sequence[int], target_width: Fraction, digits: int = DEFAULT_DIGITS
 ) -> List[ComplexRootEnclosure]:
-    """Certified pairwise-disjoint enclosures of all roots of squarefree q."""
+    """Certified pairwise-disjoint enclosures of all roots of squarefree q,
+    at the one working precision given; EnclosureError when that fails."""
     q = primitive(q)
     n = degree(q)
     if n < 1:
@@ -834,13 +838,8 @@ def enclose_roots_squarefree(
         # squarefree, so the root at zero is simple; enclose it exactly
         q = q[:-1]
         n = degree(q)
-        zdigits = digits_start
-        out.append(
-            ComplexRootEnclosure(
-                ComplexBox(IntervalScalar.exact_int(0, zdigits), IntervalScalar.exact_int(0, zdigits)),
-                1,
-            )
-        )
+        zero = IntervalScalar.exact_int(0, digits)
+        out.append(ComplexRootEnclosure(ComplexBox(zero, zero), 1))
         if n < 1:
             return out
     real_iso = _isolate_squarefree(q)
@@ -851,72 +850,41 @@ def enclose_roots_squarefree(
     n_pairs, rem = divmod(n - n_real, 2)
     if rem:
         raise EnclosureError("internal error: real/complex root count mismatch")
-    qf = [Fraction(c) for c in q]
-    dqf = derivative(qf)
-    for digits in precision_ladder(digits_start, digits_cap):
-        # shrink the working width with the precision rung so that closely
-        # spaced roots eventually separate
-        width = min(target_width, Fraction(1, 10) ** max(6, digits // 2))
-        real_boxes = []
-        ok = True
-        for enc in real_encs:
-            r = refine(enc, width / 4)
-            box = r.as_box(digits)
-            if box.width_fraction() > target_width:
-                ok = False
-                break
-            real_boxes.append(box)
-        if not ok:
-            continue
-        upper: List[ComplexBox] = []
-        if n_pairs:
-            approx = _approx_roots(qf, digits + 10)
-            if len(approx) != n:
-                continue
-            cands = sorted(approx, key=lambda z: -mpmath.im(z))[:n_pairs]
-            if any(mpmath.im(z) <= 0 for z in cands):
-                continue
-            cboxes = coeff_boxes(qf, digits)
-            dboxes = coeff_boxes(dqf, digits)
-            for z in cands:
-                zr, zi = _mpf_fraction(mpmath.re(z)), _mpf_fraction(mpmath.im(z))
-                radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 3)
-                box = None
-                while radius <= Fraction(1, 2):
-                    box = newton_certify(cboxes, dboxes, zr, zi, radius, digits)
-                    if box is not None:
-                        break
-                    radius *= 4
-                if box is None:
-                    ok = False
-                    break
-                try:
-                    box = newton_refine(cboxes, dboxes, box, width, digits)
-                except EnclosureError:
-                    ok = False
-                    break
-                if box.im.lo_fraction() <= 0:
-                    ok = False
-                    break
-                upper.append(box)
-            if not ok:
-                continue
-        all_boxes = real_boxes + upper + [b.conjugate() for b in upper]
-        if out:
-            all_boxes = all_boxes + [out[0].box]
-        if _pairwise_disjoint(all_boxes):
-            kept = all_boxes[: len(all_boxes) - 1] if out else all_boxes
-            return out + [ComplexRootEnclosure(b, 1) for b in kept]
-    raise EnclosureError("could not certify disjoint root enclosures at precision cap")
+    failed = "could not certify disjoint root enclosures at {} digits".format(digits)
+    # the working width shrinks with the precision, so that closely spaced
+    # roots separate at a higher one
+    width = min(target_width, Fraction(1, 10) ** max(6, digits // 2))
+    real_boxes = [refine(enc, width / 4).as_box(digits) for enc in real_encs]
+    if any(box.width_fraction() > target_width for box in real_boxes):
+        raise EnclosureError(failed)
+    upper: List[ComplexBox] = []
+    if n_pairs:
+        qf = [Fraction(c) for c in q]
+        approx = _approx_roots(qf, digits + 10)
+        if len(approx) != n:
+            raise EnclosureError(failed)
+        cands = sorted(approx, key=lambda z: -mpmath.im(z))[:n_pairs]
+        if any(mpmath.im(z) <= 0 for z in cands):
+            raise EnclosureError(failed)
+        cboxes = coeff_boxes(qf, digits)
+        dboxes = coeff_boxes(derivative(qf), digits)
+        for z in cands:
+            zr, zi = _mpf_fraction(mpmath.re(z)), _mpf_fraction(mpmath.im(z))
+            box = newton_root(cboxes, dboxes, zr, zi, width, digits)
+            if box is None or box.im.lo_fraction() <= 0:
+                raise EnclosureError(failed)
+            upper.append(box)
+    all_boxes = real_boxes + upper + [b.conjugate() for b in upper]
+    if not _pairwise_disjoint(all_boxes + [e.box for e in out]):
+        raise EnclosureError(failed)
+    return out + [ComplexRootEnclosure(b, 1) for b in all_boxes]
 
 
 def enclose_all_roots(
-    p: Sequence[Fraction],
-    target_width: Fraction,
-    digits_start: int = 64,
-    digits_cap: int = 20000,
+    p: Sequence[Fraction], target_width: Fraction, digits: int = DEFAULT_DIGITS
 ) -> List[ComplexRootEnclosure]:
-    """Certified enclosures of all roots of p with multiplicities.
+    """Certified enclosures of all roots of p with multiplicities, at the one
+    working precision given.
 
     Enclosures are pairwise disjoint for distinct roots; multiplicities sum
     to deg(p); each box has width <= target_width.
@@ -931,7 +899,7 @@ def enclose_all_roots(
     for _ in range(64):
         out: List[ComplexRootEnclosure] = []
         for q, m in factors:
-            encs = enclose_roots_squarefree(q, width, digits_start, digits_cap)
+            encs = enclose_roots_squarefree(q, width, digits)
             out.extend(ComplexRootEnclosure(e.box, m) for e in encs)
         if _pairwise_disjoint([e.box for e in out]):
             return out

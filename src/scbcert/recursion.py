@@ -21,14 +21,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import mpmath
 
 from . import poly
-from .arith import (
-    ArithmeticDomainError,
-    ComplexBox,
-    IntervalScalar,
-    Sign,
-    digits_to_bits,
-    precision_ladder,
-)
+from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
 from .methods import Method, char_poly_mu, generating_polys
 from .poly import EnclosureError, RealRootEnclosure
 
@@ -366,184 +359,71 @@ def _interval_values(
     return vals  # type: ignore[return-value]
 
 
-def _real_newton_refine(
-    coeffs: Sequence[IntervalScalar],
-    interval: IntervalScalar,
-    width: Fraction,
-    digits: int,
-    max_iter: int = 80,
-) -> IntervalScalar:
-    dcoeffs = _interval_derivative(coeffs)
-    cur = interval
-    for _ in range(max_iter):
-        if cur.width_fraction() <= width:
-            return cur
-        mid = IntervalScalar.from_fraction(cur.mid_fraction(), digits)
-        try:
-            fmid = _interval_horner(coeffs, mid)
-            dcur = _interval_horner(dcoeffs, cur)
-            nxt = mid.sub(fmid.div(dcur)).intersect(cur)
-        except ArithmeticDomainError:
-            break
-        if nxt.width_fraction() >= cur.width_fraction():
-            break
-        cur = nxt
-    if cur.width_fraction() <= width:
-        return cur
-    raise EnclosureError("real Newton refinement stalled")
-
-
-def _interval_horner(coeffs: Sequence[IntervalScalar], x: IntervalScalar) -> IntervalScalar:
-    acc = IntervalScalar.exact_int(0, x.digits)
-    for c in coeffs:
-        acc = acc.mul(x).add(c)
-    return acc
-
-
-def _interval_derivative(coeffs: Sequence[IntervalScalar]) -> List[IntervalScalar]:
-    n = len(coeffs) - 1
-    out = []
-    for i in range(n):
-        k = n - i
-        out.append(coeffs[i].mul(IntervalScalar.exact_int(k, coeffs[i].digits)))
-    return out
-
-
-def _real_newton_certify(
-    coeffs: Sequence[IntervalScalar],
-    x: Fraction,
-    radius: Fraction,
-    digits: int,
-) -> Optional[IntervalScalar]:
-    Z = IntervalScalar.from_fractions(x - radius, x + radius, digits)
-    mid = IntervalScalar.from_fraction(x, digits)
-    dcoeffs = _interval_derivative(coeffs)
-    try:
-        fmid = _interval_horner(coeffs, mid)
-        dZ = _interval_horner(dcoeffs, Z)
-        N = mid.sub(fmid.div(dZ))
-    except ArithmeticDomainError:
-        return None
-    if N.strictly_inside(Z):
-        return N
-    return None
-
-
 def _enclose_roots_interval_poly(
     coeffs: Sequence[IntervalScalar], digits: int, width: Fraction
 ) -> Optional[List[RootRecord]]:
     """Certified root classes of a real polynomial with interval coefficients.
 
-    Returns None when certification fails at this precision (caller
-    escalates).  Completeness holds because the boxes are pairwise disjoint,
-    each certified to hold exactly one root, and their count is the degree.
+    Returns None when certification fails at this precision.  Completeness
+    holds because the boxes are pairwise disjoint, each certified to hold
+    exactly one root, and their count is the degree.
     """
     n = len(coeffs) - 1
-    mid_poly = [c.mid_fraction() for c in coeffs]
-    approx = poly._approx_roots(mid_poly, digits + 10)
+    approx = poly._approx_roots([c.mid_fraction() for c in coeffs], digits + 10)
     if len(approx) != n:
         return None
-    cboxes = [ComplexBox(c, IntervalScalar.exact_int(0, digits)) for c in coeffs]
-    dboxes = _complex_derivative(cboxes, digits)
-    records: List[RootRecord] = []
+    zero = IntervalScalar.exact_int(0, digits)
+    cboxes = [ComplexBox(c, zero) for c in coeffs]
+    dboxes = [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(cboxes[:-1])]
     # split candidates into real seeds and upper-half pair seeds; midpoint
     # rounding can push real roots slightly off the axis, so classify by
     # conjugate pairing: roots with positive imaginary part whose mirror is
     # also present form the pairs
-    pos = [z for z in approx if mpmath.im(z) > 0]
-    neg = [z for z in approx if mpmath.im(z) < 0]
-    n_pairs = min(len(pos), len(neg))
+    n_pairs = min(sum(mpmath.im(z) > 0 for z in approx), sum(mpmath.im(z) < 0 for z in approx))
     cand = sorted(approx, key=lambda z: abs(mpmath.im(z)))
-    n_real = n - 2 * n_pairs
-    reals = [poly._mpf_fraction(mpmath.re(z)) for z in cand[:n_real]]
-    rest = cand[n_real:]
-    pair_seeds = [
-        (poly._mpf_fraction(mpmath.re(z)), poly._mpf_fraction(mpmath.im(z)))
-        for z in rest
-        if mpmath.im(z) > 0
-    ]
-    if 2 * len(pair_seeds) != len(rest):
+    reals, rest = cand[: n - 2 * n_pairs], cand[n - 2 * n_pairs :]
+    uppers = [z for z in rest if mpmath.im(z) > 0]
+    if 2 * len(uppers) != len(rest):
         return None
+    records: List[RootRecord] = []
     boxes: List[ComplexBox] = []
-    for x in reals:
-        radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 3)
-        enc = None
-        while radius <= Fraction(1, 2):
-            enc = _real_newton_certify(coeffs, x, radius, digits)
-            if enc is not None:
-                break
-            radius *= 4
-        if enc is None:
-            return None
-        try:
-            enc = _real_newton_refine(coeffs, enc, width, digits)
-        except EnclosureError:
-            return None
-        records.append(RootRecord(ComplexBox(enc, IntervalScalar.exact_int(0, digits)), False))
-        boxes.append(records[-1].box)
-    for zr, zi in pair_seeds:
-        radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 3)
-        box = None
-        while radius <= Fraction(1, 2):
-            box = poly.newton_certify(cboxes, dboxes, zr, zi, radius, digits)
-            if box is not None:
-                break
-            radius *= 4
+    for z, is_pair in [(z, False) for z in reals] + [(z, True) for z in uppers]:
+        # a real seed gets a trial box symmetric about the real axis: the one
+        # root certified there is then real, since its conjugate is a root too
+        zr = poly._mpf_fraction(mpmath.re(z))
+        zi = poly._mpf_fraction(mpmath.im(z)) if is_pair else Fraction(0)
+        box = poly.newton_root(cboxes, dboxes, zr, zi, width, digits)
         if box is None:
             return None
-        try:
-            box = poly.newton_refine(cboxes, dboxes, box, width, digits)
-        except EnclosureError:
-            return None
-        if box.im.lo_fraction() <= 0:
-            return None
-        records.append(RootRecord(box, True))
-        boxes.append(box)
-        boxes.append(box.conjugate())
+        if is_pair:
+            if box.im.lo_fraction() <= 0:
+                return None
+            boxes += [box, box.conjugate()]
+        else:
+            box = ComplexBox(box.re, zero)
+            boxes.append(box)
+        records.append(RootRecord(box, is_pair))
     if not poly._pairwise_disjoint(boxes):
         return None
     return records
-
-
-def _complex_derivative(cboxes: Sequence[ComplexBox], digits: int) -> List[ComplexBox]:
-    n = len(cboxes) - 1
-    out = []
-    for i in range(n):
-        k = n - i
-        scalar = IntervalScalar.exact_int(k, digits)
-        out.append(cboxes[i].mul_real(scalar))
-    return out
 
 
 def closed_form(
     m: Method,
     gamma: Optional[GammaLike],
     kind: str = "mu",
-    digits: int = 64,
-    digits_cap: int = 20000,
+    digits: int = DEFAULT_DIGITS,
 ) -> ClosedForm:
-    """Certified closed form of the sequence (simple characteristic roots).
+    """Certified closed form of the sequence (simple characteristic roots),
+    at the one working precision given.
 
     Raises MultipleRootError at parameter values where the characteristic
-    polynomial has a multiple root; raises EnclosureError if certification
-    fails below the precision cap.
+    polynomial has a multiple root; raises EnclosureError (or another
+    ArithmeticDomainError) if certification fails at this precision.
     """
     if kind not in ("mu", "tau"):
         raise ValueError("kind must be 'mu' or 'tau'")
     exact_gamma = isinstance(gamma, (Fraction, int)) or kind == "tau"
-    for dig in precision_ladder(digits, digits_cap):
-        try:
-            return _closed_form_at(m, gamma, kind, dig, exact_gamma)
-        except MultipleRootError:
-            raise
-        except (EnclosureError, ArithmeticDomainError):
-            continue
-    raise EnclosureError("closed form not certifiable below the precision cap")
-
-
-def _closed_form_at(
-    m: Method, gamma: Optional[GammaLike], kind: str, digits: int, exact_gamma: bool
-) -> ClosedForm:
     n_b = _n_inhomogeneous(m)
     if exact_gamma:
         char = _char_coeffs(m, kind, Fraction(gamma) if kind == "mu" else None)
@@ -568,14 +448,14 @@ def _closed_form_at(
                     one_box = ComplexBox.from_fractions(1, 0, digits)
                     records.append(RootRecord(one_box, False, exact=Fraction(1)))
                     encs = (
-                        poly.enclose_all_roots(rest, width, digits, digits)
+                        poly.enclose_all_roots(rest, width, digits)
                         if poly.degree(rest) >= 1
                         else []
                     )
                 else:
-                    encs = poly.enclose_all_roots(charf, width, digits, digits)
+                    encs = poly.enclose_all_roots(charf, width, digits)
             else:
-                encs = poly.enclose_all_roots(char, width, digits, digits)
+                encs = poly.enclose_all_roots(char, width, digits)
             for e in encs:
                 if e.multiplicity != 1:
                     raise MultipleRootError("multiple characteristic roots")
@@ -601,10 +481,9 @@ def _closed_form_at(
         # multiple-root guard: the discriminant as a function of gamma must
         # exclude zero on the enclosure
         disc_poly = char_discriminant_gamma_poly(m)
-        dval = _interval_horner(
-            [IntervalScalar.from_fraction(c, digits) for c in disc_poly], g
-        )
-        if dval.contains_zero():
+        g_box = ComplexBox(g, IntervalScalar.exact_int(0, digits))
+        dval = poly.horner_box(poly.coeff_boxes(disc_poly, digits), g_box, digits)
+        if dval.re.contains_zero():
             raise MultipleRootError(
                 "characteristic discriminant not certified nonzero at this gamma"
             )

@@ -1,9 +1,11 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from scbcert import analyzer, methods, published, recursion
+from scbcert import analyzer, arith, methods, published, recursion
 from scbcert.analyzer import (
     Existence,
     Feasibility,
@@ -102,6 +104,18 @@ class TestCheckScb:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(analyzer.AnalyzerError):
             check_scb(catalog("bdf2"), F(0))
+
+    def test_negative_dominant_root_exact_witness(self):
+        # characteristic roots 9/10 and -19/20 at gamma = 1: the dominant
+        # term alternates in sign, and the first negative term (n = 21) lies
+        # past the 16-term exact prefix but inside the default horizon 32
+        m = methods.Method(2, (F(11, 20), F(401, 200)), (F(0), F(3, 5), F(23, 20)))
+        assert methods.char_poly_mu(m, F(1)) == [F(1), F(1, 20), F(-171, 200)]
+        v = check_scb(m, F(1))
+        assert v.status is Feasibility.INFEASIBLE
+        assert v.evidence == InfeasibleWitness(21, "negative integer-scaled numerator", True)
+        assert recursion.eval_mu(m, F(1), 21) < 0
+        assert recursion.first_negative_mu(m, F(1), 20) is None
 
 
 class TestAb3AtOptimum:
@@ -297,6 +311,37 @@ class TestGammaSup:
         r = gamma_sup(catalog("ab4"), F(1, 10**6))
         assert r.mechanism is Mechanism.NONE_POSITIVE
         assert r.none_positive.witness_n == 2
+
+    def test_bdf4_call_and_rung_counts(self, monkeypatch):
+        # each rung of the one precision ladder builds exactly one closed
+        # form; the pinned counts guard against extra ladders or calls
+        counts = Counter()
+
+        def rebind(fn, key, per_item=False):
+            if per_item:
+                def counting(*args, **kwargs):
+                    for item in fn(*args, **kwargs):
+                        counts[key] += 1
+                        yield item
+            else:
+                def counting(*args, **kwargs):
+                    counts[key] += 1
+                    return fn(*args, **kwargs)
+
+            # wherever a module binds the name, as perfbench/trace.py does
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("scbcert.") and mod is not None:
+                    for attr, obj in list(vars(mod).items()):
+                        if obj is fn:
+                            monkeypatch.setattr(mod, attr, counting)
+
+        rebind(analyzer.check_scb, "check_scb")
+        rebind(recursion.closed_form, "closed_form")
+        rebind(arith.precision_ladder, "rungs", per_item=True)
+        r = gamma_sup(catalog("bdf4"), F(1, 10**9))
+        assert r.mechanism is Mechanism.CROSSOVER
+        assert counts["rungs"] == counts["closed_form"]
+        assert dict(counts) == {"check_scb": 31, "closed_form": 30, "rungs": 30}
 
 
 class TestVerifyAgainstPoly:

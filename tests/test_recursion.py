@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scbcert import cli, poly, published, recursion
 from scbcert.arith import ArithmeticDomainError, IntervalScalar, Sign
-from scbcert.methods import Method, catalog
+from scbcert.methods import Method, catalog, char_poly_mu
 from scbcert.recursion import (
     MultipleRootError,
     closed_form,
@@ -311,6 +311,40 @@ class TestClosedForm:
         assert root.box.re.hi_fraction() >= F("0.500518")
         assert coeff.re.lo_fraction() <= F("0.50155510")
         assert coeff.re.hi_fraction() >= F("0.50155509")
+
+    def test_interval_path_matches_exact_path(self):
+        # gamma = p/q given as the isolated root of q*x - p goes through the
+        # interval-coefficient root certifier; it must find the same root
+        # classes as the exact-coefficient path at p/q, with intersecting
+        # root and coefficient boxes
+        rng = random.Random(61)
+        compared = 0
+        for name in ALL_NAMES:
+            m = catalog(name)
+            disc = poly.to_integer(recursion.char_discriminant_gamma_poly(m))
+            for _ in range(3):
+                g = F(rng.randint(1, 3 * 10**5), rng.randint(10**5, 2 * 10**5))
+                char = char_poly_mu(m, g)
+                if poly.sign_at_fraction(disc, g) == 0 or char[-1] == 0:
+                    continue  # multiple root, or a root at zero
+                exact = closed_form(m, g, "mu", 64)
+                enc = poly.isolate_real_roots([g.denominator, -g.numerator])[0]
+                approx = closed_form(m, enc, "mu", 64)
+                assert (approx.order, approx.window_start) == (exact.order, exact.window_start)
+                for is_pair in (False, True):
+                    assert sum(r.is_pair is is_pair for r in approx.roots) == sum(
+                        r.is_pair is is_pair for r in exact.roots
+                    ), (name, g)
+                for r, c in zip(exact.roots, exact.coeffs):
+                    hits = [
+                        i
+                        for i, a in enumerate(approx.roots)
+                        if a.is_pair is r.is_pair and a.box.intersects(r.box)
+                    ]
+                    assert len(hits) == 1, (name, g)
+                    assert approx.coeffs[hits[0]].intersects(c), (name, g)
+                compared += 1
+        assert compared >= 36
 
 
 class TestTailCertificate:

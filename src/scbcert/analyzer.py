@@ -238,17 +238,18 @@ def _zero_indices(signs: Sequence[int]) -> Tuple[int, ...]:
 
 
 def _closed_forms(
-    m: Method, gamma: Optional[Fraction], kind: str, digits: int, digits_cap: int
+    m: Method, gamma: Fraction, digits: int, digits_cap: int
 ) -> Iterator[Tuple[int, ClosedForm]]:
-    """The one precision-escalation driver: (rung, closed form certified at
-    that rung) for each rung of the ladder from digits to digits_cap.
+    """The one precision-escalation driver: (rung, closed form of mu at gamma
+    certified at that rung) for each rung of the ladder from digits to
+    digits_cap; gamma = 0 gives tau.
 
     A rung where certification fails is skipped; MultipleRootError (no
     closed form at any precision) propagates to the caller.
     """
     for dig in precision_ladder(digits, digits_cap):
         try:
-            cf = recursion.closed_form(m, gamma, kind, dig)
+            cf = recursion.closed_form(m, gamma, dig)
         except MultipleRootError:
             raise  # an ArithmeticDomainError too, but no rung can help
         except (EnclosureError, recursion.ArithmeticDomainError):
@@ -323,7 +324,7 @@ def check_scb(
         return exact_witness(neg)
 
     try:
-        for dig, cf in _closed_forms(m, gamma, "mu", min(digits, 64), digits_cap):
+        for dig, cf in _closed_forms(m, gamma, min(digits, 64), digits_cap):
             digits_used = max(digits_used, dig)
             if cf.order == 0:
                 # identically zero beyond the window; the exact prefix was clean
@@ -375,7 +376,7 @@ def check_scb(
     except MultipleRootError:
         # raised at the first rung, since the test is exact: no closed form
         # at any precision, but all roots may be rational
-        form = rational_closed_form(m, gamma, "mu")
+        form = rational_closed_form(m, gamma)
         if form is not None and form.all_terms_nonnegative():
             upto = max(prefix_n, form.window_start)
             signs = mu_signs(m, gamma, upto)
@@ -451,37 +452,41 @@ def scb_exists(
         if signs[n] <= 0:
             return witness(n, None)
 
-    rho = list(generating_polys(m).rho)
-    circle_ok = _only_circle_root_is_one(rho)
+    circle_ok = _only_circle_root_is_one(list(generating_polys(m).rho))
+    digits_used = digits
     if circle_ok:
         try:
-            first = next(_closed_forms(m, None, "tau", digits, digits_cap), None)
-        except MultipleRootError:
-            first = None
-        tc = tail_certificate(first[1]) if first is not None else None
-        if tc is not None:
-            n_check = tc.n_start - 1
-            if n_check >= len(signs):
-                signs = mu_signs(m, Fraction(0), n_check)
-            bad = next(
-                (n for n in range(n_zero, n_check + 1) if signs[n] <= 0), None
-            )
-            if bad is None:
-                return ExistenceVerdict(
-                    Existence.EXISTS,
-                    m.name,
-                    n_zero,
-                    FeasibleCert(max(n_check, horizon), (), tc, None),
-                    True,
-                    horizon,
+            for digits_used, cf in _closed_forms(m, Fraction(0), digits, digits_cap):
+                tc = tail_certificate(cf)
+                if tc is None:
+                    continue  # sharpen the enclosures at the next rung
+                n_check = tc.n_start - 1
+                if n_check >= len(signs):
+                    signs = mu_signs(m, Fraction(0), n_check)
+                bad = next(
+                    (n for n in range(n_zero, n_check + 1) if signs[n] <= 0), None
                 )
-            if bad % n_zero == 0:
-                return witness(bad, True)
+                if bad is None:
+                    return ExistenceVerdict(
+                        Existence.EXISTS,
+                        m.name,
+                        n_zero,
+                        FeasibleCert(max(n_check, horizon), (), tc, None),
+                        True,
+                        horizon,
+                    )
+                if bad % n_zero == 0:
+                    return witness(bad, True)
+                break  # an exact term decided this; no rung can change it
+            else:
+                digits_used = digits_cap  # the last rung is the cap
+        except MultipleRootError:
+            pass
     return ExistenceVerdict(
         Existence.INCONCLUSIVE,
         m.name,
         n_zero,
-        InconclusiveHorizon(horizon, digits),
+        InconclusiveHorizon(horizon, digits_used),
         circle_ok,
         horizon,
     )
@@ -534,7 +539,7 @@ def _dominance_gap_sign(
     pair, -1 when some pair strictly dominates every real root; None when the
     ordering cannot be certified (e.g. at the crossover itself)."""
     try:
-        for _dig, cf in _closed_forms(m, gamma, "mu", digits, digits_cap):
+        for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
             real_pos = [
                 rec.modulus()
                 for rec in cf.roots
@@ -626,7 +631,7 @@ def infeasible_by_complex_dominance(
     if gamma <= 0:
         raise AnalyzerError("gamma must be positive")
     try:
-        for _dig, cf in _closed_forms(m, gamma, "mu", digits, digits_cap):
+        for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
             di = cf.dominant_index()
             if di is None:
                 continue
@@ -707,72 +712,52 @@ def gamma_sup(
             )
         return v
 
-    # seed probe at gamma = 1, then ladder up or down
-    ladder: List[Fraction] = []
-    g = Fraction(1)
-    v = feas(g)
-    if v.status is Feasibility.FEASIBLE:
-        lo, cert_lo = g, v
-        ladder.append(g)
-        while True:
-            g = g * 2
-            if g > UNBOUNDED_CAP:
-                return GammaSupResult(
-                    method_name=m.name,
-                    mechanism=Mechanism.UNBOUNDED,
-                    lo=ladder[-1],
-                    hi=None,
-                    cert_lo=cert_lo,
-                    ladder=tuple(ladder),
-                    tol=tol,
-                )
-            v = feas(g)
-            if v.status is Feasibility.FEASIBLE:
-                ladder.append(g)
-                lo, cert_lo = g, v
-            else:
-                hi, cert_hi = g, v
-                break
-    else:
+    def none_positive(v: ScbVerdict) -> Optional[GammaSupResult]:
         proof = _certify_none_positive(m, v)
-        if proof is not None:
-            return GammaSupResult(
-                method_name=m.name,
-                mechanism=Mechanism.NONE_POSITIVE,
-                none_positive=proof,
-                cert_hi=v,
-                tol=tol,
-            )
-        hi, cert_hi = g, v
-        while True:
-            g = g / 2
-            if g < EPS_MIN:
-                proof = _certify_none_positive(m, cert_hi)
-                if proof is not None:
+        if proof is None:
+            return None
+        return GammaSupResult(
+            method_name=m.name,
+            mechanism=Mechanism.NONE_POSITIVE,
+            none_positive=proof,
+            cert_hi=v,
+            tol=tol,
+        )
+
+    # bracket search from gamma = 1: double while feasible, halve while not
+    ladder: List[Fraction] = []
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    g = Fraction(1)
+    while lo is None or hi is None:
+        v = feas(g)
+        if v.status is Feasibility.FEASIBLE:
+            lo, cert_lo = g, v
+            if hi is None:
+                ladder.append(g)
+                g *= 2
+                if g > UNBOUNDED_CAP:
                     return GammaSupResult(
                         method_name=m.name,
-                        mechanism=Mechanism.NONE_POSITIVE,
-                        none_positive=proof,
-                        cert_hi=cert_hi,
+                        mechanism=Mechanism.UNBOUNDED,
+                        lo=lo,
+                        cert_lo=cert_lo,
+                        ladder=tuple(ladder),
                         tol=tol,
                     )
-                raise AnalyzerError(
-                    "no feasible gamma found above {} and no none-positive proof".format(EPS_MIN)
-                )
-            v = feas(g)
-            if v.status is Feasibility.FEASIBLE:
-                lo, cert_lo = g, v
-                break
+        else:
             hi, cert_hi = g, v
-            proof = _certify_none_positive(m, v)
-            if proof is not None:
-                return GammaSupResult(
-                    method_name=m.name,
-                    mechanism=Mechanism.NONE_POSITIVE,
-                    none_positive=proof,
-                    cert_hi=v,
-                    tol=tol,
-                )
+            if lo is None:
+                result = none_positive(v)
+                if result is not None:
+                    return result
+                g /= 2
+                if g < EPS_MIN:
+                    raise AnalyzerError(
+                        "no feasible gamma found above {} and no none-positive proof".format(
+                            EPS_MIN
+                        )
+                    )
 
     while hi - lo > tol:
         mid = (lo + hi) / 2

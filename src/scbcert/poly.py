@@ -703,6 +703,10 @@ class EnclosureError(ArithmeticDomainError):
     pass
 
 
+# interval Newton steps newton_refine takes before it calls the refinement stalled
+NEWTON_MAX_ITER = 80
+
+
 def horner_box(coeffs: Sequence[ComplexBox], z: ComplexBox, digits: int) -> ComplexBox:
     acc = ComplexBox.from_fractions(0, 0, digits)
     for c in coeffs:
@@ -750,10 +754,9 @@ def newton_refine(
     box: ComplexBox,
     width: Fraction,
     digits: int,
-    max_iter: int = 80,
 ) -> ComplexBox:
     cur = box
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if cur.width_fraction() <= width:
             return cur
         mid = ComplexBox.from_fractions(cur.re.mid_fraction(), cur.im.mid_fraction(), digits)

@@ -12,6 +12,7 @@ positive real root into a proof of positivity beyond a computed index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,10 +23,13 @@ import mpmath
 
 from . import poly
 from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
-from .methods import Method, char_poly_mu, generating_polys
+from .methods import Method, char_poly_mu
 from .poly import EnclosureError, RealRootEnclosure
 
 GammaLike = Union[Fraction, int, RealRootEnclosure, IntervalScalar]
+
+# tail_certificate gives up when the residual bound needs more terms than this
+TAIL_SEARCH_CAP = 1 << 14
 
 
 class MultipleRootError(ArithmeticDomainError):
@@ -118,9 +122,8 @@ def eval_mu(m: Method, gamma: Fraction, n: int) -> Fraction:
 
 
 def tau_prefix(m: Method, n_max: int) -> List[Fraction]:
-    """Exact values tau_0..tau_{n_max}."""
-    E, nums = _scaled_numerators(m, Fraction(0))
-    return _fractions(E, nums, n_max)
+    """Exact values tau_0..tau_{n_max}: mu at gamma = 0."""
+    return mu_prefix(m, Fraction(0), n_max)
 
 
 def eval_tau(m: Method, n: int) -> Fraction:
@@ -172,20 +175,6 @@ def eval_mu_interval(
         yield n, acc
 
 
-def sequence_csv_rows(
-    m: Method,
-    kind: str,
-    n_max: int,
-    gamma: Optional[Fraction] = None,
-) -> List[str]:
-    """CSV rows (n, exact value, sign) for a sequence prefix."""
-    if kind == "tau":
-        vals = tau_prefix(m, n_max)
-    else:
-        vals = mu_prefix(m, Fraction(gamma), n_max)
-    return prefix_csv_rows(vals)
-
-
 def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:
     """CSV rows (n, exact value, sign) for an already computed prefix
     vals[0..n_max]; the row for n = 0 is left out."""
@@ -208,18 +197,8 @@ class IntervalRun:
     unknown: List[int] = field(default_factory=list)
     first_negative: Optional[int] = None
 
-    @property
-    def all_certified(self) -> bool:
-        return not self.unknown
 
-
-def run_mu_signs(
-    m: Method,
-    gamma: GammaLike,
-    n_max: int,
-    digits: int,
-    stop_at_negative: bool = False,
-) -> IntervalRun:
+def run_mu_signs(m: Method, gamma: GammaLike, n_max: int, digits: int) -> IntervalRun:
     run = IntervalRun(n_max=n_max, digits=digits)
     for n, val in eval_mu_interval(m, gamma, n_max, digits):
         s = val.sign()
@@ -227,8 +206,6 @@ def run_mu_signs(
             run.negative.append(n)
             if run.first_negative is None:
                 run.first_negative = n
-            if stop_at_negative:
-                break
         elif s is Sign.UNKNOWN:
             run.unknown.append(n)
     return run
@@ -290,8 +267,7 @@ class ClosedForm:
     """Certified representation sum_j c_j rho_j^n valid for n >= window_start."""
 
     method: Method
-    kind: str  # "mu" or "tau"
-    gamma: Optional[GammaLike]
+    gamma: GammaLike
     order: int
     window_start: int
     roots: List[RootRecord]
@@ -330,33 +306,6 @@ def _n_inhomogeneous(m: Method) -> int:
         if m.b[n] != 0:
             return n
     return 0
-
-
-def _char_coeffs(m: Method, kind: str, gamma: Optional[Fraction]) -> List[Fraction]:
-    if kind == "tau":
-        return list(generating_polys(m).rho)
-    return char_poly_mu(m, Fraction(gamma))
-
-
-def _exact_values(m: Method, kind: str, gamma: Optional[Fraction], upto: int) -> List[Fraction]:
-    if kind == "tau":
-        return tau_prefix(m, upto)
-    return mu_prefix(m, Fraction(gamma), upto)
-
-
-def _interval_values(
-    m: Method, kind: str, gamma: GammaLike, upto: int, digits: int
-) -> List[IntervalScalar]:
-    if kind == "tau":
-        return [IntervalScalar.from_fraction(v, digits) for v in tau_prefix(m, upto)]
-    vals = [None] * (upto + 1)
-    g = _gamma_interval(gamma, digits)
-    one = IntervalScalar.exact_int(1, digits)
-    den = one.add(g.mul(IntervalScalar.from_fraction(m.b0, digits)))
-    vals[0] = IntervalScalar.from_fraction(m.b[0], digits).div(den)
-    for n, v in eval_mu_interval(m, gamma, upto, digits):
-        vals[n] = v
-    return vals  # type: ignore[return-value]
 
 
 def _enclose_roots_interval_poly(
@@ -408,25 +357,21 @@ def _enclose_roots_interval_poly(
     return records
 
 
-def closed_form(
-    m: Method,
-    gamma: Optional[GammaLike],
-    kind: str = "mu",
-    digits: int = DEFAULT_DIGITS,
-) -> ClosedForm:
-    """Certified closed form of the sequence (simple characteristic roots),
-    at the one working precision given.
+def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> ClosedForm:
+    """Certified closed form of mu at gamma (simple characteristic roots), at
+    the one working precision given; gamma = 0 gives tau.
 
     Raises MultipleRootError at parameter values where the characteristic
     polynomial has a multiple root; raises EnclosureError (or another
     ArithmeticDomainError) if certification fails at this precision.
     """
-    if kind not in ("mu", "tau"):
-        raise ValueError("kind must be 'mu' or 'tau'")
-    exact_gamma = isinstance(gamma, (Fraction, int)) or kind == "tau"
+    exact_gamma = isinstance(gamma, (Fraction, int))
     n_b = _n_inhomogeneous(m)
+    width = Fraction(1, 10) ** max(8, digits // 2)
+    zero = IntervalScalar.exact_int(0, digits)
     if exact_gamma:
-        char = _char_coeffs(m, kind, Fraction(gamma) if kind == "mu" else None)
+        gamma = Fraction(gamma)
+        char = char_poly_mu(m, gamma)
         zero_roots = 0
         while len(char) > 1 and char[-1] == 0:
             char.pop()
@@ -437,28 +382,15 @@ def closed_form(
                 "closed form unavailable: multiple characteristic roots; "
                 "use direct evaluation"
             )
-        width = Fraction(1, 10) ** max(8, digits // 2)
         records: List[RootRecord] = []
-        if order > 0:
-            if kind == "tau":
-                # rho(1) = 0 exactly by consistency; deflate and keep 1 exactly
-                charf = [Fraction(c) for c in char]
-                if poly.eval_at(charf, Fraction(1)) == 0:
-                    rest = poly.divexact(charf, [Fraction(1), Fraction(-1)])
-                    one_box = ComplexBox.from_fractions(1, 0, digits)
-                    records.append(RootRecord(one_box, False, exact=Fraction(1)))
-                    encs = (
-                        poly.enclose_all_roots(rest, width, digits)
-                        if poly.degree(rest) >= 1
-                        else []
-                    )
-                else:
-                    encs = poly.enclose_all_roots(charf, width, digits)
-            else:
-                encs = poly.enclose_all_roots(char, width, digits)
-            for e in encs:
-                if e.multiplicity != 1:
-                    raise MultipleRootError("multiple characteristic roots")
+        if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
+            # 1 is a root (at gamma = 0 by consistency): keep it exactly
+            char = poly.divexact(char, [Fraction(1), Fraction(-1)])
+            one_box = ComplexBox.from_fractions(1, 0, digits)
+            records.append(RootRecord(one_box, False, exact=Fraction(1)))
+        # the discriminant test above proved char squarefree
+        if poly.degree(char) >= 1:
+            for e in poly.enclose_roots_squarefree(poly.to_integer(char), width, digits):
                 if e.is_real():
                     records.append(RootRecord(e.box, False))
                 elif e.box.im.lo_fraction() > 0:
@@ -467,8 +399,8 @@ def closed_form(
         # algebraic gamma: interval coefficients from the refined enclosure
         if not isinstance(gamma, RealRootEnclosure):
             raise ValueError("algebraic gamma must be a RealRootEnclosure")
-        genc = gamma.refined(Fraction(1, 10) ** (digits + 10))
-        g = genc.interval(digits)
+        gamma = gamma.refined(Fraction(1, 10) ** (digits + 10))
+        g = gamma.interval(digits)
         one = IntervalScalar.exact_int(1, digits)
         lead = one.add(g.mul(IntervalScalar.from_fraction(m.b0, digits)))
         coeffs = [lead]
@@ -481,26 +413,21 @@ def closed_form(
         # multiple-root guard: the discriminant as a function of gamma must
         # exclude zero on the enclosure
         disc_poly = char_discriminant_gamma_poly(m)
-        g_box = ComplexBox(g, IntervalScalar.exact_int(0, digits))
-        dval = poly.horner_box(poly.coeff_boxes(disc_poly, digits), g_box, digits)
+        dval = poly.horner_box(poly.coeff_boxes(disc_poly, digits), ComplexBox(g, zero), digits)
         if dval.re.contains_zero():
             raise MultipleRootError(
                 "characteristic discriminant not certified nonzero at this gamma"
             )
-        width = Fraction(1, 10) ** max(8, digits // 2)
         recs = _enclose_roots_interval_poly(coeffs, digits, width)
         if recs is None:
             raise EnclosureError("root certification failed for interval coefficients")
         records = recs
-        gamma = genc
-    order_total = order
-    if sum(r.weight for r in records) != order_total:
+    if sum(r.weight for r in records) != order:
         raise EnclosureError("root class weights do not sum to the order")
-    s = max(0, n_b + 1 - order_total) if order_total > 0 else n_b + 1
-    if order_total == 0:
+    s = max(0, n_b + 1 - order) if order > 0 else n_b + 1
+    if order == 0:
         return ClosedForm(
             method=m,
-            kind=kind,
             gamma=gamma,
             order=0,
             window_start=s,
@@ -512,17 +439,18 @@ def closed_form(
     # starting-value solve: sum_j c_j rho_j^n = value_n, n = s..s+order-1
     upto_check = s + 2 * m.k
     if exact_gamma:
-        vals = _exact_values(m, kind, Fraction(gamma) if kind == "mu" else None, upto_check)
-        rhs = [ComplexBox.from_fractions(v, 0, digits) for v in vals[s : s + order_total]]
+        vals = mu_prefix(m, gamma, upto_check)
+        rhs = [ComplexBox.from_fractions(v, 0, digits) for v in vals[s : s + order]]
     else:
-        ivals = _interval_values(m, kind, gamma, upto_check, digits)
-        rhs = [ComplexBox(v, IntervalScalar.exact_int(0, digits)) for v in ivals[s : s + order_total]]
+        ivals = [IntervalScalar.from_fraction(m.b[0], digits).div(lead)]
+        ivals += [v for _n, v in eval_mu_interval(m, g, upto_check, digits)]
+        rhs = [ComplexBox(v, zero) for v in ivals[s : s + order]]
     cols: List[ComplexBox] = []
     for rec in records:
         cols.append(rec.box)
         if rec.is_pair:
             cols.append(rec.box.conjugate())
-    matrix = [[c.pow_int(s + r) for c in cols] for r in range(order_total)]
+    matrix = [[c.pow_int(s + r) for c in cols] for r in range(order)]
     sol = _solve_complex_system(matrix, rhs, digits)
     coeff_records: List[ComplexBox] = []
     idx = 0
@@ -531,9 +459,8 @@ def closed_form(
         idx += 2 if rec.is_pair else 1
     cf = ClosedForm(
         method=m,
-        kind=kind,
         gamma=gamma,
-        order=order_total,
+        order=order,
         window_start=s,
         roots=records,
         coeffs=coeff_records,
@@ -570,15 +497,10 @@ def _lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Lis
     return acc
 
 
-_DISC_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def char_discriminant_gamma_poly(m: Method) -> List[Fraction]:
     """Discriminant of the characteristic polynomial as an exact polynomial
     in gamma (computed by interpolation, verified at an extra point)."""
-    key = (m.k, m.a, m.b)
-    if key in _DISC_CACHE:
-        return _DISC_CACHE[key]
     npts = 2 * m.k + 2
     xs = [Fraction(i) for i in range(npts)]
     ys = [poly.discriminant(char_poly_mu(m, x)) for x in xs]
@@ -586,7 +508,6 @@ def char_discriminant_gamma_poly(m: Method) -> List[Fraction]:
     check = Fraction(npts)
     if poly.eval_at(coeffs, check) != poly.discriminant(char_poly_mu(m, check)):
         raise ArithmeticDomainError("discriminant interpolation failed verification")
-    _DISC_CACHE[key] = coeffs
     return coeffs
 
 
@@ -638,7 +559,7 @@ def _floor_decimal(x: Fraction, places: int) -> Fraction:
     return Fraction((x * scale) // 1, scale)
 
 
-def tail_certificate(cf: ClosedForm, n_search_cap: int = 1 << 14) -> Optional[TailCertificate]:
+def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
     """Positivity-from-N certificate for a closed form with a strictly
     dominant positive real simple root and positive leading coefficient.
 
@@ -702,7 +623,7 @@ def tail_certificate(cf: ClosedForm, n_search_cap: int = 1 << 14) -> Optional[Ta
         width = 1
         while True:
             hi = start + width
-            if hi > n_search_cap:
+            if hi > TAIL_SEARCH_CAP:
                 return None
             if residual(hi) < c_lb:
                 break
@@ -720,7 +641,7 @@ def tail_certificate(cf: ClosedForm, n_search_cap: int = 1 << 14) -> Optional[Ta
     res_bound = _ceil_decimal(residual(n0), places)
     while res_bound >= c_lb:
         n0 += 1
-        if n0 > n_search_cap:
+        if n0 > TAIL_SEARCH_CAP:
             return None
         res_bound = _ceil_decimal(residual(n0), places)
     return TailCertificate(
@@ -819,13 +740,11 @@ def _divisors(n: int) -> List[int]:
     return sorted(out)
 
 
-def rational_closed_form(
-    m: Method, gamma: Fraction, kind: str = "mu"
-) -> Optional[RationalExponentialForm]:
-    """Exact exponential-polynomial form at parameter values where all
+def rational_closed_form(m: Method, gamma: Fraction) -> Optional[RationalExponentialForm]:
+    """Exact exponential-polynomial form of mu at parameter values where all
     characteristic roots are rational (covers multiple-root cases)."""
-    char = _char_coeffs(m, kind, Fraction(gamma) if kind == "mu" else None)
-    char = [Fraction(c) for c in char]
+    gamma = Fraction(gamma)
+    char = char_poly_mu(m, gamma)
     zero_mult = 0
     while poly.degree(char) >= 1 and char[-1] == 0:
         char.pop()
@@ -839,12 +758,12 @@ def rational_closed_form(
     s = max(0, n_b + 1 - order) if order >= 1 else n_b + 1
     unknowns = sum(mult for _r, mult in roots)
     if unknowns == 0:
-        vals = _exact_values(m, kind, gamma if kind == "mu" else None, s + 2 * m.k)
+        vals = mu_prefix(m, gamma, s + 2 * m.k)
         if any(v != 0 for v in vals[s:]):
             return None
         return RationalExponentialForm(window_start=s, parts=())
     upto = s + unknowns - 1 + 2 * m.k
-    vals = _exact_values(m, kind, gamma if kind == "mu" else None, upto)
+    vals = mu_prefix(m, gamma, upto)
     # solve for the coefficient polynomials from the first `unknowns` values
     cols = []
     for rho, mult in roots:

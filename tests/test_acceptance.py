@@ -154,7 +154,7 @@ def test_criterion_7_closed_form_fixtures():
     with criterion("7 (closed-form fixtures)", 300):
         for name, data in published.CLOSED_FORM_AT_OPTIMUM.items():
             gstar = poly.isolate_real_roots(published.GAMMA_SUP_POLYS[name]["poly"])[0]
-            cf = closed_form(catalog(name), gstar, "mu", 80)
+            cf = closed_form(catalog(name), gstar, 80)
             for (r_re, r_im), (c_re, c_im) in zip(data["roots"], data["coeffs"]):
                 assert _some_class_matches(cf, r_re, r_im, c_re, c_im), (
                     name,

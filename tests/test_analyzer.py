@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from scbcert import analyzer, arith, methods, published, recursion
+from scbcert import analyzer, arith, methods, poly, published, recursion
 from scbcert.analyzer import (
     Existence,
     Feasibility,
@@ -23,7 +23,16 @@ from scbcert.analyzer import (
     simple_root_bound,
     verify_against_poly,
 )
-from scbcert.methods import catalog
+from scbcert.methods import Method, catalog, validate
+
+
+def near_unit_method(e):
+    """rho = (z - 1)(z - r) with r = 1 - 10^-e and sigma(1) = 1 - r, so that
+    tau_n = 1 - r^n: separating r from 1 in the closed form takes far more
+    than 64 digits."""
+    eps = F(1, 10**e)
+    r = 1 - eps
+    return Method(k=2, a=(1 + r, -r), b=(F(0), eps, F(0)), name="near-unit")
 
 
 class TestStabilityInterior:
@@ -129,7 +138,7 @@ class TestAb3AtOptimum:
         g = F(84, 529)
         v = check_scb(m, g)
         assert v.status is Feasibility.FEASIBLE
-        cf = closed_form(m, g, "mu", 64)
+        cf = closed_form(m, g, 64)
         assert all(not r.is_pair for r in cf.roots)
         ordered = sorted(
             zip(cf.roots, cf.coeffs), key=lambda rc: rc[0].box.re.mid_fraction()
@@ -160,8 +169,6 @@ class TestDegenerateParameters:
         # rho = z^2 - 1 carries the extra circle root -1: the existence
         # corollary is silent, and the negative axis is outside the
         # stability interior
-        from scbcert.methods import Method, validate
-
         ms = Method(
             k=2, a=(F(0), F(1)), b=(F(1, 3), F(4, 3), F(1, 3)), name="milne-simpson"
         )
@@ -201,6 +208,25 @@ class TestScbExists:
         v = scb_exists(catalog("ebdf3"))
         assert v.status is Existence.EXISTS and v.n0 == 1
         assert len(passes) == 2
+
+    @pytest.mark.parametrize("e", [20, 40])
+    def test_near_unit_root_climbs_the_ladder(self, e):
+        m = near_unit_method(e)
+        assert validate(m).ok
+        try:
+            first_rung = recursion.tail_certificate(recursion.closed_form(m, F(0), 64))
+        except recursion.EnclosureError:
+            first_rung = None
+        assert first_rung is None  # 64 digits do not separate r from 1 enough
+        v = scb_exists(m)
+        assert v.status is Existence.EXISTS
+        assert v.only_circle_root_is_one is True
+        assert v.evidence.tail is not None
+
+    def test_exhausted_ladder_reports_the_cap(self):
+        v = scb_exists(near_unit_method(40), digits_cap=128)
+        assert v.status is Existence.INCONCLUSIVE
+        assert v.evidence.digits == 128
 
     def test_whole_catalog_consistent(self):
         for name in methods.catalog_names():
@@ -342,6 +368,22 @@ class TestGammaSup:
         assert r.mechanism is Mechanism.CROSSOVER
         assert counts["rungs"] == counts["closed_form"]
         assert dict(counts) == {"check_scb": 31, "closed_form": 30, "rungs": 30}
+
+
+class TestSquarefreeRootEngine:
+    def test_closed_forms_skip_the_general_enclosure(self, monkeypatch):
+        # an exact gamma's closed form has passed the discriminant test, so
+        # its roots go straight to the squarefree engine
+        def general(*args, **kwargs):
+            raise AssertionError("closed form built through enclose_all_roots")
+
+        monkeypatch.setattr(poly, "enclose_all_roots", general)
+        for name in methods.catalog_names():
+            m = catalog(name)
+            for i in range(1, 31):
+                v = check_scb(m, F(i, 10))
+                assert v.status is not Feasibility.INCONCLUSIVE, (name, i)
+            assert scb_exists(m).status is not Existence.INCONCLUSIVE, name
 
 
 class TestVerifyAgainstPoly:

@@ -300,7 +300,7 @@ class TestReproduceCommand:
         # the exact 27000-term row is checked on its own
         data = published.BDF4_WITNESS_RUN
 
-        def interval_run(m, gamma, n_max, digits, stop_at_negative=False):
+        def interval_run(m, gamma, n_max, digits):
             return recursion.IntervalRun(n_max, digits, list(data["negative_indices"]))
 
         monkeypatch.setattr(recursion, "run_mu_signs", interval_run)

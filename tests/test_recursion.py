@@ -254,7 +254,7 @@ class TestMemberFunctions:
 
 class TestClosedForm:
     def test_ebdf3_tau(self):
-        cf = closed_form(catalog("ebdf3"), None, "tau", 64)
+        cf = closed_form(catalog("ebdf3"), F(0), 64)
         assert cf.order == 3 and cf.window_start == 1
         reals = [r for r in cf.roots if not r.is_pair]
         pairs = [r for r in cf.roots if r.is_pair]
@@ -270,7 +270,7 @@ class TestClosedForm:
         for name in ALL_NAMES:
             m = catalog(name)
             try:
-                cf = closed_form(m, None, "tau", 64)
+                cf = closed_form(m, F(0), 64)
             except MultipleRootError:
                 continue
             one_idx = next(
@@ -283,25 +283,25 @@ class TestClosedForm:
         for name in ("bdf2", "bdf4", "ab3", "ebdf5"):
             m = catalog(name)
             g = F(rng.randint(1, 5), rng.randint(6, 12))
-            cf = closed_form(m, g, "mu", 64)
+            cf = closed_form(m, g, 64)
             exact = mu_prefix(m, g, 300)
             for n in range(cf.window_start, 301):
                 assert cf.reconstruct(n).contains_fraction(exact[n]), (name, n)
 
     def test_multiple_root_detection(self):
         with pytest.raises(MultipleRootError):
-            closed_form(catalog("bdf2"), F(1, 2), "mu", 64)
+            closed_form(catalog("bdf2"), F(1, 2), 64)
         with pytest.raises(MultipleRootError):
-            closed_form(catalog("bdf4"), F(7, 12), "mu", 64)
+            closed_form(catalog("bdf4"), F(7, 12), 64)
 
     def test_degenerate_order_zero(self):
-        cf = closed_form(catalog("ab1"), F(1), "mu", 64)
+        cf = closed_form(catalog("ab1"), F(1), 64)
         assert cf.order == 0 and cf.window_start == 2
         assert eval_mu(catalog("ab1"), F(1), 5) == 0
 
     def test_algebraic_gamma_bdf3(self):
         gstar = poly.isolate_real_roots(published.GAMMA_SUP_POLYS["bdf3"]["poly"])[0]
-        cf = closed_form(catalog("bdf3"), gstar, "mu", 80)
+        cf = closed_form(catalog("bdf3"), gstar, 80)
         reals = [
             (r, c) for r, c in zip(cf.roots, cf.coeffs) if not r.is_pair
         ]
@@ -327,9 +327,9 @@ class TestClosedForm:
                 char = char_poly_mu(m, g)
                 if poly.sign_at_fraction(disc, g) == 0 or char[-1] == 0:
                     continue  # multiple root, or a root at zero
-                exact = closed_form(m, g, "mu", 64)
+                exact = closed_form(m, g, 64)
                 enc = poly.isolate_real_roots([g.denominator, -g.numerator])[0]
-                approx = closed_form(m, enc, "mu", 64)
+                approx = closed_form(m, enc, 64)
                 assert (approx.order, approx.window_start) == (exact.order, exact.window_start)
                 for is_pair in (False, True):
                     assert sum(r.is_pair is is_pair for r in approx.roots) == sum(
@@ -349,13 +349,13 @@ class TestClosedForm:
 
 class TestTailCertificate:
     def test_ebdf3(self):
-        cf = closed_form(catalog("ebdf3"), None, "tau", 64)
+        cf = closed_form(catalog("ebdf3"), F(0), 64)
         tc = tail_certificate(cf)
         assert tc.n_start == 1
         assert tc.residual_at_start <= F(9, 10)
 
     def test_ebdf5_finite_checks(self):
-        cf = closed_form(catalog("ebdf5"), None, "tau", 64)
+        cf = closed_form(catalog("ebdf5"), F(0), 64)
         tc = tail_certificate(cf)
         assert tc.n_start <= 5
         assert tc.residual_at_start <= F(9, 10)
@@ -364,7 +364,7 @@ class TestTailCertificate:
 
     def test_bdf3_near_optimum(self):
         g = F("0.83126")
-        cf = closed_form(catalog("bdf3"), g, "mu", 64)
+        cf = closed_form(catalog("bdf3"), g, 64)
         tc = tail_certificate(cf)
         assert tc is not None
         assert tc.n_start <= 93
@@ -372,13 +372,13 @@ class TestTailCertificate:
         assert all(v >= 0 for v in mus)
 
     def test_residual_decreases(self):
-        cf = closed_form(catalog("ebdf4"), None, "tau", 64)
+        cf = closed_form(catalog("ebdf4"), F(0), 64)
         tc = tail_certificate(cf)
         assert tc.residual(tc.n_start + 1) < tc.residual(tc.n_start)
         assert tc.residual(tc.n_start) < tc.dominant_coeff_lb
 
     def test_complex_dominant_returns_none(self):
-        cf = closed_form(catalog("bdf2"), F(6, 10), "mu", 64)
+        cf = closed_form(catalog("bdf2"), F(6, 10), 64)
         assert tail_certificate(cf) is None
 
 
@@ -449,7 +449,7 @@ class TestGammaDiscriminant:
 
 class TestSequenceCsv:
     def test_tau_rows(self):
-        rows = recursion.sequence_csv_rows(catalog("ebdf3"), "tau", 3)
+        rows = recursion.prefix_csv_rows(recursion.tau_prefix(catalog("ebdf3"), 3))
         assert rows == [
             "n,value,sign",
             "1,18/11,positive",
@@ -458,13 +458,13 @@ class TestSequenceCsv:
         ]
 
     def test_mu_rows_signs(self):
-        rows = recursion.sequence_csv_rows(catalog("ab4"), "mu", 2, F(1, 10))
+        rows = recursion.prefix_csv_rows(recursion.mu_prefix(catalog("ab4"), F(1, 10), 2))
         assert rows[2].endswith(",negative")
 
 
 class TestRationalClosedForm:
     def test_bdf2_double_root(self):
-        form = rational_closed_form(catalog("bdf2"), F(1, 2), "mu")
+        form = rational_closed_form(catalog("bdf2"), F(1, 2))
         assert form is not None
         assert form.all_terms_nonnegative()
         assert len(form.parts) == 1
@@ -474,8 +474,8 @@ class TestRationalClosedForm:
             assert form.value(n) == F(n + 1, 2 ** (n + 1))
 
     def test_ab1_at_one(self):
-        form = rational_closed_form(catalog("ab1"), F(1), "mu")
+        form = rational_closed_form(catalog("ab1"), F(1))
         assert form is not None and form.parts == ()
 
     def test_irrational_roots_give_none(self):
-        assert rational_closed_form(catalog("bdf3"), F(1, 3), "mu") is None
+        assert rational_closed_form(catalog("bdf3"), F(1, 3)) is None

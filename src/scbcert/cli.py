@@ -167,12 +167,27 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise UsageError("cannot parse {} {!r}: {}".format(what, text, exc)) from exc
 
 
+def _positive_int(text: str) -> int:
+    """Counts and digit numbers from outside: integers >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got {!r}".format(text))
+    return n
+
+
 def _precision_cap(args) -> int:
-    cap = getattr(args, "precision_cap", None)
-    if cap:
-        return cap
+    if args.precision_cap is not None:
+        return args.precision_cap
     env = os.environ.get(PRECISION_CAP_ENV)
-    return int(env) if env else analyzer.DEFAULT_DIGITS_CAP
+    if not env:
+        return analyzer.DEFAULT_DIGITS_CAP
+    try:
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError("{}: {}".format(PRECISION_CAP_ENV, exc)) from exc
 
 
 def _load_method(args) -> methods.Method:
@@ -243,9 +258,10 @@ def cmd_tau(args) -> int:
     n_max = args.n
     if n_max < 1:
         raise UsageError("--n must be at least 1")
+    cap = _precision_cap(args)
     t0 = time.time()
     taus = recursion.tau_prefix(m, n_max)
-    verdict = analyzer.scb_exists(m, digits=args.precision, digits_cap=_precision_cap(args))
+    verdict = analyzer.scb_exists(m, args.horizon, args.precision, cap)
     timings = {"seconds": round(time.time() - t0, 3)}
     if args.format == "csv":
         write_text("\n".join(recursion.prefix_csv_rows(taus)), args)
@@ -270,11 +286,11 @@ def cmd_tau(args) -> int:
 
 
 def _parse_n_range(text: str) -> Tuple[int, int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    a, sep, b = text.partition("..")
+    try:
+        return int(a), int(b if sep else a)
+    except ValueError as exc:
+        raise UsageError("cannot parse index range {!r}".format(text)) from exc
 
 
 def _parse_gamma_grid(text: str) -> List[Fraction]:
@@ -469,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma=False, tol=False, formats=("json", "text")):
+    def common(p, gamma=False, tol=False, formats=("json", "text"), certify=True):
         p.add_argument(
             "--method",
             "-m",
@@ -481,11 +497,14 @@ def build_parser() -> argparse.ArgumentParser:
         if tol:
             p.add_argument("--tol", default="1e-9",
                            help="enclosure width target (exact rational or decimal)")
-        p.add_argument("--horizon", type=int, default=None, help="finite-check depth")
-        p.add_argument("--precision", type=int, default=analyzer.DEFAULT_DIGITS,
-                       help="starting precision (digits)")
-        p.add_argument("--precision-cap", type=int, default=None,
-                       help="escalation cap in digits (env {} as default)".format(PRECISION_CAP_ENV))
+        if certify:
+            p.add_argument("--horizon", type=_positive_int, default=None,
+                           help="finite-check depth")
+            p.add_argument("--precision", type=_positive_int, default=analyzer.DEFAULT_DIGITS,
+                           help="starting precision (digits)")
+            p.add_argument("--precision-cap", type=_positive_int, default=None,
+                           help="escalation cap in digits (env {} as default)".format(
+                               PRECISION_CAP_ENV))
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", "-o", default=None, help="write the report to a file")
 
@@ -519,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("mu-curve", help="CSV samples of the member functions")
-    common(p, formats=("csv",))
+    common(p, formats=("csv",), certify=False)
     p.add_argument("--n", required=True, help="index range, e.g. 1..21")
     p.add_argument("--gamma", required=True, help="grid start:end:step (exact rationals)")
     p.add_argument("--mark-gamma", default=None, help="emit marker rows at this gamma")

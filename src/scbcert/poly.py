@@ -1,11 +1,13 @@
 """Exact polynomial algebra with certified root analysis.
 
 Coefficient lists are kept in descending degree order throughout, matching
-the serialization format used by the CLI.  Real roots are isolated with
-signed subresultant (Sturm) chains over the integers and refined by exact
-rational bisection; complex roots are enclosed by floating approximations
-that are then rigorously certified and refined with the interval Newton
-operator.  Membership of roots on the unit circle is decided exactly via
+the serialization format used by the CLI.  Where an exact real root is the
+answer, it is isolated with signed subresultant (Sturm) chains over the
+integers and refined by exact rational bisection.  All roots of a real
+polynomial with exact or interval coefficients, real and complex alike, are
+enclosed by one engine, ``enclose_roots``: floating approximations that are
+then rigorously certified and refined with the interval Newton operator.
+Membership of roots on the unit circle is decided exactly via
 the gcd with the reversed polynomial and a z + 1/z degree reduction, and
 membership of the open unit disk by the Schur-Cohn reduction over the
 integers, never numerically.
@@ -497,12 +499,6 @@ class RealRootEnclosure:
     def interval(self, digits: int) -> IntervalScalar:
         return IntervalScalar.from_fractions(self.lo, self.hi, digits)
 
-    def as_box(self, digits: int) -> ComplexBox:
-        return ComplexBox(
-            IntervalScalar.from_fractions(self.lo, self.hi, digits),
-            IntervalScalar.exact_int(0, digits),
-        )
-
 
 def refine(enc: RealRootEnclosure, width: Fraction) -> RealRootEnclosure:
     """Shrink an isolating interval below ``width`` by exact sign bisection."""
@@ -785,11 +781,13 @@ def newton_root(
 ) -> Optional[ComplexBox]:
     """Certified box of width <= width around the one root near z_re + i*z_im.
 
-    The trial box grows from a radius tied to the precision until interval
-    Newton maps it strictly inside itself; the box found is then refined.
-    None when no trial box certifies or the refinement stalls.
+    The trial box grows from a radius of about the square root of the
+    working precision (seeds are far closer than that, and a small first box
+    keeps clustered roots apart) until interval Newton maps it strictly
+    inside itself; the box found is then refined.  None when no trial box
+    certifies or the refinement stalls.
     """
-    radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 3)
+    radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 2)
     while radius <= Fraction(1, 2):
         box = newton_certify(coeffs, dcoeffs, z_re, z_im, radius, digits)
         if box is not None:
@@ -811,7 +809,9 @@ def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
 
 
 def _mpf_fraction(x) -> Fraction:
-    sign, man, exp, _bc = mpmath.mpf(x)._mpf_
+    """Exact value of an mpf, read from its own mantissa and exponent (not
+    rounded to the global working precision)."""
+    sign, man, exp, _bc = x._mpf_
     man = int(man)
     if sign:
         man = -man
@@ -827,60 +827,60 @@ def _pairwise_disjoint(boxes: Sequence[ComplexBox]) -> bool:
     return True
 
 
-def enclose_roots_squarefree(
-    q: Sequence[int], target_width: Fraction, digits: int = DEFAULT_DIGITS
-) -> List[ComplexRootEnclosure]:
-    """Certified pairwise-disjoint enclosures of all roots of squarefree q,
-    at the one working precision given; EnclosureError when that fails."""
-    q = primitive(q)
-    n = degree(q)
+def enclose_roots(
+    coeffs: Sequence[IntervalScalar], width: Fraction, digits: int
+) -> List[Tuple[ComplexBox, bool]]:
+    """Certified root classes of a real polynomial with interval coefficients,
+    at the one working precision given: (box, False) for each real root and
+    (box, True) for the upper member of each conjugate pair.
+
+    Each box has width <= width and holds exactly one root of every
+    polynomial in the coefficient family.  Completeness holds because the
+    boxes, conjugates included, are pairwise disjoint and their count is the
+    degree.  Raises EnclosureError when certification fails at this
+    precision.
+    """
+    n = len(coeffs) - 1
     if n < 1:
         return []
-    out: List[ComplexRootEnclosure] = []
-    if q[-1] == 0:
-        # squarefree, so the root at zero is simple; enclose it exactly
-        q = q[:-1]
-        n = degree(q)
-        zero = IntervalScalar.exact_int(0, digits)
-        out.append(ComplexRootEnclosure(ComplexBox(zero, zero), 1))
-        if n < 1:
-            return out
-    real_iso = _isolate_squarefree(q)
-    real_encs = [RealRootEnclosure(tuple(q), lo, hi) for lo, hi in real_iso]
-    if out:
-        real_encs = [refine_away_from_zero(e) for e in real_encs]
-    n_real = len(real_encs)
-    n_pairs, rem = divmod(n - n_real, 2)
-    if rem:
-        raise EnclosureError("internal error: real/complex root count mismatch")
     failed = "could not certify disjoint root enclosures at {} digits".format(digits)
-    # the working width shrinks with the precision, so that closely spaced
-    # roots separate at a higher one
-    width = min(target_width, Fraction(1, 10) ** max(6, digits // 2))
-    real_boxes = [refine(enc, width / 4).as_box(digits) for enc in real_encs]
-    if any(box.width_fraction() > target_width for box in real_boxes):
+    approx = _approx_roots([c.mid_fraction() for c in coeffs], digits + 10)
+    if len(approx) != n:
         raise EnclosureError(failed)
-    upper: List[ComplexBox] = []
-    if n_pairs:
-        qf = [Fraction(c) for c in q]
-        approx = _approx_roots(qf, digits + 10)
-        if len(approx) != n:
+    zero = IntervalScalar.exact_int(0, digits)
+    cboxes = [ComplexBox(c, zero) for c in coeffs]
+    dboxes = [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(cboxes[:-1])]
+    # split the seeds into real ones and upper-half pair ones; midpoint
+    # rounding can push real roots slightly off the axis, so classify by
+    # conjugate pairing: roots with positive imaginary part whose mirror is
+    # also present form the pairs
+    n_pairs = min(sum(mpmath.im(z) > 0 for z in approx), sum(mpmath.im(z) < 0 for z in approx))
+    cand = sorted(approx, key=lambda z: abs(mpmath.im(z)))
+    reals, rest = cand[: n - 2 * n_pairs], cand[n - 2 * n_pairs :]
+    uppers = sorted((z for z in rest if mpmath.im(z) > 0), key=lambda z: -mpmath.im(z))
+    if 2 * len(uppers) != len(rest):
+        raise EnclosureError(failed)
+    out: List[Tuple[ComplexBox, bool]] = []
+    boxes: List[ComplexBox] = []
+    for z, is_pair in [(z, False) for z in reals] + [(z, True) for z in uppers]:
+        # a real seed gets a trial box symmetric about the real axis: the one
+        # root certified there is then real, since its conjugate is a root too
+        zr = _mpf_fraction(mpmath.re(z))
+        zi = _mpf_fraction(mpmath.im(z)) if is_pair else Fraction(0)
+        box = newton_root(cboxes, dboxes, zr, zi, width, digits)
+        if box is None:
             raise EnclosureError(failed)
-        cands = sorted(approx, key=lambda z: -mpmath.im(z))[:n_pairs]
-        if any(mpmath.im(z) <= 0 for z in cands):
-            raise EnclosureError(failed)
-        cboxes = coeff_boxes(qf, digits)
-        dboxes = coeff_boxes(derivative(qf), digits)
-        for z in cands:
-            zr, zi = _mpf_fraction(mpmath.re(z)), _mpf_fraction(mpmath.im(z))
-            box = newton_root(cboxes, dboxes, zr, zi, width, digits)
-            if box is None or box.im.lo_fraction() <= 0:
+        if is_pair:
+            if box.im.lo_fraction() <= 0:
                 raise EnclosureError(failed)
-            upper.append(box)
-    all_boxes = real_boxes + upper + [b.conjugate() for b in upper]
-    if not _pairwise_disjoint(all_boxes + [e.box for e in out]):
+            boxes += [box, box.conjugate()]
+        else:
+            box = ComplexBox(box.re, zero)
+            boxes.append(box)
+        out.append((box, is_pair))
+    if not _pairwise_disjoint(boxes):
         raise EnclosureError(failed)
-    return out + [ComplexRootEnclosure(b, 1) for b in all_boxes]
+    return out
 
 
 def enclose_all_roots(
@@ -902,8 +902,11 @@ def enclose_all_roots(
     for _ in range(64):
         out: List[ComplexRootEnclosure] = []
         for q, m in factors:
-            encs = enclose_roots_squarefree(q, width, digits)
-            out.extend(ComplexRootEnclosure(e.box, m) for e in encs)
+            coeffs = [IntervalScalar.exact_int(c, digits) for c in q]
+            for box, is_pair in enclose_roots(coeffs, width, digits):
+                out.append(ComplexRootEnclosure(box, m))
+                if is_pair:
+                    out.append(ComplexRootEnclosure(box.conjugate(), m))
         if _pairwise_disjoint([e.box for e in out]):
             return out
         width /= 16

@@ -4,10 +4,12 @@ The damped sequence (called mu here) resolves the implicit term of the
 one-leg recursion; its gamma=0 specialization (tau) drives the existence
 test.  Both are evaluated exactly, through one integer-scaled recurrence
 whose integer numerators also give the signs, or as containing intervals
-at a chosen working precision.  Closed forms combine certified
-root enclosures of the characteristic polynomial with an interval solve of
-the starting-value system, and the tail certificate turns a dominant
-positive real root into a proof of positivity beyond a computed index.
+at a chosen working precision.  Closed forms combine certified root
+enclosures of the characteristic polynomial, from the one engine
+``poly.enclose_roots`` (point coefficients at a rational gamma, interval
+coefficients at an algebraic one), with an interval solve of the
+starting-value system, and the tail certificate turns a dominant positive
+real root into a proof of positivity beyond a computed index.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-import mpmath
 
 from . import poly
 from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
@@ -273,7 +273,6 @@ class ClosedForm:
     roots: List[RootRecord]
     coeffs: List[ComplexBox]
     digits: int
-    zero_roots: int = 0
 
     def reconstruct(self, n: int) -> IntervalScalar:
         """Interval containing the exact sequence value (n >= window_start)."""
@@ -308,55 +307,6 @@ def _n_inhomogeneous(m: Method) -> int:
     return 0
 
 
-def _enclose_roots_interval_poly(
-    coeffs: Sequence[IntervalScalar], digits: int, width: Fraction
-) -> Optional[List[RootRecord]]:
-    """Certified root classes of a real polynomial with interval coefficients.
-
-    Returns None when certification fails at this precision.  Completeness
-    holds because the boxes are pairwise disjoint, each certified to hold
-    exactly one root, and their count is the degree.
-    """
-    n = len(coeffs) - 1
-    approx = poly._approx_roots([c.mid_fraction() for c in coeffs], digits + 10)
-    if len(approx) != n:
-        return None
-    zero = IntervalScalar.exact_int(0, digits)
-    cboxes = [ComplexBox(c, zero) for c in coeffs]
-    dboxes = [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(cboxes[:-1])]
-    # split candidates into real seeds and upper-half pair seeds; midpoint
-    # rounding can push real roots slightly off the axis, so classify by
-    # conjugate pairing: roots with positive imaginary part whose mirror is
-    # also present form the pairs
-    n_pairs = min(sum(mpmath.im(z) > 0 for z in approx), sum(mpmath.im(z) < 0 for z in approx))
-    cand = sorted(approx, key=lambda z: abs(mpmath.im(z)))
-    reals, rest = cand[: n - 2 * n_pairs], cand[n - 2 * n_pairs :]
-    uppers = [z for z in rest if mpmath.im(z) > 0]
-    if 2 * len(uppers) != len(rest):
-        return None
-    records: List[RootRecord] = []
-    boxes: List[ComplexBox] = []
-    for z, is_pair in [(z, False) for z in reals] + [(z, True) for z in uppers]:
-        # a real seed gets a trial box symmetric about the real axis: the one
-        # root certified there is then real, since its conjugate is a root too
-        zr = poly._mpf_fraction(mpmath.re(z))
-        zi = poly._mpf_fraction(mpmath.im(z)) if is_pair else Fraction(0)
-        box = poly.newton_root(cboxes, dboxes, zr, zi, width, digits)
-        if box is None:
-            return None
-        if is_pair:
-            if box.im.lo_fraction() <= 0:
-                return None
-            boxes += [box, box.conjugate()]
-        else:
-            box = ComplexBox(box.re, zero)
-            boxes.append(box)
-        records.append(RootRecord(box, is_pair))
-    if not poly._pairwise_disjoint(boxes):
-        return None
-    return records
-
-
 def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> ClosedForm:
     """Certified closed form of mu at gamma (simple characteristic roots), at
     the one working precision given; gamma = 0 gives tau.
@@ -369,32 +319,24 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     n_b = _n_inhomogeneous(m)
     width = Fraction(1, 10) ** max(8, digits // 2)
     zero = IntervalScalar.exact_int(0, digits)
+    records: List[RootRecord] = []
     if exact_gamma:
         gamma = Fraction(gamma)
         char = char_poly_mu(m, gamma)
-        zero_roots = 0
         while len(char) > 1 and char[-1] == 0:
-            char.pop()
-            zero_roots += 1
+            char.pop()  # roots at zero do not enter the closed form
         order = len(char) - 1
         if order > 0 and poly.discriminant(char) == 0:
             raise MultipleRootError(
                 "closed form unavailable: multiple characteristic roots; "
                 "use direct evaluation"
             )
-        records: List[RootRecord] = []
         if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
             # 1 is a root (at gamma = 0 by consistency): keep it exactly
             char = poly.divexact(char, [Fraction(1), Fraction(-1)])
             one_box = ComplexBox.from_fractions(1, 0, digits)
             records.append(RootRecord(one_box, False, exact=Fraction(1)))
-        # the discriminant test above proved char squarefree
-        if poly.degree(char) >= 1:
-            for e in poly.enclose_roots_squarefree(poly.to_integer(char), width, digits):
-                if e.is_real():
-                    records.append(RootRecord(e.box, False))
-                elif e.box.im.lo_fraction() > 0:
-                    records.append(RootRecord(e.box, True))
+        coeffs = [IntervalScalar.exact_int(c, digits) for c in poly.to_integer(char)]
     else:
         # algebraic gamma: interval coefficients from the refined enclosure
         if not isinstance(gamma, RealRootEnclosure):
@@ -408,7 +350,6 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
             aj = IntervalScalar.from_fraction(m.a[j - 1], digits)
             bj = IntervalScalar.from_fraction(m.b[j], digits)
             coeffs.append(g.mul(bj).sub(aj))
-        zero_roots = 0
         order = len(coeffs) - 1
         # multiple-root guard: the discriminant as a function of gamma must
         # exclude zero on the enclosure
@@ -418,10 +359,9 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
             raise MultipleRootError(
                 "characteristic discriminant not certified nonzero at this gamma"
             )
-        recs = _enclose_roots_interval_poly(coeffs, digits, width)
-        if recs is None:
-            raise EnclosureError("root certification failed for interval coefficients")
-        records = recs
+    # the discriminant test above proved the roots simple
+    for box, is_pair in poly.enclose_roots(coeffs, width, digits):
+        records.append(RootRecord(box, is_pair))
     if sum(r.weight for r in records) != order:
         raise EnclosureError("root class weights do not sum to the order")
     s = max(0, n_b + 1 - order) if order > 0 else n_b + 1
@@ -434,7 +374,6 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
             roots=[],
             coeffs=[],
             digits=digits,
-            zero_roots=zero_roots,
         )
     # starting-value solve: sum_j c_j rho_j^n = value_n, n = s..s+order-1
     upto_check = s + 2 * m.k
@@ -465,7 +404,6 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
         roots=records,
         coeffs=coeff_records,
         digits=digits,
-        zero_roots=zero_roots,
     )
     # containment validation of the reconstruction over the checking window
     for n in range(s, upto_check + 1):
@@ -543,10 +481,12 @@ class TailCertificate:
     residual_at_start: Fraction
 
     def residual(self, n: int) -> Fraction:
-        return sum(
-            (t.weight * t.coeff_mag_ub * t.ratio_ub ** n for t in self.terms),
-            Fraction(0),
-        )
+        return tail_residual(self.terms, n)
+
+
+def tail_residual(terms: Sequence[TailTerm], n: int) -> Fraction:
+    """sum_j weight_j * coeff_mag_ub_j * ratio_ub_j^n over the non-dominant terms."""
+    return sum((t.weight * t.coeff_mag_ub * t.ratio_ub ** n for t in terms), Fraction(0))
 
 
 def _ceil_decimal(x: Fraction, places: int) -> Fraction:
@@ -612,11 +552,8 @@ def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
             return None  # margins too thin even at full stored precision
         places *= 2
 
-    def residual(n: int) -> Fraction:
-        return sum((t.weight * t.coeff_mag_ub * t.ratio_ub ** n for t in terms), Fraction(0))
-
     start = max(1, cf.window_start)
-    if residual(start) < c_lb:
+    if tail_residual(terms, start) < c_lb:
         n0 = start
     else:
         lo = start
@@ -625,25 +562,25 @@ def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
             hi = start + width
             if hi > TAIL_SEARCH_CAP:
                 return None
-            if residual(hi) < c_lb:
+            if tail_residual(terms, hi) < c_lb:
                 break
             lo = hi
             width *= 2
-        while hi - lo > 1:  # smallest n with residual(n) < c_lb
+        while hi - lo > 1:  # smallest n whose residual is below c_lb
             mid = (lo + hi) // 2
-            if residual(mid) < c_lb:
+            if tail_residual(terms, mid) < c_lb:
                 hi = mid
             else:
                 lo = mid
         n0 = hi
     # store a compact outward bound on the residual, still below the
     # dominant coefficient (advance n0 if the rounding ate the margin)
-    res_bound = _ceil_decimal(residual(n0), places)
+    res_bound = _ceil_decimal(tail_residual(terms, n0), places)
     while res_bound >= c_lb:
         n0 += 1
         if n0 > TAIL_SEARCH_CAP:
             return None
-        res_bound = _ceil_decimal(residual(n0), places)
+        res_bound = _ceil_decimal(tail_residual(terms, n0), places)
     return TailCertificate(
         n_start=n0,
         window_start=cf.window_start,

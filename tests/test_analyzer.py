@@ -209,7 +209,7 @@ class TestScbExists:
         assert v.status is Existence.EXISTS and v.n0 == 1
         assert len(passes) == 2
 
-    @pytest.mark.parametrize("e", [20, 40])
+    @pytest.mark.parametrize("e", [40, 60])
     def test_near_unit_root_climbs_the_ladder(self, e):
         m = near_unit_method(e)
         assert validate(m).ok
@@ -224,7 +224,7 @@ class TestScbExists:
         assert v.evidence.tail is not None
 
     def test_exhausted_ladder_reports_the_cap(self):
-        v = scb_exists(near_unit_method(40), digits_cap=128)
+        v = scb_exists(near_unit_method(80), digits_cap=128)
         assert v.status is Existence.INCONCLUSIVE
         assert v.evidence.digits == 128
 
@@ -364,10 +364,17 @@ class TestGammaSup:
         rebind(analyzer.check_scb, "check_scb")
         rebind(recursion.closed_form, "closed_form")
         rebind(arith.precision_ladder, "rungs", per_item=True)
+        # seeds reach interval Newton at their full precision, so every root
+        # certifies at the first trial box: one newton_certify per root
+        rebind(poly.newton_root, "newton_root")
+        rebind(poly.newton_certify, "newton_certify")
         r = gamma_sup(catalog("bdf4"), F(1, 10**9))
         assert r.mechanism is Mechanism.CROSSOVER
         assert counts["rungs"] == counts["closed_form"]
-        assert dict(counts) == {"check_scb": 31, "closed_form": 30, "rungs": 30}
+        assert counts["newton_certify"] == counts["newton_root"]
+        assert dict(counts) == {
+            "check_scb": 31, "closed_form": 30, "rungs": 30, "newton_root": 90, "newton_certify": 90,
+        }
 
 
 class TestSquarefreeRootEngine:

@@ -191,6 +191,62 @@ class TestFormatChoices:
         assert default.splitlines()[0] == "gamma,n,value,marker"
 
 
+class TestNumericInput:
+    """Bad numbers from outside are usage errors (exit 10, an `error:` line),
+    refused before any computation."""
+
+    @pytest.mark.parametrize("flag", ["--precision", "--horizon", "--precision-cap"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_check_refuses_bad_counts(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(analyzer, "check_scb", never)
+        code = main(["check", "-m", "bdf2", "-g", "1/3", flag, value])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_precision_cap_env(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(cli.PRECISION_CAP_ENV, value)
+        monkeypatch.setattr(analyzer, "check_scb", never)
+        code = main(["check", "-m", "bdf2", "-g", "1/3"])
+        assert code == EXIT_USAGE
+        assert "error: {}".format(cli.PRECISION_CAP_ENV) in capsys.readouterr().err
+
+    def test_precision_cap_is_passed_on(self, capsys, monkeypatch):
+        seen = []
+
+        def check_scb(m, gamma, horizon, digits, digits_cap):
+            seen.append(digits_cap)
+            return real_check_scb(m, gamma, horizon, digits, digits_cap)
+
+        real_check_scb = analyzer.check_scb
+        monkeypatch.setenv(cli.PRECISION_CAP_ENV, "256")
+        monkeypatch.setattr(analyzer, "check_scb", check_scb)
+        main(["check", "-m", "bdf2", "-g", "1/3", "--precision-cap", "128"])
+        main(["check", "-m", "bdf2", "-g", "1/3"])
+        assert seen == [128, 256]
+
+    def test_tau_uses_the_horizon(self, capsys):
+        code, rep = run_json(capsys, "tau", "--method", "ebdf3", "--horizon", "100")
+        assert code == EXIT_FEASIBLE
+        assert rep["evidence"]["checked_through"] == 100
+        _, rep = run_json(capsys, "tau", "--method", "ebdf3")
+        assert rep["evidence"]["checked_through"] == 64
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--precision", "--precision-cap"])
+    def test_mu_curve_offers_no_certification_options(self, capsys, monkeypatch, flag):
+        monkeypatch.setattr(recursion, "mu_prefix", never)
+        code = main(["mu-curve", "--method", "bdf2", "--n", "1..2",
+                     "--gamma", "0:1:1/2", flag, "100"])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("n", ["abc", "1..x", "1.."])
+    def test_mu_curve_bad_index_range(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(recursion, "mu_prefix", never)
+        code = main(["mu-curve", "--method", "bdf2", "--n", n, "--gamma", "0:1:1/2"])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+
 class TestTauTimingAndReuse:
     def test_timer_covers_prefix_and_csv_reuses_it(self, capsys, monkeypatch):
         clock = [0.0]

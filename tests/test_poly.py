@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbcert import analyzer, methods, poly
+import mpmath
+
+from scbcert import analyzer, arith, methods, poly
 from scbcert.poly import RootCondition
 
 BDF3_QUARTIC = [5184, -539352, 4277340, -7093698, 3248425]
@@ -138,6 +140,88 @@ class TestEncloseAllRoots:
         assert sorted(e.multiplicity for e in encs) == [1, 2, 2]
 
 
+# Root layouts with known exact roots, drawn as (integer factor, roots): each
+# root is (re, im) with im >= 0, one entry per real root or conjugate pair.
+_TINY = F(1, 10**20)
+_point = st.tuples(st.integers(-40, 40), st.integers(1, 40)).map(lambda pq: F(*pq))
+_simple_real = _point.map(lambda a: ([a.denominator, -a.numerator], [(a, 0)]))
+# (z - a)(z - a - 10^-20)
+_close_reals = _point.map(
+    lambda a: (
+        poly.mul([a.denominator, -a.numerator], poly.to_integer([1, -a - _TINY])),
+        [(a, 0), (a + _TINY, 0)],
+    )
+)
+# (z - a)^2 + 10^-40: the pair a +- i 10^-20
+_thin_pair = _point.map(
+    lambda a: (poly.to_integer([1, -2 * a, a * a + _TINY * _TINY]), [(a, _TINY)])
+)
+_zero_root = st.just(([1, 0], [(F(0), 0)]))
+_layout = st.lists(
+    st.one_of(_simple_real, _close_reals, _thin_pair, _zero_root),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda f: f[1][0][0],  # distinct real parts keep the product squarefree
+)
+
+
+def _real_roots_in(p, lo, hi):
+    """Distinct real roots of p in the closed interval [lo, hi], by Sturm."""
+    return poly.count_real_roots(p, lo, hi) + (poly.sign_at_fraction(p, lo) == 0)
+
+
+def _check_against_sturm(p, digits=64):
+    """enclose_roots on the squarefree integer polynomial p against Sturm
+    counting; returns the root classes for further checks."""
+    width = F(1, 10**30)
+    classes = poly.enclose_roots([arith.IntervalScalar.exact_int(c, digits) for c in p], width, digits)
+    real = [box for box, is_pair in classes if not is_pair]
+    assert len(real) == poly.count_real_roots(p)
+    for box in real:
+        assert box.is_real_line() and box.width_fraction() <= width
+        assert _real_roots_in(p, box.re.lo_fraction(), box.re.hi_fraction()) == 1
+    for box, is_pair in classes:
+        if is_pair:
+            assert box.im.lo_fraction() > 0 and box.width_fraction() <= width
+    assert len(real) + 2 * (len(classes) - len(real)) == poly.degree(p)
+    return classes
+
+
+class TestRootEngine:
+    def test_seed_keeps_its_precision(self):
+        # a 200-digit seed must reach Newton whole, not rounded to a double
+        with mpmath.workdps(200):
+            x, neg = mpmath.mpf(1) / 3, mpmath.mpf(-2) / 3
+        assert poly._mpf_fraction(x) == F(x.man, 2 ** -x.exp)
+        assert abs(poly._mpf_fraction(x) - F(1, 3)) < F(1, 10**199)
+        assert abs(poly._mpf_fraction(neg) + F(2, 3)) < F(1, 10**199)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_layout)
+    def test_known_roots_against_sturm(self, layout):
+        p = [1]
+        roots = []
+        for factor, rs in layout:
+            p = poly.mul(p, factor)
+            roots += rs
+        classes = _check_against_sturm(poly.primitive(p))
+        assert len(classes) == len(roots)
+        for re, im in roots:
+            holders = [
+                is_pair for box, is_pair in classes if box.contains_point(re, im)
+            ]
+            assert holders == [im > 0], (re, im)
+
+    def test_catalog_characteristic_polynomials(self):
+        rng = random.Random(20261018)
+        for name in methods.catalog_names():
+            m = methods.catalog(name)
+            for _ in range(6):
+                g = F(rng.randint(1, 300), rng.randint(1, 100))
+                p = poly.squarefree_part(poly.to_integer(methods.char_poly_mu(m, g)))
+                _check_against_sturm(p)
+
+
 class TestRootCondition:
     def test_bdf2_rho(self):
         # oracle: exact factorization (z-1)(z-1/3)
@@ -261,7 +345,7 @@ class TestSchurCohn:
         def no_enclosures(*args, **kwargs):
             raise AssertionError("stability decided through a root enclosure")
 
-        monkeypatch.setattr(poly, "enclose_roots_squarefree", no_enclosures)
+        monkeypatch.setattr(poly, "enclose_roots", no_enclosures)
         grid = [F(i, 8) for i in range(1, 41)]
         for name in methods.catalog_names():
             m = methods.catalog(name)

@@ -439,6 +439,19 @@ class ComplexBox:
 
     __truediv__ = div
 
+    def div_smith(self, other: "ComplexBox") -> "ComplexBox":
+        """Quotient by Smith's formula: the divisor's larger component is
+        divided out first, so the divisor's width enters the result about
+        once, where div's conj(other)/|other|^2 counts it three times."""
+        a, b, x, y = self.re, self.im, other.re, other.im
+        if mpf_cmp(x.mig(), y.mig()) >= 0:
+            r = y.div(x)
+            den = x.add(y.mul(r))
+            return ComplexBox(a.add(b.mul(r)).div(den), b.sub(a.mul(r)).div(den))
+        r = x.div(y)
+        den = y.add(x.mul(r))
+        return ComplexBox(a.mul(r).add(b).div(den), b.mul(r).sub(a).div(den))
+
     def modulus(self) -> IntervalScalar:
         """Outward-rounded enclosure of |z| over the box."""
         bits = max(self.re.bits, self.im.bits)

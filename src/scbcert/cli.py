@@ -298,6 +298,8 @@ def _parse_gamma_grid(text: str) -> List[Fraction]:
     if len(parts) != 3:
         raise UsageError("gamma grid must be start:end:step")
     start, end, step = (_parse_fraction(p, "grid bound") for p in parts)
+    if start < 0:
+        raise UsageError("gamma grid must start at 0 or above")
     if step <= 0 or end < start:
         raise UsageError("empty gamma grid")
     out = []
@@ -317,6 +319,8 @@ def cmd_mu_curve(args) -> int:
         raise UsageError("bad n range")
     grid = _parse_gamma_grid(args.gamma)
     mark = _parse_fraction(args.mark_gamma, "marker gamma") if args.mark_gamma else None
+    if mark is not None and mark < 0:
+        raise UsageError("marker gamma must be 0 or above")
     lines = ["gamma,n,value,marker"]
     for g in grid:
         mus = recursion.mu_prefix(m, g, n_hi)

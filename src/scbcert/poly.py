@@ -714,6 +714,12 @@ def coeff_boxes(p: Sequence[Fraction], digits: int) -> List[ComplexBox]:
     return [ComplexBox.from_fractions(Fraction(c), 0, digits) for c in p]
 
 
+def derivative_boxes(coeffs: Sequence[ComplexBox], digits: int) -> List[ComplexBox]:
+    """Coefficients of the derivative of a polynomial with box coefficients."""
+    n = len(coeffs) - 1
+    return [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(coeffs[:-1])]
+
+
 def newton_certify(
     coeffs: Sequence[ComplexBox],
     dcoeffs: Sequence[ComplexBox],
@@ -849,7 +855,7 @@ def enclose_roots(
         raise EnclosureError(failed)
     zero = IntervalScalar.exact_int(0, digits)
     cboxes = [ComplexBox(c, zero) for c in coeffs]
-    dboxes = [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(cboxes[:-1])]
+    dboxes = derivative_boxes(cboxes, digits)
     # split the seeds into real ones and upper-half pair ones; midpoint
     # rounding can push real roots slightly off the axis, so classify by
     # conjugate pairing: roots with positive imaginary part whose mirror is

@@ -7,9 +7,10 @@ whose integer numerators also give the signs, or as containing intervals
 at a chosen working precision.  Closed forms combine certified root
 enclosures of the characteristic polynomial, from the one engine
 ``poly.enclose_roots`` (point coefficients at a rational gamma, interval
-coefficients at an algebraic one), with an interval solve of the
-starting-value system, and the tail certificate turns a dominant positive
-real root into a proof of positivity beyond a computed index.
+coefficients at an algebraic one), with the coefficient of each root read
+off the generating function as a residue, and the tail certificate turns a
+dominant positive real root into a proof of positivity beyond a computed
+index.
 """
 
 from __future__ import annotations
@@ -311,6 +312,14 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     """Certified closed form of mu at gamma (simple characteristic roots), at
     the one working precision given; gamma = 0 gives tau.
 
+    The generating function of mu is B(x)/D(x), with B(x) = sum_n b_n x^n and
+    D(x) = x^order chi(1/x), where chi is the characteristic polynomial with
+    its zero roots stripped and order = deg chi.  So each simple root z has
+    the residue coefficient c = z^(order-1) B(1/z) / chi'(z), valid for
+    n >= window_start; the reconstruction is then checked against the
+    sequence itself at n = window_start..window_start + 2k, values the
+    formula never used.
+
     Raises MultipleRootError at parameter values where the characteristic
     polynomial has a multiple root; raises EnclosureError (or another
     ArithmeticDomainError) if certification fails at this precision.
@@ -320,6 +329,7 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     width = Fraction(1, 10) ** max(8, digits // 2)
     zero = IntervalScalar.exact_int(0, digits)
     records: List[RootRecord] = []
+    coeffs: List[ComplexBox] = []
     if exact_gamma:
         gamma = Fraction(gamma)
         char = char_poly_mu(m, gamma)
@@ -331,12 +341,20 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
                 "closed form unavailable: multiple characteristic roots; "
                 "use direct evaluation"
             )
+        # the integer chi, with B scaled alike, keeps binary-exact residues exact
+        chi = poly.to_integer(char)
+        scale = chi[0] / char[0]
+        chi_boxes = poly.coeff_boxes(chi, digits)
+        b_boxes = poly.coeff_boxes([scale * b for b in m.b[: n_b + 1]], digits)
         if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
-            # 1 is a root (at gamma = 0 by consistency): keep it exactly
-            char = poly.divexact(char, [Fraction(1), Fraction(-1)])
+            # 1 is a root (at gamma = 0 by consistency): keep it and its
+            # residue sigma(1)/rho'(1) exact
+            c_one = sum(m.b[: n_b + 1]) / poly.eval_at(poly.derivative(char), Fraction(1))
             one_box = ComplexBox.from_fractions(1, 0, digits)
             records.append(RootRecord(one_box, False, exact=Fraction(1)))
-        coeffs = [IntervalScalar.exact_int(c, digits) for c in poly.to_integer(char)]
+            coeffs.append(ComplexBox.from_fractions(c_one, 0, digits))
+            char = poly.divexact(char, [Fraction(1), Fraction(-1)])
+        root_coeffs = [IntervalScalar.exact_int(c, digits) for c in poly.to_integer(char)]
     else:
         # algebraic gamma: interval coefficients from the refined enclosure
         if not isinstance(gamma, RealRootEnclosure):
@@ -345,12 +363,14 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
         g = gamma.interval(digits)
         one = IntervalScalar.exact_int(1, digits)
         lead = one.add(g.mul(IntervalScalar.from_fraction(m.b0, digits)))
-        coeffs = [lead]
+        root_coeffs = [lead]
         for j in range(1, m.k + 1):
             aj = IntervalScalar.from_fraction(m.a[j - 1], digits)
             bj = IntervalScalar.from_fraction(m.b[j], digits)
-            coeffs.append(g.mul(bj).sub(aj))
-        order = len(coeffs) - 1
+            root_coeffs.append(g.mul(bj).sub(aj))
+        order = len(root_coeffs) - 1
+        chi_boxes = [ComplexBox(c, zero) for c in root_coeffs]
+        b_boxes = poly.coeff_boxes(m.b[: n_b + 1], digits)
         # multiple-root guard: the discriminant as a function of gamma must
         # exclude zero on the enclosure
         disc_poly = char_discriminant_gamma_poly(m)
@@ -360,52 +380,34 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
                 "characteristic discriminant not certified nonzero at this gamma"
             )
     # the discriminant test above proved the roots simple
-    for box, is_pair in poly.enclose_roots(coeffs, width, digits):
+    dchi_boxes = poly.derivative_boxes(chi_boxes, digits)
+    shift = order - 1 - n_b  # z^(order-1) B(1/z) = z^shift * (b_0 z^n_b + ... + b_n_b)
+    for box, is_pair in poly.enclose_roots(root_coeffs, width, digits):
+        num = poly.horner_box(b_boxes, box, digits)
+        num = num.mul(box.pow_int(shift)) if shift >= 0 else num.div_smith(box.pow_int(-shift))
         records.append(RootRecord(box, is_pair))
+        coeffs.append(num.div_smith(poly.horner_box(dchi_boxes, box, digits)))
     if sum(r.weight for r in records) != order:
         raise EnclosureError("root class weights do not sum to the order")
     s = max(0, n_b + 1 - order) if order > 0 else n_b + 1
-    if order == 0:
-        return ClosedForm(
-            method=m,
-            gamma=gamma,
-            order=0,
-            window_start=s,
-            roots=[],
-            coeffs=[],
-            digits=digits,
-        )
-    # starting-value solve: sum_j c_j rho_j^n = value_n, n = s..s+order-1
-    upto_check = s + 2 * m.k
-    if exact_gamma:
-        vals = mu_prefix(m, gamma, upto_check)
-        rhs = [ComplexBox.from_fractions(v, 0, digits) for v in vals[s : s + order]]
-    else:
-        ivals = [IntervalScalar.from_fraction(m.b[0], digits).div(lead)]
-        ivals += [v for _n, v in eval_mu_interval(m, g, upto_check, digits)]
-        rhs = [ComplexBox(v, zero) for v in ivals[s : s + order]]
-    cols: List[ComplexBox] = []
-    for rec in records:
-        cols.append(rec.box)
-        if rec.is_pair:
-            cols.append(rec.box.conjugate())
-    matrix = [[c.pow_int(s + r) for c in cols] for r in range(order)]
-    sol = _solve_complex_system(matrix, rhs, digits)
-    coeff_records: List[ComplexBox] = []
-    idx = 0
-    for rec in records:
-        coeff_records.append(sol[idx])
-        idx += 2 if rec.is_pair else 1
     cf = ClosedForm(
         method=m,
         gamma=gamma,
         order=order,
         window_start=s,
         roots=records,
-        coeffs=coeff_records,
+        coeffs=coeffs,
         digits=digits,
     )
+    if order == 0:
+        return cf
     # containment validation of the reconstruction over the checking window
+    upto_check = s + 2 * m.k
+    if exact_gamma:
+        vals = mu_prefix(m, gamma, upto_check)
+    else:
+        ivals = [IntervalScalar.from_fraction(m.b[0], digits).div(lead)]
+        ivals += [v for _n, v in eval_mu_interval(m, g, upto_check, digits)]
     for n in range(s, upto_check + 1):
         rec_val = cf.reconstruct(n)
         if exact_gamma:
@@ -756,35 +758,3 @@ def _solve_fraction_system(A: List[List[Fraction]], rhs: List[Fraction]) -> Opti
             acc -= M[r][c] * out[c]
         out[r] = acc / M[r][r]
     return out
-
-
-def _solve_complex_system(
-    matrix: List[List[ComplexBox]], rhs: List[ComplexBox], digits: int
-) -> List[ComplexBox]:
-    """Gaussian elimination with complex interval boxes."""
-    n = len(rhs)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = None
-        best = Fraction(-1)
-        for r in range(col, n):
-            mg = A[r][col].abs_sq().lo_fraction()
-            if mg > best:
-                best = mg
-                pivot = r
-        if pivot is None or best <= 0:
-            raise EnclosureError("singular starting-value system at this precision")
-        A[col], A[pivot] = A[pivot], A[col]
-        for r in range(col + 1, n):
-            if A[r][col].contains_zero() and A[r][col].abs_sq().hi_fraction() == 0:
-                continue
-            f = A[r][col].div(A[col][col])
-            for c in range(col, n + 1):
-                A[r][c] = A[r][c].sub(f.mul(A[col][c]))
-    out: List[Optional[ComplexBox]] = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = A[r][n]
-        for c in range(r + 1, n):
-            acc = acc.sub(A[r][c].mul(out[c]))
-        out[r] = acc.div(A[r][r])
-    return out  # type: ignore[return-value]

@@ -113,6 +113,7 @@ def test_criterion_4_ebdf_positivity():
             assert tail.residual_at_start <= F(9, 10), name
 
 
+@pytest.mark.slow
 def test_criterion_5_high_precision_sign_pattern():
     """The 16000-digit certified sign pattern of the damped sequence just
     above the bdf4 optimum, and the insufficiency of 15000 digits."""

@@ -63,9 +63,16 @@ class TestCheckScb:
         assert v.evidence.exact_form is not None  # double root: exact route
 
     def test_bdf1_large(self):
-        v = check_scb(catalog("bdf1"), F(10**6))
-        assert v.status is Feasibility.FEASIBLE
-        assert v.evidence.tail is not None
+        # mu_n = (1 + gamma)^-(n+1): where the root 1/(1 + gamma) is a binary
+        # fraction, the residue coefficient (the same number) stays exact
+        for gamma, exact_root in ((F(10**6), None), (F(6, 10), F(5, 8)), (F(22, 10), F(5, 16))):
+            v = check_scb(catalog("bdf1"), gamma)
+            assert v.status is Feasibility.FEASIBLE
+            tail = v.evidence.tail
+            assert tail is not None
+            if exact_root is not None:
+                assert tail.dominant_root_lb == tail.dominant_root_ub == exact_root
+                assert tail.dominant_coeff_lb == exact_root
 
     def test_ab4_witness(self):
         v = check_scb(catalog("ab4"), F(1, 10))
@@ -299,6 +306,13 @@ class TestComplexDominance:
 
     def test_bdf4_at_half(self):
         assert infeasible_by_complex_dominance(catalog("bdf4"), F(1, 2)) is not None
+        # the residue formula keeps the pair coefficient near the working
+        # precision (an interval solve of the starting values gave 2.3e-60)
+        v = check_scb(catalog("bdf4"), F(1, 2))
+        assert isinstance(v.evidence, InfeasibleComplexDominance)
+        assert v.digits_used == 64
+        lo, hi = map(F, v.evidence.coeff_modulus)
+        assert 0 < lo and hi - lo < F(1, 10**61)
 
     def test_bdf3_at_half_absent(self):
         assert infeasible_by_complex_dominance(catalog("bdf3"), F(1, 2)) is None

@@ -94,6 +94,7 @@ rationals = st.fractions(
 )
 
 
+
 @st.composite
 def nested_intervals(draw):
     a = draw(rationals)
@@ -208,8 +209,33 @@ class TestComplexBox:
     def test_div_roundtrip(self):
         z = ComplexBox.from_fractions(F(7, 22), F(3, 5), 40)
         w = ComplexBox.from_fractions(F(-2, 3), F(1, 7), 40)
-        back = z.mul(w).div(w)
-        assert back.contains_point(F(7, 22), F(3, 5))
+        for back in (z.mul(w).div(w), z.mul(w).div_smith(w)):
+            assert back.contains_point(F(7, 22), F(3, 5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(rationals, min_size=8, max_size=8),
+        st.lists(st.fractions(0, 1, max_denominator=7), min_size=4, max_size=4),
+    )
+    def test_div_smith_contains_every_quotient(self, ends, t):
+        # the quotient of any point of one box by any point of the other
+        # lies in the result (wide boxes may fail to divide instead)
+        lo = [min(ends[i], ends[i + 1]) for i in range(0, 8, 2)]
+        hi = [max(ends[i], ends[i + 1]) for i in range(0, 8, 2)]
+        Z, W = (
+            ComplexBox(
+                IntervalScalar.from_fractions(lo[i], hi[i], 30),
+                IntervalScalar.from_fractions(lo[i + 1], hi[i + 1], 30),
+            )
+            for i in (0, 2)
+        )
+        try:
+            Q = Z.div_smith(W)
+        except ArithmeticDomainError:
+            return
+        a, b, x, y = (lo[i] + ti * (hi[i] - lo[i]) for i, ti in enumerate(t))
+        d = x * x + y * y
+        assert Q.contains_point((a * x + b * y) / d, (b * x - a * y) / d)
 
     def test_modulus(self):
         z = ComplexBox.from_fractions(3, 4, 40)

@@ -246,6 +246,19 @@ class TestNumericInput:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "gamma", ["--gamma=-1:0:1", "--gamma=-3/2:0:1/2", "--mark-gamma=-3/2"]
+    )
+    def test_mu_curve_refuses_negative_gamma(self, capsys, monkeypatch, gamma):
+        # the paper's domain is gamma >= 0; a negative grid start or marker
+        # once printed values, or failed as an internal error
+        monkeypatch.setattr(recursion, "mu_prefix", never)
+        argv = ["mu-curve", "--method", "bdf2", "--n", "1..2", gamma]
+        if not gamma.startswith("--gamma"):
+            argv.append("--gamma=0:1:1/2")
+        assert main(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTauTimingAndReuse:
     def test_timer_covers_prefix_and_csv_reuses_it(self, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,30 @@ ALL_NAMES = (
     "bdf1", "bdf2", "bdf3", "bdf4", "bdf5", "bdf6",
     "ebdf3", "ebdf4", "ebdf5",
 )
+
+
+def window_cases(rng, per_kind):
+    """Seeded (kind, method, gamma) triples: b0 = 0 at gamma > 0; a zero
+    characteristic root at gamma > 0, forced by a_k = gamma*b_k; and gamma = 0
+    with a_k = 0 and rho(1) = 0, so that the root at 1 stays while the
+    closed form starts past n = 0."""
+    out = []
+    for kind in ("b0 = 0", "zero root", "tau"):
+        for _ in range(per_kind):
+            k = rng.randint(2, 4)
+            a = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k)]
+            b = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(k + 1)]
+            g = F(rng.randint(1, 20), rng.randint(1, 10))
+            if kind == "b0 = 0":
+                b[0] = F(0)
+            elif kind == "zero root":
+                a[-1] = g * b[-1]
+            else:
+                g = F(0)
+                a[-1] = F(0)
+                a[0] = 1 - sum(a[1:])
+            out.append((kind, Method(k, tuple(a), tuple(b)), g))
+    return out
 
 
 class TestExactEvaluation:
@@ -266,7 +291,8 @@ class TestClosedForm:
             assert c.re.contains_fraction(1) and c.im.contains_fraction(0)
 
     def test_limit_coefficient_is_one(self):
-        # the coefficient of the root at 1 encloses 1 for every tau closed form
+        # the coefficient of the root at 1 is the residue sigma(1)/rho'(1) = 1,
+        # kept exact: the point box [1, 1]
         for name in ALL_NAMES:
             m = catalog(name)
             try:
@@ -276,7 +302,9 @@ class TestClosedForm:
             one_idx = next(
                 i for i, r in enumerate(cf.roots) if not r.is_pair and r.exact == 1
             )
-            assert cf.coeffs[one_idx].re.contains_fraction(1)
+            c = cf.coeffs[one_idx]
+            assert (c.re.lo_fraction(), c.re.hi_fraction()) == (1, 1), name
+            assert (c.im.lo_fraction(), c.im.hi_fraction()) == (0, 0), name
 
     def test_reconstruction_contains_exact(self):
         rng = random.Random(31)
@@ -287,6 +315,21 @@ class TestClosedForm:
             exact = mu_prefix(m, g, 300)
             for n in range(cf.window_start, 301):
                 assert cf.reconstruct(n).contains_fraction(exact[n]), (name, n)
+        # custom methods whose closed form starts past n = 0 or drops zero
+        # characteristic roots
+        checked = Counter()
+        for kind, m, g in window_cases(random.Random(37), 8):
+            try:
+                cf = closed_form(m, g, 64)
+            except MultipleRootError:
+                continue
+            if kind != "b0 = 0":
+                assert cf.window_start > 0 and cf.order < m.k, (kind, m, g)
+            exact = mu_prefix(m, g, cf.window_start + 40)
+            for n in range(cf.window_start, cf.window_start + 41):
+                assert cf.reconstruct(n).contains_fraction(exact[n]), (kind, m, g, n)
+            checked[kind] += 1
+        assert min(checked.values()) >= 6 and len(checked) == 3, checked
 
     def test_multiple_root_detection(self):
         with pytest.raises(MultipleRootError):

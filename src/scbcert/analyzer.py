@@ -162,9 +162,6 @@ class NonePositiveProof:
 class CrossoverBound:
     lo: Fraction
     hi: Fraction
-    # certified root-modulus ordering at the endpoints
-    real_dominant_at_lo: bool = True
-    pair_dominant_at_hi: bool = True
 
 
 @dataclass(frozen=True)
@@ -400,23 +397,16 @@ def check_scb(
 
 
 def _only_circle_root_is_one(rho: Sequence[Fraction]) -> bool:
-    """Exact test: the only root of rho with modulus 1 is 1 itself."""
+    """Exact test: the only root of rho with modulus 1 is 1 itself.
+
+    Precondition: rho satisfies the root condition (``validate`` passed).
+    Then the roots rho shares with its reversed polynomial are exactly its
+    circle roots, each simple: off the circle they would come in pairs r, 1/r
+    with one of them outside.
+    """
     ip = poly.to_integer(rho)
-    seen_one = False
-    for q, _mult in poly.yun_squarefree(ip):
-        qq = poly._strip_zero_roots(q)
-        if poly.degree(qq) < 1:
-            continue
-        count, has_one, has_minus_one, _h = poly.unit_circle_roots(qq)
-        if has_minus_one:
-            return False
-        if count != (1 if has_one else 0):
-            return False
-        if has_one:
-            if seen_one:
-                return False  # repeated root at 1 across factors
-            seen_one = True
-    return seen_one
+    u = poly.gcd_int_poly(ip, poly.reverse(ip))
+    return poly.degree(u) == 1 and poly.sign_at_fraction(u, Fraction(1)) == 0
 
 
 def scb_exists(
@@ -788,10 +778,10 @@ def gamma_sup(
         outcome = verify_against_poly(result, entry["poly"], entry["selector"])
         result.poly_check = outcome
     if opts.compute_crossover:
-        upper = hi * 2
-        bound = crossover(m, hi, max(upper, hi + 1), tol=CROSSOVER_TOL,
-                          digits=opts.digits, digits_cap=opts.digits_cap)
-        result.crossover_bound = bound
+        # from lo: where the optimum is the crossover, the pair already
+        # dominates at hi
+        result.crossover_bound = crossover(m, lo, max(2 * hi, hi + 1), tol=CROSSOVER_TOL,
+                                           digits=opts.digits, digits_cap=opts.digits_cap)
     return result
 
 

@@ -91,7 +91,6 @@ def _bdf_coefficients(k: int) -> Tuple[List[Fraction], List[Fraction]]:
     A = [Fraction(0)] * (k + 1)
     for m in range(1, k + 1):
         # nabla^m u_n = sum_i (-1)^i C(m, i) u_{n-i}
-        c = 1
         for i in range(0, m + 1):
             A[i] += Fraction((-1) ** i * _binom(m, i), m)
     a = [-A[i] / A[0] for i in range(1, k + 1)]

@@ -7,10 +7,11 @@ integers and refined by exact rational bisection.  All roots of a real
 polynomial with exact or interval coefficients, real and complex alike, are
 enclosed by one engine, ``enclose_roots``: floating approximations that are
 then rigorously certified and refined with the interval Newton operator.
-Membership of roots on the unit circle is decided exactly via
-the gcd with the reversed polynomial and a z + 1/z degree reduction, and
-membership of the open unit disk by the Schur-Cohn reduction over the
-integers, never numerically.
+Root location relative to the unit circle is decided exactly by one
+mechanism, the Schur-Cohn reduction over the integers: membership of the open
+unit disk directly, and membership of the circle itself through the gcd with
+the reversed polynomial and Cohn's theorem on self-inversive polynomials,
+never numerically.
 """
 
 from __future__ import annotations
@@ -621,62 +622,6 @@ def isolate_real_roots(p: Sequence[int]) -> List[RealRootEnclosure]:
 
 
 # ---------------------------------------------------------------------------
-# exact unit-circle root counting
-# ---------------------------------------------------------------------------
-
-
-def _palindromic_reduce(u: Sequence[int]) -> list:
-    """For palindromic u of even degree 2m, the h with u(z) = z^m h(z + 1/z)."""
-    n = degree(u)
-    if n % 2 != 0:
-        raise ArithmeticDomainError("palindromic reduction needs even degree")
-    m = n // 2
-    # T_j stands for z^j + z^-j: T_0 = 2, T_1 = x, T_j = x T_{j-1} - T_{j-2}
-    T: List[list] = [[2], [1, 0]]
-    for j in range(2, m + 1):
-        T.append(sub(mul([1, 0], T[j - 1]), T[j - 2]))
-    h: list = [Fraction(u[m])]
-    for j in range(1, m + 1):
-        h = add(h, scale(T[j], Fraction(u[m - j])))
-    return to_integer(h)
-
-
-def unit_circle_roots(q: Sequence[int]) -> Tuple[int, bool, bool, list]:
-    """Exact unit-circle root data for a squarefree integer polynomial.
-
-    Returns (count, has_root_one, has_root_minus_one, h) where count is the
-    number of roots with |z| = 1 and the real roots of h in (-2, 2)
-    correspond one-to-one with the non-real circle root pairs.
-    """
-    q = primitive(q)
-    while not is_zero(q) and q[-1] == 0:
-        q = q[:-1]  # roots at zero are irrelevant here
-    if degree(q) < 1:
-        return 0, False, False, []
-    u = gcd_int_poly(q, reverse(q))
-    if degree(u) < 1:
-        return 0, False, False, []
-    e = sign_at_fraction(u, Fraction(1)) == 0
-    f = sign_at_fraction(u, Fraction(-1)) == 0
-    u2 = [Fraction(c) for c in u]
-    if e:
-        u2 = divexact(u2, [Fraction(1), Fraction(-1)])
-    if f:
-        u2 = divexact(u2, [Fraction(1), Fraction(1)])
-    u2i = to_integer(u2)
-    count = (1 if e else 0) + (1 if f else 0)
-    if degree(u2i) >= 1:
-        if reverse(u2i) != u2i or degree(u2i) % 2 != 0:
-            raise ArithmeticDomainError(
-                "internal error: inversion-closed factor is not palindromic"
-            )
-        h = _palindromic_reduce(u2i)
-        count += 2 * count_real_roots(h, Fraction(-2), Fraction(2))
-        return count, e, f, h
-    return count, e, f, []
-
-
-# ---------------------------------------------------------------------------
 # certified complex root enclosures
 # ---------------------------------------------------------------------------
 
@@ -952,35 +897,31 @@ def _schur_cohn_inside(a: Sequence[int]) -> bool:
     return True
 
 
-def _strip_zero_roots(q: Sequence[int]) -> list:
-    qq = list(q)
-    while not is_zero(qq) and qq[-1] == 0:
-        qq = qq[:-1]
-    return qq
-
-
 def root_condition(p: Sequence[Fraction]) -> RootCondition:
-    """Exact root-condition test: all |root| <= 1, modulus-1 roots simple."""
+    """Exact root-condition test: all |root| <= 1, modulus-1 roots simple.
+
+    Each squarefree Yun factor q splits as u * rest with u = gcd(q, q*): the roots
+    of u are those z of q with 1/z a root too, so u is self-inversive, and
+    every circle root of q is a root of u.  The rest must lie strictly inside.
+    By Cohn's theorem (A. Cohn, Math. Z. 14, 1922) the roots of u all lie on
+    the circle iff the roots of u' lie in the closed disk; u is squarefree,
+    so by Gauss-Lucas they then lie strictly inside, which Schur-Cohn decides.
+    """
     ip = to_integer(p)
     if degree(ip) < 1:
         raise ValueError("root condition needs a non-constant polynomial")
     strict = True
     for q, m in yun_squarefree(ip):
-        qq = _strip_zero_roots(q)  # roots at zero lie strictly inside
-        if degree(qq) < 1:
-            continue
-        n_circ, _e, _f, _h = unit_circle_roots(qq)
-        if n_circ > 0 and m >= 2:
-            return RootCondition.VIOLATED
-        # the roots of u are the roots z of qq with 1/z a root too; beyond the
-        # circle roots they come in pairs r, 1/r, one of which lies outside
-        u = gcd_int_poly(qq, reverse(qq))
-        if degree(u) > n_circ:
-            return RootCondition.VIOLATED
-        rest = to_integer(divexact([Fraction(c) for c in qq], [Fraction(c) for c in u]))
+        # a root at zero has no inverse, so it stays in rest, strictly inside
+        u = gcd_int_poly(q, reverse(q))
+        rest = to_integer(divexact([Fraction(c) for c in q], [Fraction(c) for c in u]))
         if not _schur_cohn_inside(rest):
             return RootCondition.VIOLATED
-        if n_circ > 0:
+        if degree(u) >= 1:
+            # off the circle, the roots of u come in pairs r, 1/r, one of
+            # which lies outside; on it, a multiple root violates the condition
+            if m >= 2 or not _schur_cohn_inside(derivative(u)):
+                return RootCondition.VIOLATED
             strict = False
     return RootCondition.SATISFIED_STRICTLY if strict else RootCondition.SATISFIED
 

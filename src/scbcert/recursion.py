@@ -627,56 +627,27 @@ class RationalExponentialForm:
 
 
 def _rational_roots(char: Sequence[Fraction]) -> Optional[List[Tuple[Fraction, int]]]:
-    """All roots with multiplicities, provided every root is rational."""
+    """All roots with multiplicities in ascending order, provided every root
+    is rational.
+
+    A rational root of the integer polynomial has a denominator dividing its
+    leading coefficient, and two fractions with denominators <= lead lie at
+    least 1/lead^2 apart, so an enclosure narrower than 1/(2 lead^2) holds at
+    most one candidate: the nearest such fraction to its midpoint.
+    """
     ip = poly.to_integer(char)
+    encs = poly.isolate_real_roots(ip)
+    if sum(e.multiplicity for e in encs) != poly.degree(ip):
+        return None  # some root is not real
+    lead = abs(ip[0])
     roots: List[Tuple[Fraction, int]] = []
-    work = [Fraction(c) for c in ip]
-    nz = 0
-    while poly.degree(work) >= 1 and work[-1] == 0:
-        work = work[:-1]
-        nz += 1
-    if nz:
-        roots.append((Fraction(0), nz))
-    while poly.degree(work) >= 1:
-        iw = poly.to_integer(work)
-        lead, trail = iw[0], iw[-1]
-        if abs(lead) > 10**12 or abs(trail) > 10**12:
-            return None  # divisor enumeration would be impractical
-        found = None
-        for p in _divisors(abs(trail)):
-            for q in _divisors(abs(lead)):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if poly.eval_at(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
+    for enc in encs:
+        enc = enc.refined(Fraction(1, 2 * lead * lead))
+        cand = enc.mid().limit_denominator(lead)
+        if not enc.contains(cand) or poly.sign_at_fraction(ip, cand) != 0:
             return None
-        mult = 0
-        while poly.eval_at(work, found) == 0:
-            work = poly.divexact(work, [Fraction(1), -found])
-            mult += 1
-            if poly.degree(work) < 1:
-                break
-        roots.append((found, mult))
+        roots.append((cand, enc.multiplicity))
     return roots
-
-
-def _divisors(n: int) -> List[int]:
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def rational_closed_form(m: Method, gamma: Fraction) -> Optional[RationalExponentialForm]:

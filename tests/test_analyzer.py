@@ -23,7 +23,7 @@ from scbcert.analyzer import (
     simple_root_bound,
     verify_against_poly,
 )
-from scbcert.methods import Method, catalog, validate
+from scbcert.methods import Method, catalog, generating_polys, validate
 
 
 def near_unit_method(e):
@@ -180,6 +180,7 @@ class TestDegenerateParameters:
             k=2, a=(F(0), F(1)), b=(F(1, 3), F(4, 3), F(1, 3)), name="milne-simpson"
         )
         assert validate(ms).ok
+        assert analyzer._only_circle_root_is_one(list(generating_polys(ms).rho)) is False
         ve = scb_exists(ms)
         assert ve.status is Existence.INCONCLUSIVE
         assert ve.only_circle_root_is_one is False

@@ -92,6 +92,15 @@ class TestGammaSupCommand:
         assert rep["poly_check"] == "confirmed"
         assert rep["mechanism"] == "simple_root"
 
+    def test_bdf4_crossover_bracket(self, capsys):
+        # the optimum is the crossover itself, so the bracket holds it
+        code, rep = run_json(
+            capsys, "gamma-sup", "--method", "bdf4", "--tol", "1e-9", "--with-crossover"
+        )
+        assert code == EXIT_FEASIBLE
+        cb = rep["crossover_bound"]
+        assert F(cb["lo"]["exact"]) <= F("0.486220284043") <= F(cb["hi"]["exact"])
+
     def test_ab4_none_positive(self, capsys):
         code, rep = run_json(capsys, "gamma-sup", "--method", "ab4")
         assert code == EXIT_FEASIBLE

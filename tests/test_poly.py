@@ -237,10 +237,16 @@ class TestRootCondition:
 
     def test_outside(self):
         assert poly.root_condition([F(1), F(0), F(-4)]) is RootCondition.VIOLATED
+        # (z - 2)(2z - 1): inversion-related roots off the circle
+        p = poly.mul([F(1), F(-2)], [F(2), F(-1)])
+        assert poly.root_condition(p) is RootCondition.VIOLATED
 
     def test_simple_circle_pair(self):
         # z^2 - z + 1: roots exp(+-i pi/3), simple, on the circle
         assert poly.root_condition([F(1), F(-1), F(1)]) is RootCondition.SATISFIED
+        # (z^2 - 1)(2z - 1): circle roots 1 and -1 beside 1/2
+        p = poly.mul([F(1), F(0), F(-1)], [F(2), F(-1)])
+        assert poly.root_condition(p) is RootCondition.SATISFIED
 
     def test_constructed_oracle(self):
         """Random products with known root layout vs the decision procedure."""
@@ -293,16 +299,32 @@ def _linear(p, q):
 # Factors with known root moduli, drawn as (layout, integer factor).  A layout
 # is "inside", "circle" (simple roots of modulus 1) or "outside" (at least one
 # root of modulus > 1).  The circle factors have pairwise distinct roots.
-CIRCLE_FACTORS = [[1, -1], [1, 1], [1, 0, 1], [1, -1, 1], [1, 1, 1]]
+# The quartic ones are the cyclotomic polynomials Phi_5, Phi_8, Phi_10, Phi_12.
+CIRCLE_FACTORS = [
+    [1, -1],
+    [1, 1],
+    [1, 0, 1],
+    [1, -1, 1],
+    [1, 1, 1],
+    [1, 1, 1, 1, 1],
+    [1, 0, 0, 0, 1],
+    [1, -1, 1, -1, 1],
+    [1, 0, -1, 0, 1],
+]
 
 _ratio = st.tuples(st.integers(-40, 40), st.integers(1, 40))
 _inside_real = _ratio.filter(lambda pq: abs(pq[0]) < pq[1]).map(lambda pq: _linear(*pq))
 _outside_real = _ratio.filter(lambda pq: abs(pq[0]) > pq[1]).map(lambda pq: _linear(*pq))
-# (q z - p)(p z - q): roots p/q and q/p, neither on the circle
-_reciprocal_pair = (
+# (q z - p)(p z - q): roots p/q and q/p, neither on the circle; and
+# (d z^2 + b z + c)(c z^2 + b z + d) with b^2 < 4dc: conjugate pairs of
+# modulus^2 c/d and d/c
+_reciprocal_pair = st.one_of(
     st.tuples(st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, -1]))
     .filter(lambda t: t[0] != t[1])
-    .map(lambda t: poly.mul(_linear(t[2] * t[0], t[1]), _linear(t[2] * t[1], t[0])))
+    .map(lambda t: poly.mul(_linear(t[2] * t[0], t[1]), _linear(t[2] * t[1], t[0]))),
+    st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(-60, 60))
+    .filter(lambda t: t[0] != t[1] and t[2] * t[2] < 4 * t[0] * t[1])
+    .map(lambda t: poly.mul([F(t[0]), F(t[2]), F(t[1])], [F(t[1]), F(t[2]), F(t[0])])),
 )
 # d z^2 + b z + c with b^2 < 4dc: a conjugate pair of modulus^2 c/d < 1
 _inside_pair = (
@@ -345,6 +367,9 @@ class TestSchurCohn:
         def no_enclosures(*args, **kwargs):
             raise AssertionError("stability decided through a root enclosure")
 
+        def no_sturm(*args, **kwargs):
+            raise AssertionError("unit-circle question decided through a Sturm chain")
+
         monkeypatch.setattr(poly, "enclose_roots", no_enclosures)
         grid = [F(i, 8) for i in range(1, 41)]
         for name in methods.catalog_names():
@@ -353,6 +378,20 @@ class TestSchurCohn:
             answers = {analyzer.in_stability_interior(m, -g) for g in grid}
             assert answers <= {analyzer.StabilityAnswer.YES, analyzer.StabilityAnswer.NO}
             assert analyzer.StabilityAnswer.YES in answers, name
+
+        monkeypatch.setattr(poly, "pseudo_sturm_chain", no_sturm)
+        circle = {}
+        # rho = (z - 1)(z^2 + 1): the circle roots +-i beside 1
+        custom = methods.Method(3, (1, -1, 1), (0, 2, 0, 0))
+        for name in methods.catalog_names() + ["custom"]:
+            m = custom if name == "custom" else methods.catalog(name)
+            assert methods.validate(m).ok, name
+            circle[name] = analyzer._only_circle_root_is_one(
+                list(methods.generating_polys(m).rho)
+            )
+        # ab3's rho = z^3 - z^2 has a double root at zero
+        assert circle["ab3"] is True
+        assert circle["custom"] is False
 
 
 class TestDiscriminant:
@@ -392,21 +431,36 @@ class TestSturmConsistency:
 
 
 class TestUnitCircleRoots:
+    """Circle roots of a squarefree p via u = gcd(p, p*) and Cohn's theorem:
+    the roots of the self-inversive u lie on the circle iff those of u' lie
+    strictly inside."""
+
+    @staticmethod
+    def _circle_part(p):
+        u = poly.gcd_int_poly(p, poly.reverse(p))
+        if poly.degree(u) < 1 or not poly._schur_cohn_inside(poly.derivative(u)):
+            return [1]
+        return u
+
     def test_cyclotomic_quadratic(self):
-        count, one, minus_one, _ = poly.unit_circle_roots([1, -1, 1])
-        assert count == 2 and not one and not minus_one
+        u = self._circle_part([1, -1, 1])
+        assert poly.degree(u) == 2
+        assert poly.sign_at_fraction(u, F(1)) != 0
+        assert poly.sign_at_fraction(u, F(-1)) != 0
 
     def test_mixed(self):
         # (z-1)(z+1)(z - 1/2) cleared: (z^2-1)(2z-1)
         p = poly.mul([1, 0, -1], [2, -1])
-        count, one, minus_one, _ = poly.unit_circle_roots(p)
-        assert count == 2 and one and minus_one
+        u = self._circle_part(p)
+        assert poly.degree(u) == 2
+        assert poly.sign_at_fraction(u, F(1)) == 0
+        assert poly.sign_at_fraction(u, F(-1)) == 0
 
     def test_reciprocal_pair_not_counted(self):
         # (z-2)(z-1/2) cleared: roots are inversion-related but off the circle
         p = poly.mul([1, -2], [2, -1])
-        count, one, minus_one, _ = poly.unit_circle_roots(p)
-        assert count == 0
+        assert poly.degree(poly.gcd_int_poly(p, poly.reverse(p))) == 2
+        assert poly.degree(self._circle_part(p)) == 0
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbcert import cli, poly, published, recursion
+from scbcert import analyzer, cli, poly, published, recursion
 from scbcert.arith import ArithmeticDomainError, IntervalScalar, Sign
 from scbcert.methods import Method, catalog, char_poly_mu
 from scbcert.recursion import (
@@ -515,6 +516,18 @@ class TestRationalClosedForm:
         assert rho == F(1, 2)
         for n in range(form.window_start, 40):
             assert form.value(n) == F(n + 1, 2 ** (n + 1))
+
+    @pytest.mark.parametrize("r", [F(5040, 508079), F(55440, 1255501)])
+    def test_double_root_large_denominator(self, r):
+        # chi = 2 (z - r)^2 at gamma = 1, so mu_n = (n + 1)/2 r^n
+        m = Method(2, (4 * r, -2 * r * r), (1, 0, 0))
+        start = time.perf_counter()
+        v = analyzer.check_scb(m, F(1))
+        assert time.perf_counter() - start < 1
+        assert v.status is analyzer.Feasibility.FEASIBLE
+        form = v.evidence.exact_form
+        assert form is not None
+        assert form.parts == ((r, (F(1, 2), F(1, 2))),)
 
     def test_ab1_at_one(self):
         form = rational_closed_form(catalog("ab1"), F(1))

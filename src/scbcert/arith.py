@@ -430,19 +430,10 @@ class ComplexBox:
     def abs_sq(self) -> IntervalScalar:
         return self.re.pow_int(2).add(self.im.pow_int(2))
 
-    def div(self, other: "ComplexBox") -> "ComplexBox":
-        d = other.abs_sq()
-        if d.contains_zero():
-            raise ArithmeticDomainError("division by complex box containing zero")
-        num = self.mul(other.conjugate())
-        return ComplexBox(num.re.div(d), num.im.div(d))
-
-    __truediv__ = div
-
     def div_smith(self, other: "ComplexBox") -> "ComplexBox":
         """Quotient by Smith's formula: the divisor's larger component is
         divided out first, so the divisor's width enters the result about
-        once, where div's conj(other)/|other|^2 counts it three times."""
+        once, where num*conj(other)/|other|^2 would count it three times."""
         a, b, x, y = self.re, self.im, other.re, other.im
         if mpf_cmp(x.mig(), y.mig()) >= 0:
             r = y.div(x)

@@ -687,7 +687,7 @@ def newton_certify(
     try:
         fz = horner_box(coeffs, mid, digits)
         dfZ = horner_box(dcoeffs, Z, digits)
-        N = mid.sub(fz.div(dfZ))
+        N = mid.sub(fz.div_smith(dfZ))
     except ArithmeticDomainError:
         return None
     if N.strictly_inside(Z):
@@ -710,7 +710,7 @@ def newton_refine(
         try:
             fz = horner_box(coeffs, mid, digits)
             dfZ = horner_box(dcoeffs, cur, digits)
-            N = mid.sub(fz.div(dfZ))
+            N = mid.sub(fz.div_smith(dfZ))
             nxt = ComplexBox(N.re.intersect(cur.re), N.im.intersect(cur.im))
         except ArithmeticDomainError:
             break

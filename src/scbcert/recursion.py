@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_floor, to_fixed
+
 from . import poly
 from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
 from .methods import Method, char_poly_mu
@@ -144,13 +146,34 @@ def _gamma_interval(gamma: GammaLike, digits: int) -> IntervalScalar:
     return IntervalScalar.from_fraction(Fraction(gamma), digits)
 
 
+def _integer_ball(iv: IntervalScalar, scale: int) -> Tuple[int, int]:
+    """Integers (c, r), r >= 0, with iv inside [c - r, c + r] * 2^-scale."""
+    lo = to_fixed(iv.lo, scale)  # floor
+    hi = -to_fixed(mpf_neg(iv.hi), scale)  # ceiling
+    c = (lo + hi) >> 1
+    return c, hi - c
+
+
 def eval_mu_interval(
     m: Method, gamma: GammaLike, n_max: int, digits: int
 ) -> Iterator[Tuple[int, IntervalScalar]]:
     """Stream (n, enclosure of mu_n) for n = 1..n_max at fixed precision.
 
     Every emitted interval contains the exact value for every gamma in the
-    input enclosure.  Only a sliding window of k terms is retained.
+    input enclosure.  The recurrence coefficients and inhomogeneous terms
+    are the outward-rounded intervals at ``digits`` (P bits); the recurrence
+    itself runs in midpoint-radius arithmetic on integers.  Each coefficient
+    is a ball (C_j, rc_j) at scale 2^-P, and the sliding window of k terms
+    holds balls (X_i, R_i) at one shared scale 2^-S, with the invariant that
+    mu_(n-i) lies in [X_i - R_i, X_i + R_i] * 2^-S.  A term is the exact sum
+    T = sum_j C_j X_(n-j), one full-precision product per coefficient, with
+    radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where |C_j|*
+    is |C_j| rounded up to 64 leading bits, then one rounding shift by P bits
+    (which adds 1 to the radius).  After each term the window is rescaled:
+    shifted left exactly to P + 32 bits when its largest |X_i| has fewer
+    than P bits, and right, with rounding and 2 added to each radius, to
+    P + 32 bits when it has more than P + 96; an all-zero window is left
+    alone.
     """
     g = _gamma_interval(gamma, digits)
     one = IntervalScalar.exact_int(1, digits)
@@ -164,16 +187,55 @@ def eval_mu_interval(
         bj = IntervalScalar.from_fraction(m.b[j], digits)
         coeffs.append(aj.sub(g.mul(bj)).div(den))
     inhom = [IntervalScalar.from_fraction(m.b[n], digits).div(den) for n in range(m.k + 1)]
-    zero = IntervalScalar.exact_int(0, digits)
-    window: List[IntervalScalar] = [inhom[0]]  # mu_0
-    for n in range(1, n_max + 1):
-        acc = inhom[n] if n <= m.k else zero
-        for j in range(1, min(n, m.k) + 1):
-            acc = acc.add(coeffs[j - 1].mul(window[-j]))
-        window.append(acc)
-        if len(window) > m.k:
-            window.pop(0)
-        yield n, acc
+    P = den.bits
+    k = m.k
+    # window entries run oldest first, so the coefficients run C_k..C_1
+    C: List[int] = []
+    rc: List[int] = []
+    top: List[int] = []  # |C_j| rounded up to 64 leading bits: top << cut
+    cut: List[int] = []
+    for iv in reversed(coeffs):
+        c, r = _integer_ball(iv, P)
+        s = max(0, abs(c).bit_length() - 64)
+        C.append(c)
+        rc.append(r)
+        top.append(-(-abs(c) >> s))
+        cut.append(s)
+    X = [0] * k  # mu_n = 0 for n < 0
+    R = [0] * k
+    S = P
+    half = 1 << (P - 1)
+    for n in range(n_max + 1):
+        if n <= k:
+            T, rad = _integer_ball(inhom[n], P + S)
+        else:
+            T = rad = 0
+        for c, rcj, t, s, xi, ri in zip(C, rc, top, cut, X, R):
+            T += c * xi
+            rad += ((t * ri) << s) + rcj * (abs(xi) + ri)
+        x = (T + half) >> P
+        r = -(-rad >> P) + 1
+        if n:
+            yield n, IntervalScalar(
+                from_man_exp(x - r, -S, P, round_floor),
+                from_man_exp(x + r, -S, P, round_ceiling),
+                P,
+            )
+        del X[0], R[0]
+        X.append(x)
+        R.append(r)
+        bl = max(map(abs, X)).bit_length()
+        if bl and bl < P:
+            d = P + 32 - bl
+            X = [v << d for v in X]
+            R = [v << d for v in R]
+            S += d
+        elif bl > P + 96:
+            d = bl - P - 32
+            h = 1 << (d - 1)
+            X = [(v + h) >> d for v in X]
+            R = [(v >> d) + 2 for v in R]
+            S -= d
 
 
 def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:

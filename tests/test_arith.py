@@ -209,8 +209,7 @@ class TestComplexBox:
     def test_div_roundtrip(self):
         z = ComplexBox.from_fractions(F(7, 22), F(3, 5), 40)
         w = ComplexBox.from_fractions(F(-2, 3), F(1, 7), 40)
-        for back in (z.mul(w).div(w), z.mul(w).div_smith(w)):
-            assert back.contains_point(F(7, 22), F(3, 5))
+        assert z.mul(w).div_smith(w).contains_point(F(7, 22), F(3, 5))
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -254,6 +254,90 @@ class TestIntervalEvaluation:
             for n in range(1, 51):
                 assert vals[n].contains_fraction(exact[n])
 
+    # The integer ball kernel rescales its window after every term: left when
+    # the midpoints shrink below the working precision, right when they grow
+    # 96 bits past it, never when they are all zero.  Each path must keep
+    # every yielded interval around the exact value.
+
+    @pytest.mark.parametrize("digits", [64, 200])
+    def test_containment_decaying(self, digits):
+        # mu decays geometrically inside the stability interior, so the
+        # window is shifted left many times over the run
+        m, g = catalog("bdf3"), F(1, 2)
+        exact = mu_prefix(m, g, 1500)
+        assert abs(exact[-1]) < F(1, 2**1000)
+        for n, box in eval_mu_interval(m, g, 1500, digits):
+            assert box.contains_fraction(exact[n]), n
+
+    @pytest.mark.parametrize("digits", [64, 200])
+    def test_containment_growing(self, digits):
+        # outside the stability interior mu grows, so the window is shifted
+        # right with rounding many times over the run
+        m, g = catalog("ab2"), F(3)
+        assert analyzer.in_stability_interior(m, -g) is analyzer.StabilityAnswer.NO
+        exact = mu_prefix(m, g, 600)
+        assert abs(exact[-1]) > 2**1000
+        for n, box in eval_mu_interval(m, g, 600, digits):
+            assert box.contains_fraction(exact[n]), n
+
+    @pytest.mark.parametrize("digits", [64, 200])
+    def test_containment_vanishing_window(self, digits):
+        # ab1 at gamma = 1 has the zero coefficient 1 - gamma, so mu_n = 0
+        # for n >= 2 and the window is all zero from then on
+        m, g = catalog("ab1"), F(1)
+        exact = mu_prefix(m, g, 200)
+        assert exact[1] == 1 and not any(exact[2:])
+        boxes = dict(eval_mu_interval(m, g, 200, digits))
+        for n, box in boxes.items():
+            assert box.contains_fraction(exact[n]), n
+        # an all-zero window is never rescaled: its scale stays put, so every
+        # zero term gets the same small interval instead of a finer one each
+        # time while the integers behind it grow
+        assert len({(boxes[n].lo, boxes[n].hi) for n in range(2, 201)}) == 1
+        assert boxes[200].width_fraction() < F(1, 2**64)
+
+    @pytest.mark.parametrize("digits", [64, 200])
+    def test_containment_algebraic_gamma(self, digits):
+        # the bdf3 optimum is a root of a quartic; the enclosure's rational
+        # endpoints both lie in the gamma interval the kernel evaluates over
+        spec = published.GAMMA_SUP_POLYS["bdf3"]
+        enc = min(
+            (e for e in poly.isolate_real_roots(spec["poly"]) if e.lo >= 0),
+            key=lambda e: e.lo,
+        ).refined(F(1, 10 ** (digits + 10)))
+        m = catalog("bdf3")
+        ends = [mu_prefix(m, enc.lo, 80), mu_prefix(m, enc.hi, 80)]
+        for n, box in eval_mu_interval(m, enc, 80, digits):
+            for exact in ends:
+                assert box.contains_fraction(exact[n]), n
+
+    @settings(max_examples=150, deadline=None)
+    @given(_method_and_gamma(), st.integers(1, 80), st.sampled_from([5, 30, 64, 200]))
+    def test_containment_random_methods(self, case, n_max, digits):
+        # the catalog and custom methods of the exact kernel's test, with
+        # 1 + gamma*b0 of either sign, against the Fraction recursion
+        m, g = case
+        try:
+            boxes = list(eval_mu_interval(m, g, n_max, digits))
+        except ArithmeticDomainError:
+            # the enclosure of 1 + gamma*b0 holds zero only when it is
+            # zero or tiny against the rounding of gamma*b0
+            assert abs(1 + g * m.b0) <= abs(g * m.b0) / 2**10
+            return
+        mus = fraction_mu_prefix(m, g, n_max)
+        for n, box in boxes:
+            assert box.contains_fraction(mus[n]), n
+
+    def test_ball_signs_match_exact_signs(self):
+        # the remark's miniature: 3000 terms of bdf4 just above its optimum,
+        # where 1800 digits decide every sign and 1500 do not
+        m, g = catalog("bdf4"), F(4866, 10000)
+        exact = mu_signs(m, g, 3000)
+        run = run_mu_signs(m, g, 3000, 1800)
+        assert run.negative == [n for n in range(1, 3001) if exact[n] < 0]
+        assert run.negative and not run.unknown
+        assert run_mu_signs(m, g, 3000, 1500).unknown
+
 
 class TestMemberFunctions:
     def test_ab2_numerators(self):

@@ -5,8 +5,9 @@ the serialization format used by the CLI.  Where an exact real root is the
 answer, it is isolated with signed subresultant (Sturm) chains over the
 integers and refined by exact rational bisection.  All roots of a real
 polynomial with exact or interval coefficients, real and complex alike, are
-enclosed by one engine, ``enclose_roots``: floating approximations that are
-then rigorously certified and refined with the interval Newton operator.
+enclosed by one engine, ``enclose_roots``: double-precision Durand-Kerner
+seeds, polished by ``mpmath.polyroots`` at the working precision, then
+rigorously certified and refined with the interval Newton operator.
 Root location relative to the unit circle is decided exactly by one
 mechanism, the Schur-Cohn reduction over the integers: membership of the open
 unit disk directly, and membership of the circle itself through the gcd with
@@ -16,6 +17,7 @@ never numerically.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 from dataclasses import dataclass
@@ -750,11 +752,50 @@ def newton_root(
     return None
 
 
+# the double-precision seed pass stops here, converged or not
+FLOAT_SEED_STEPS = 100
+
+
+def _float_seeds(p: Sequence[Fraction]) -> Optional[List[complex]]:
+    """Durand-Kerner roots of p in double precision, from mpmath's own start
+    (0.4 + 0.9i)^k; None when the pass overflows or its roots are not all
+    finite and pairwise distinct."""
+    n = len(p) - 1
+    try:
+        a = [float(c / p[0]) for c in p]
+        z = [(0.4 + 0.9j) ** k for k in range(n)]
+        for _ in range(FLOAT_SEED_STEPS):
+            converged = True
+            for i, zi in enumerate(z):
+                f = 0j
+                for c in a:
+                    f = f * zi + c
+                d = 1 + 0j
+                for j, zj in enumerate(z):
+                    if j != i:
+                        d *= zi - zj
+                step = f / d
+                z[i] = zi - step
+                converged = converged and abs(step) <= 2.0**-40 * abs(z[i])
+            if converged:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not all(cmath.isfinite(w) for w in z) or len(set(z)) != n:
+        return None
+    return z
+
+
 def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
+    """Approximate roots of p to about dps digits: double-precision
+    Durand-Kerner seeds, polished by ``mpmath.polyroots`` at dps digits
+    (mpmath's own start where the seeds are unusable)."""
+    seeds = _float_seeds(p)
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
+        init = None if seeds is None else [mpmath.mpc(w) for w in seeds]
         try:
-            return mpmath.polyroots(coeffs, maxsteps=300, extraprec=120)
+            return mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
         except (mpmath.libmp.NoConvergence, ZeroDivisionError):
             return []
 
@@ -784,6 +825,11 @@ def enclose_roots(
     """Certified root classes of a real polynomial with interval coefficients,
     at the one working precision given: (box, False) for each real root and
     (box, True) for the upper member of each conjugate pair.
+
+    The approximations come from ``_approx_roots``: double-precision
+    Durand-Kerner seeds, polished by ``mpmath.polyroots(roots_init=...)``
+    at 10 digits above the working precision.  Interval Newton then
+    certifies a box around each.
 
     Each box has width <= width and holds exactly one root of every
     polynomial in the coefficient family.  Completeness holds because the

@@ -337,16 +337,26 @@ class ClosedForm:
     coeffs: List[ComplexBox]
     digits: int
 
+    def reconstruct_range(self, first: int, last: int) -> List[IntervalScalar]:
+        """Intervals containing the exact sequence values at n = first..last
+        (first >= window_start): each root is raised to its power once, at
+        first, and then advanced by one product per term.  Only real parts
+        are summed: a pair and its conjugate give twice the real part."""
+        powers = [rec.box.pow_int(first) for rec in self.roots]
+        out: List[IntervalScalar] = []
+        for n in range(first, last + 1):
+            if n > first:
+                powers = [pw.mul(rec.box) for pw, rec in zip(powers, self.roots)]
+            acc = IntervalScalar.from_fraction(0, self.digits)
+            for rec, c, pw in zip(self.roots, self.coeffs, powers):
+                re = c.re.mul(pw.re).sub(c.im.mul(pw.im))
+                acc = acc.add(re.add(re) if rec.is_pair else re)
+            out.append(acc)
+        return out
+
     def reconstruct(self, n: int) -> IntervalScalar:
         """Interval containing the exact sequence value (n >= window_start)."""
-        digits = self.digits
-        acc = ComplexBox.from_fractions(0, 0, digits)
-        for rec, c in zip(self.roots, self.coeffs):
-            term = c.mul(rec.box.pow_int(n))
-            if rec.is_pair:
-                term = ComplexBox(term.re.add(term.re), term.im.sub(term.im))
-            acc = acc.add(term)
-        return acc.re
+        return self.reconstruct_range(n, n)[0]
 
     def dominant_index(self) -> Optional[int]:
         """Index of the root class certified strictly dominant, if any."""
@@ -380,7 +390,9 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     the residue coefficient c = z^(order-1) B(1/z) / chi'(z), valid for
     n >= window_start; the reconstruction is then checked against the
     sequence itself at n = window_start..window_start + 2k, values the
-    formula never used.
+    formula never used.  The check raises each root to its power once, at
+    window_start, and advances it by one product per term
+    (``ClosedForm.reconstruct_range``).
 
     Raises MultipleRootError at parameter values where the characteristic
     polynomial has a multiple root; raises EnclosureError (or another
@@ -470,8 +482,7 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     else:
         ivals = [IntervalScalar.from_fraction(m.b[0], digits).div(lead)]
         ivals += [v for _n, v in eval_mu_interval(m, g, upto_check, digits)]
-    for n in range(s, upto_check + 1):
-        rec_val = cf.reconstruct(n)
+    for n, rec_val in enumerate(cf.reconstruct_range(s, upto_check), s):
         if exact_gamma:
             if not rec_val.contains_fraction(vals[n]):
                 raise EnclosureError(

@@ -212,6 +212,35 @@ class TestRootEngine:
             ]
             assert holders == [im > 0], (re, im)
 
+    def test_huge_roots_fall_back_to_mpmath_start(self):
+        # the double-precision pass overflows on these, so it gives no
+        # seeds and polyroots starts from its own guesses
+        big = 10**60
+        p = poly.mul(poly.mul([1, -big], [1, -2 * big]), [1, -3 * big])
+        for q, n_classes in ((p, 3), ([1, 0, 10**200], 1)):
+            assert poly._float_seeds([F(c) for c in q]) is None
+            coeffs = [arith.IntervalScalar.exact_int(c, 256) for c in q]
+            assert len(poly.enclose_roots(coeffs, F(1, 10**30), 256)) == n_classes
+
+    def test_coefficient_overflow_fails_as_before(self):
+        # the constant term, about 7.2e314, is past the largest double:
+        # the seed pass gives up and 64 digits cannot certify these roots
+        p = [1]
+        for j in range(1, 7):
+            p = poly.mul(p, [1, -j * 10**52])
+        assert poly._float_seeds([F(c) for c in p]) is None
+        coeffs = [arith.IntervalScalar.exact_int(c, 64) for c in p]
+        with pytest.raises(poly.EnclosureError):
+            poly.enclose_roots(coeffs, F(1, 10**30), 64)
+
+    def test_cluster_beside_a_pair(self):
+        # (7z - 3)(z - 3/7 - 10^-20)(z^2 + 1): two reals 10^-20 apart
+        a = F(3, 7)
+        p = poly.mul(poly.mul([7, -3], poly.to_integer([1, -a - _TINY])), [1, 0, 1])
+        assert poly._float_seeds([F(c) for c in p]) is not None
+        classes = _check_against_sturm(poly.primitive(p))
+        assert len(classes) == 3
+
     def test_catalog_characteristic_polynomials(self):
         rng = random.Random(20261018)
         for name in methods.catalog_names():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbcert import analyzer, cli, poly, published, recursion
-from scbcert.arith import ArithmeticDomainError, IntervalScalar, Sign
+from scbcert.arith import ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
 from scbcert.methods import Method, catalog, char_poly_mu
 from scbcert.recursion import (
     MultipleRootError,
@@ -415,6 +415,32 @@ class TestClosedForm:
                 assert cf.reconstruct(n).contains_fraction(exact[n]), (kind, m, g, n)
             checked[kind] += 1
         assert min(checked.values()) >= 6 and len(checked) == 3, checked
+
+    def test_range_reconstruction_contains_exact(self):
+        # a range that starts past the window start: the first power is
+        # raised there, the rest are running products
+        m, g = catalog("bdf4"), F(1, 2)
+        cf = closed_form(m, g, 64)
+        first, last = cf.window_start + 3, cf.window_start + 60
+        exact = mu_prefix(m, g, last)
+        vals = cf.reconstruct_range(first, last)
+        assert len(vals) == last - first + 1
+        for n, v in enumerate(vals, first):
+            assert v.contains_fraction(exact[n]), n
+
+    def test_containment_check_raises_each_root_at_most_twice(self, monkeypatch):
+        # one power for the residue shift and one at the window start; the
+        # 2k + 1 terms of the check advance by products, not new powers
+        calls = []
+        pow_int = ComplexBox.pow_int
+
+        def counting(self, n):
+            calls.append(n)
+            return pow_int(self, n)
+
+        monkeypatch.setattr(ComplexBox, "pow_int", counting)
+        cf = closed_form(catalog("bdf6"), F(1, 7), 64)
+        assert 0 < len(calls) <= 2 * len(cf.roots)
 
     def test_multiple_root_detection(self):
         with pytest.raises(MultipleRootError):

@@ -9,19 +9,20 @@ interval negative witness, a stability violation, or a strictly dominant
 complex conjugate pair with nonzero coefficient (which forces infinitely
 many negative terms).  gamma_sup brackets the optimal coefficient between a
 certified feasible and a certified infeasible rational, bisecting to the
-requested tolerance.
+requested tolerance; double-precision guesses steer the bisection, and
+only the two endpoints it reports are certified.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
 from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, IntervalScalar, precision_ladder
-from .methods import Method, generating_polys, n0, validate
+from .methods import Method, char_poly_mu, generating_polys, n0, validate
 from .poly import EnclosureError, RealRootEnclosure
 from .recursion import (
     ClosedForm,
@@ -45,6 +46,13 @@ EXACT_SCAN_CAP = 8192
 UNBOUNDED_CAP = Fraction(2**20)
 EPS_MIN = Fraction(1, 2**40)
 CROSSOVER_TOL = Fraction(1, 10**7)
+# gamma_sup's double-precision guess leaves a step to check_scb when the
+# dominant root ties in modulus with another, or its coefficient is 0, to
+# within GUESS_MARGIN (relative); or when another root lies within
+# GUESS_SEPARATION of it, near a double root, where doubles lose half their
+# digits
+GUESS_MARGIN = 1e-9
+GUESS_SEPARATION = 1e-6
 
 
 class AnalyzerError(RuntimeError):
@@ -184,6 +192,10 @@ class GammaSupResult:
     ladder: Tuple[Fraction, ...] = ()
     none_positive: Optional[NonePositiveProof] = None
     tol: Optional[Fraction] = None
+    # bisection steps decided by a double-precision guess and by check_scb
+    # (a fallback rerun adds all of its steps to the second)
+    guessed_steps: int = field(default=0, compare=False, repr=False)
+    certified_steps: int = field(default=0, compare=False, repr=False)
 
     @property
     def enclosure(self) -> Optional[Tuple[Fraction, Fraction]]:
@@ -272,6 +284,10 @@ def _complex_dominance(cf: ClosedForm, di: int) -> Optional[InfeasibleComplexDom
     )
 
 
+def _scan_horizon(m: Method, horizon: Optional[int]) -> int:
+    return max(32, 4 * m.k) if horizon is None else horizon
+
+
 def check_scb(
     m: Method,
     gamma: Fraction,
@@ -283,8 +299,7 @@ def check_scb(
     gamma = Fraction(gamma)
     if gamma <= 0:
         raise AnalyzerError("gamma must be positive")
-    if horizon is None:
-        horizon = max(32, 4 * m.k)
+    horizon = _scan_horizon(m, horizon)
     digits_used = digits
 
     def verdict(status: Feasibility, evidence: Evidence) -> ScbVerdict:
@@ -389,6 +404,50 @@ def check_scb(
     return scanned_witness() or verdict(
         Feasibility.INCONCLUSIVE, InconclusiveHorizon(horizon, digits_used)
     )
+
+
+def _guess_feasible(m: Method, gamma: Fraction, horizon: Optional[int]) -> Optional[bool]:
+    """Uncertified guess of check_scb's verdict at gamma > 0, which steers
+    gamma_sup's bisection; None where no guess is safe enough.
+
+    False when one of check_scb's exact openers fails: the stability test,
+    or a negative term through the horizon.  Otherwise the dominant root
+    class of the characteristic polynomial, from double-precision seeds,
+    decides with its residue c = z^(order-1) B(1/z) / chi'(z): a positive
+    real root with c > 0 guesses True, a conjugate pair with c clear of 0
+    guesses False.  A modulus tie, a near-double root, a negative real root,
+    c near 0, no seeds or order 0 give None.
+    """
+    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
+        return False
+    if first_negative_mu(m, gamma, _scan_horizon(m, horizon)) is not None:
+        return False
+    char = char_poly_mu(m, gamma)
+    while len(char) > 1 and char[-1] == 0:
+        char.pop()  # roots at zero do not enter the closed form
+    order = len(char) - 1
+    seeds = poly._float_seeds(char) if order > 0 else None
+    if seeds is None:
+        return None
+    seeds.sort(key=abs, reverse=True)
+    z, others = seeds[0], seeds[1:]
+    r = abs(z)
+    if any(abs(w - z) <= GUESS_SEPARATION * r for w in others):
+        return None
+    ties = [w for w in others if abs(w) >= r * (1 - GUESS_MARGIN)]
+    try:
+        terms = [float(b) * z ** (order - 1 - n) for n, b in enumerate(m.b)]
+        dchi = poly.eval_at([float(c) for c in poly.derivative(char)], z)
+        c = sum(terms) / dchi
+        if not abs(c) > GUESS_MARGIN * sum(map(abs, terms)) / abs(dchi):
+            return None
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not ties and abs(z.imag) <= GUESS_MARGIN * r:
+        return True if z.real > 0 and c.real > 0 else None
+    if len(ties) == 1 and abs(ties[0] - z.conjugate()) <= GUESS_MARGIN * r:
+        return False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -679,13 +738,24 @@ def gamma_sup(
     endpoint an infeasibility certificate; by downward inheritance of
     feasibility these bracket the supremum.  Unbounded and none-positive
     outcomes are reported through their own mechanisms.
+
+    The bracket search certifies every point.  The bisection after it is
+    steered by ``_guess_feasible``, an uncertified double-precision guess;
+    check_scb decides only the steps the guess leaves open and then the two
+    endpoints reported.  That is sound by the same downward inheritance: a
+    guess "feasible" at mid moved lo to mid, so a certified feasible final
+    lo >= mid proves mid feasible, and alike for hi.  Once both endpoints
+    certify, every guess agreed with check_scb, so the path and the report
+    are those of a fully certified bisection.  When either endpoint fails
+    to certify, the bisection is rerun from the certified bracket with
+    check_scb at every step.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise AnalyzerError("tol must be positive")
     opts = options or GammaSupOptions()
 
-    def feas(g: Fraction) -> ScbVerdict:
+    def verdict_at(g: Fraction) -> ScbVerdict:
         v = check_scb(m, g, opts.horizon, opts.digits, opts.digits_cap)
         if v.status is Feasibility.INCONCLUSIVE:
             # one retry with a deeper horizon before giving up
@@ -696,6 +766,10 @@ def gamma_sup(
                 opts.digits,
                 opts.digits_cap,
             )
+        return v
+
+    def feas(g: Fraction) -> ScbVerdict:
+        v = verdict_at(g)
         if v.status is Feasibility.INCONCLUSIVE:
             raise AnalyzerError(
                 "feasibility test inconclusive at gamma={} (horizon/precision caps)".format(g)
@@ -749,13 +823,38 @@ def gamma_sup(
                         )
                     )
 
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        v = feas(mid)
-        if v.status is Feasibility.FEASIBLE:
-            lo, cert_lo = mid, v
-        else:
-            hi, cert_hi = mid, v
+    steps = {"guessed": 0, "certified": 0}
+
+    def bisect(
+        lo: Fraction, cert_lo: Optional[ScbVerdict], hi: Fraction, cert_hi: Optional[ScbVerdict],
+        guess: Callable[[Fraction], Optional[bool]],
+    ) -> Tuple[Fraction, Optional[ScbVerdict], Fraction, Optional[ScbVerdict]]:
+        """Bisect to tol; a step the guess decides keeps no verdict."""
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
+            v = None
+            feasible = guess(mid)
+            if feasible is None:
+                v = feas(mid)
+                feasible = v.status is Feasibility.FEASIBLE
+                steps["certified"] += 1
+            else:
+                steps["guessed"] += 1
+            if feasible:
+                lo, cert_lo = mid, v
+            else:
+                hi, cert_hi = mid, v
+        return lo, cert_lo, hi, cert_hi
+
+    bracket = (lo, cert_lo, hi, cert_hi)
+    lo, cert_lo, hi, cert_hi = bisect(*bracket, lambda g: _guess_feasible(m, g, opts.horizon))
+    if cert_lo is None:
+        cert_lo = verdict_at(lo)
+    if cert_hi is None:
+        cert_hi = verdict_at(hi)
+    if cert_lo.status is not Feasibility.FEASIBLE or cert_hi.status is not Feasibility.INFEASIBLE:
+        # some guess was wrong: the fully certified bisection
+        lo, cert_lo, hi, cert_hi = bisect(*bracket, lambda g: None)
 
     mechanism = Mechanism.CROSSOVER
     mech_index: Optional[int] = None
@@ -772,6 +871,8 @@ def gamma_sup(
         cert_lo=cert_lo,
         cert_hi=cert_hi,
         tol=tol,
+        guessed_steps=steps["guessed"],
+        certified_steps=steps["certified"],
     )
     if m.name in published.GAMMA_SUP_POLYS:
         entry = published.GAMMA_SUP_POLYS[m.name]

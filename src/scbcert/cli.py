@@ -248,7 +248,11 @@ def cmd_gamma_sup(args) -> int:
     )
     t0 = time.time()
     r = analyzer.gamma_sup(m, tol, opts)
-    timings = {"seconds": round(time.time() - t0, 3)}
+    timings = {
+        "seconds": round(time.time() - t0, 3),
+        # how the bisection steps were decided: double-precision guess or check_scb
+        "bisection_steps": {"guessed": r.guessed_steps, "certified": r.certified_steps},
+    }
     emit(dict(gamma_sup_dict(r), command="gamma-sup"), args, timings)
     return EXIT_FEASIBLE
 

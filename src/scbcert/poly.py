@@ -786,18 +786,43 @@ def _float_seeds(p: Sequence[Fraction]) -> Optional[List[complex]]:
     return z
 
 
+# _approx_roots rescales polynomials whose Cauchy bound exceeds this
+HUGE_ROOT_BOUND = 2**64
+
+
+def _root_scale_exponent(p: Sequence[Fraction]) -> int:
+    """e with 2^e about the largest root modulus of p: every root has
+    modulus below 2 max_i |p_i/p_0|^(1/i) (Fujiwara), and this takes the
+    exponent of that maximum."""
+    e = 0
+    for i, c in enumerate(p[1:], 1):
+        if c:
+            r = abs(Fraction(c) / p[0])
+            e = max(e, -((r.denominator.bit_length() - r.numerator.bit_length() - 1) // i))
+    return e
+
+
 def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     """Approximate roots of p to about dps digits: double-precision
     Durand-Kerner seeds, polished by ``mpmath.polyroots`` at dps digits
-    (mpmath's own start where the seeds are unusable)."""
+    (mpmath's own start where the seeds are unusable).
+
+    polyroots stops on an absolute tolerance, so roots far beyond 1 would
+    never converge: past HUGE_ROOT_BOUND the roots w = z / 2^e of
+    p(2^e w) / 2^(e deg p), of modulus about 1, are found instead and
+    scaled back exactly."""
+    e = _root_scale_exponent(p) if cauchy_bound(p) > HUGE_ROOT_BOUND else 0
+    if e:
+        p = [Fraction(c) / 2 ** (e * i) for i, c in enumerate(p)]
     seeds = _float_seeds(p)
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
         init = None if seeds is None else [mpmath.mpc(w) for w in seeds]
         try:
-            return mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
+            roots = mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
         except (mpmath.libmp.NoConvergence, ZeroDivisionError):
             return []
+        return [z * mpmath.ldexp(1, e) for z in roots] if e else roots
 
 
 def _mpf_fraction(x) -> Fraction:

@@ -387,9 +387,83 @@ class TestGammaSup:
         assert r.mechanism is Mechanism.CROSSOVER
         assert counts["rungs"] == counts["closed_form"]
         assert counts["newton_certify"] == counts["newton_root"]
+        # guesses decide 26 of the 28 bisection steps: check_scb runs at the
+        # two bracket points, the two open steps and one endpoint
+        assert (r.guessed_steps, r.certified_steps) == (26, 2)
         assert dict(counts) == {
-            "check_scb": 31, "closed_form": 30, "rungs": 30, "newton_root": 90, "newton_certify": 90,
+            "check_scb": 5, "closed_form": 4, "rungs": 4, "newton_root": 12, "newton_certify": 12,
         }
+
+
+def _unguided(monkeypatch):
+    monkeypatch.setattr(analyzer, "_guess_feasible", lambda m, gamma, horizon: None)
+
+
+class TestGuidedBisection:
+    """gamma_sup's bisection is steered by uncertified guesses; only the
+    reported endpoints are certified, and a wrong guess costs a rerun."""
+
+    @pytest.mark.parametrize("name", methods.catalog_names())
+    def test_guided_equals_fully_certified(self, name, monkeypatch):
+        guided = gamma_sup(catalog(name), F(1, 10**9))
+        _unguided(monkeypatch)
+        certified = gamma_sup(catalog(name), F(1, 10**9))
+        assert guided == certified
+        assert repr(guided) == repr(certified)
+        assert certified.guessed_steps == 0
+        # no fallback: each step is decided once
+        assert guided.guessed_steps + guided.certified_steps == certified.certified_steps
+
+    @pytest.mark.parametrize("name", ["bdf4", "ab3", "bdf3"])
+    def test_lying_guess_falls_back(self, name, monkeypatch):
+        honest = gamma_sup(catalog(name), F(1, 10**9))
+        assert honest.guessed_steps > 0
+        real_guess = analyzer._guess_feasible
+        flipped = []
+
+        def lying(m, gamma, horizon):
+            guess = real_guess(m, gamma, horizon)
+            if guess is not None and not flipped:
+                flipped.append(gamma)
+                return not guess
+            return guess
+
+        monkeypatch.setattr(analyzer, "_guess_feasible", lying)
+        r = gamma_sup(catalog(name), F(1, 10**9))
+        assert flipped
+        assert r == honest and repr(r) == repr(honest)
+        # the fallback rerun certified every bisection step once more
+        steps = honest.guessed_steps + honest.certified_steps
+        assert r.certified_steps >= steps
+        assert r.cert_lo.gamma == r.lo and r.cert_hi.gamma == r.hi
+
+    def test_near_double_root_is_left_to_check_scb(self, monkeypatch):
+        # chi = (z - 7/10)(z - 7/10 - 10^-11) at gamma = 1: doubles see a
+        # conjugate pair there, so without the separation guard the guess
+        # would say infeasible where check_scb certifies feasible
+        delta = F(1, 10**11)
+        m = Method(k=2, a=(F(14, 10) + delta, F(51, 100) - F(7, 10) * delta),
+                   b=(F(0), F(0), F(1)), name="near-double")
+        assert check_scb(m, F(1)).status is Feasibility.FEASIBLE
+        assert analyzer._guess_feasible(m, F(1), None) is None
+        monkeypatch.setattr(analyzer, "GUESS_SEPARATION", 0.0)
+        assert analyzer._guess_feasible(m, F(1), None) is False
+
+    def test_endpoints_certified_at_the_reported_points(self, monkeypatch):
+        verdicts = []
+        real_check = analyzer.check_scb
+
+        def spy(m, gamma, *args):
+            v = real_check(m, gamma, *args)
+            verdicts.append(v)
+            return v
+
+        monkeypatch.setattr(analyzer, "check_scb", spy)
+        r = gamma_sup(catalog("bdf6"), F(1, 10**9))
+        assert r.cert_lo in verdicts and r.cert_hi in verdicts
+        assert (r.cert_lo.gamma, r.cert_lo.status) == (r.lo, Feasibility.FEASIBLE)
+        assert (r.cert_hi.gamma, r.cert_hi.status) == (r.hi, Feasibility.INFEASIBLE)
+        assert r.guessed_steps > 0
 
 
 class TestSquarefreeRootEngine:

@@ -91,6 +91,10 @@ class TestGammaSupCommand:
         assert hi - lo <= F(1, 10**12)
         assert rep["poly_check"] == "confirmed"
         assert rep["mechanism"] == "simple_root"
+        # how the bisection went is reported under timings only
+        steps = rep["timings"]["bisection_steps"]
+        assert steps["guessed"] > 0 and steps["certified"] >= 0
+        assert "guessed" not in json.dumps({k: v for k, v in rep.items() if k != "timings"})
 
     def test_bdf4_crossover_bracket(self, capsys):
         # the optimum is the crossover itself, so the bracket holds it

@@ -212,9 +212,9 @@ class TestRootEngine:
             ]
             assert holders == [im > 0], (re, im)
 
-    def test_huge_roots_fall_back_to_mpmath_start(self):
-        # the double-precision pass overflows on these, so it gives no
-        # seeds and polyroots starts from its own guesses
+    def test_huge_roots_are_scaled_before_seeding(self):
+        # the double-precision pass overflows on these as they stand;
+        # _approx_roots seeds and polishes the roots scaled by 2^-e instead
         big = 10**60
         p = poly.mul(poly.mul([1, -big], [1, -2 * big]), [1, -3 * big])
         for q, n_classes in ((p, 3), ([1, 0, 10**200], 1)):
@@ -222,16 +222,29 @@ class TestRootEngine:
             coeffs = [arith.IntervalScalar.exact_int(c, 256) for c in q]
             assert len(poly.enclose_roots(coeffs, F(1, 10**30), 256)) == n_classes
 
-    def test_coefficient_overflow_fails_as_before(self):
-        # the constant term, about 7.2e314, is past the largest double:
-        # the seed pass gives up and 64 digits cannot certify these roots
+    def test_coefficient_overflow_is_scaled_away(self):
+        # the constant term, about 7.2e314, is past the largest double, and
+        # polyroots' absolute tolerance never stops on roots near 10^52
+        # unless they are scaled to modulus about 1 first
         p = [1]
         for j in range(1, 7):
             p = poly.mul(p, [1, -j * 10**52])
         assert poly._float_seeds([F(c) for c in p]) is None
-        coeffs = [arith.IntervalScalar.exact_int(c, 64) for c in p]
-        with pytest.raises(poly.EnclosureError):
-            poly.enclose_roots(coeffs, F(1, 10**30), 64)
+        # 10^-6 is about 10^-58 of the roots: as fine as 64 digits go
+        for digits, width in ((64, F(1, 10**6)), (200, F(1, 10**30))):
+            coeffs = [arith.IntervalScalar.exact_int(c, digits) for c in p]
+            classes = poly.enclose_roots(coeffs, width, digits)
+            assert len(classes) == 6
+            for j, (box, is_pair) in enumerate(sorted(classes, key=lambda c: c[0].re.lo_fraction()), 1):
+                assert not is_pair and box.contains_point(j * 10**52, 0)
+                assert box.width_fraction() <= width
+
+    def test_scaling_leaves_small_bounds_alone(self, monkeypatch):
+        # below HUGE_ROOT_BOUND the roots come from the unscaled polynomial
+        monkeypatch.setattr(poly, "_root_scale_exponent", lambda p: 1 / 0)
+        p = [F(c) for c in poly.mul([1, -(2**60)], [1, 0, 1])]
+        assert poly.cauchy_bound(p) <= poly.HUGE_ROOT_BOUND
+        assert len(poly._approx_roots(p, 30)) == 3
 
     def test_cluster_beside_a_pair(self):
         # (7z - 3)(z - 3/7 - 10^-20)(z^2 + 1): two reals 10^-20 apart

@@ -93,6 +93,15 @@ def parse_exact(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def fraction_str(q: Fraction) -> str:
+    """Exact text of a rational, 'p/q' or 'p' when q = 1, as parse_exact reads
+    it; a Fraction is used as it is, anything else is converted first."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    num, den = q.numerator, q.denominator
+    return str(num) if den == 1 else "{}/{}".format(num, den)
+
+
 def _mpf_to_fraction(x) -> Fraction:
     if x == fzero:
         return Fraction(0)

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import analyzer, methods, published, recursion
 from .analyzer import Existence, Feasibility, GammaSupOptions, Mechanism
-from .arith import parse_exact
+from .arith import fraction_str, parse_exact
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -35,11 +35,6 @@ PRECISION_CAP_ENV = "SCBCERT_PRECISION_CAP"
 
 class UsageError(ValueError):
     pass
-
-
-def fraction_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else "{}/{}".format(q.numerator, q.denominator)
 
 
 def fraction_decimal(q: Fraction, places: int = 15) -> str:
@@ -328,12 +323,14 @@ def cmd_mu_curve(args) -> int:
     lines = ["gamma,n,value,marker"]
     for g in grid:
         mus = recursion.mu_prefix(m, g, n_hi)
+        g_text = fraction_str(g)
         for n in range(n_lo, n_hi + 1):
-            lines.append("{},{},{},".format(fraction_str(g), n, fraction_str(mus[n])))
+            lines.append("{},{},{},".format(g_text, n, fraction_str(mus[n])))
     if mark is not None:
         mus = recursion.mu_prefix(m, mark, n_hi)
+        g_text = fraction_str(mark)
         for n in range(n_lo, n_hi + 1):
-            lines.append("{},{},{},mark".format(fraction_str(mark), n, fraction_str(mus[n])))
+            lines.append("{},{},{},mark".format(g_text, n, fraction_str(mus[n])))
     write_text("\n".join(lines), args)
     return EXIT_FEASIBLE
 

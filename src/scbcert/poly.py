@@ -805,7 +805,7 @@ def _root_scale_exponent(p: Sequence[Fraction]) -> int:
 def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     """Approximate roots of p to about dps digits: double-precision
     Durand-Kerner seeds, polished by ``mpmath.polyroots`` at dps digits
-    (mpmath's own start where the seeds are unusable).
+    (mpmath's own start where the seeds are unusable or do not converge).
 
     polyroots stops on an absolute tolerance, so roots far beyond 1 would
     never converge: past HUGE_ROOT_BOUND the roots w = z / 2^e of
@@ -817,12 +817,16 @@ def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     seeds = _float_seeds(p)
     with mpmath.workdps(dps):
         coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
-        init = None if seeds is None else [mpmath.mpc(w) for w in seeds]
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
-        except (mpmath.libmp.NoConvergence, ZeroDivisionError):
-            return []
-        return [z * mpmath.ldexp(1, e) for z in roots] if e else roots
+        # seeds that do not converge (doubles can split a close pair into two
+        # real roots) are dropped for mpmath's own start
+        starts = [None] if seeds is None else [[mpmath.mpc(w) for w in seeds], None]
+        for init in starts:
+            try:
+                roots = mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
+            except (mpmath.libmp.NoConvergence, ZeroDivisionError):
+                continue
+            return [z * mpmath.ldexp(1, e) for z in roots] if e else roots
+        return []
 
 
 def _mpf_fraction(x) -> Fraction:

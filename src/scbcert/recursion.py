@@ -25,7 +25,14 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_floor, to_fixed
 
 from . import poly
-from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
+from .arith import (
+    DEFAULT_DIGITS,
+    ArithmeticDomainError,
+    ComplexBox,
+    IntervalScalar,
+    Sign,
+    fraction_str,
+)
 from .methods import Method, char_poly_mu
 from .poly import EnclosureError, RealRootEnclosure
 
@@ -48,33 +55,41 @@ def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
     """The integer-scaled recurrence behind every exact value of mu and tau.
 
     With gamma = p/q and L the common denominator of the coefficients, put
-    E = qL + p*L*b0 and C_j = qL*a_j - p*L*b_j.  Then mu_n = M_n / E^(n+1)
-    for the integers M_n = qL*b_n*E^n + sum_j C_j*E^(j-1)*M_(n-j), so every
-    step multiplies big integers by small ones and needs no gcd, and
-    sign(mu_n) = sign(M_n) * sign(E)^(n+1).  tau is the case gamma = 0.
+    E = qL + p*L*b0, C_j = qL*a_j - p*L*b_j and F_n = qL*b_n, each divided by
+    their content c = gcd(E, C_1..C_k, F_0..F_k) > 0.  Then mu_n = M_n / E^(n+1)
+    for the integers M_n = F_n*E^n + sum_j C_j*E^(j-1)*M_(n-j), so every step
+    multiplies big integers by small ones and needs no gcd, and
+    sign(mu_n) = sign(M_n) * sign(E)^(n+1).  Dividing by c scales M_n by
+    c^-(n+1) and changes no sign.  tau is the case gamma = 0.
 
     Returns E and an endless iterator over M_0, M_1, ...
     """
     gamma = Fraction(gamma)
     p, q = gamma.numerator, gamma.denominator
+    k = m.k
     L = math.lcm(*(c.denominator for c in m.a + m.b))
-    B = [int(L * c) for c in m.b]
+    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
+    B = [L // c.denominator * c.numerator for c in m.b]
     E = q * L + p * B[0]
     if E == 0:
         raise ArithmeticDomainError("1 + gamma*b0 vanishes")
-    inhom = [q * B[n] * E**n for n in range(m.k + 1)]
-    D = [(q * int(L * m.a[j - 1]) - p * B[j]) * E ** (j - 1) for j in range(1, m.k + 1)]
+    C = [q * a - p * b for a, b in zip(A, B[1:])]
+    F = [q * b for b in B]
+    c = math.gcd(E, *C, *F)
+    E //= c
+    inhom = [F[n] // c * E**n for n in range(k + 1)]
+    # the window runs oldest first, so the coefficients run C_k..C_1
+    D = [C[j - 1] // c * E ** (j - 1) for j in range(k, 0, -1)]
 
     def numerators() -> Iterator[int]:
-        window: List[int] = []  # window[-j] = M_(n-j)
+        window = [0] * k  # M_(n-k)..M_(n-1); M_n = 0 for n < 0
         for n in itertools.count():
-            acc = inhom[n] if n <= m.k else 0
-            for j in range(1, min(n, m.k) + 1):
-                acc += D[j - 1] * window[-j]
+            acc = inhom[n] if n <= k else 0
+            for d, x in zip(D, window):
+                acc += d * x
             yield acc
+            del window[0]
             window.append(acc)
-            if len(window) > m.k:
-                del window[0]
 
     return E, numerators()
 
@@ -85,12 +100,55 @@ def _sign(M: int, E: int, n: int) -> int:
     return -s if E < 0 and n % 2 == 0 else s
 
 
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """Fraction(num, den) for coprime num and den > 0, built without the
+        gcd that Fraction's constructor runs again on every value.  Before
+        Python 3.12 Fraction has no such constructor; its __new__ only sets
+        the two slots after normalising, so setting them directly gives an
+        equal object (same equality, hash and arithmetic)."""
+        q = object.__new__(Fraction)
+        q._numerator = num
+        q._denominator = den
+        return q
+
+
+# rounds of the cheap reduction in _lowest_terms before one full gcd
+_E_GCD_ROUNDS = 4
+
+
+def _lowest_terms(M: int, d: int, E: int) -> Fraction:
+    """M/d as a Fraction, where d divides a power of E.
+
+    Every common factor of M and d is built from primes of E, so dividing
+    out g = gcd(M, gcd(d, E)), a big-by-small gcd at linear cost, reaches
+    lowest terms after a few rounds in practice.  (g must divide d, which
+    gcd(M, E) alone need not once d has been divided.)  If it has not, one
+    full gcd(M, d) finishes, so the worst case is the plain Fraction cost.
+    """
+    if M == 0:
+        return _coprime_fraction(0, 1)
+    if d < 0:
+        M, d = -M, -d
+    e = abs(E)
+    for _ in range(_E_GCD_ROUNDS):
+        g = math.gcd(M, math.gcd(d, e))
+        if g == 1:
+            return _coprime_fraction(M, d)
+        M //= g
+        d //= g
+    g = math.gcd(M, d)
+    return _coprime_fraction(M // g, d // g)
+
+
 def _fractions(E: int, nums: Iterator[int], n_max: int) -> List[Fraction]:
     """mu_0..mu_{n_max} as M_n / E^(n+1), with a running power of E."""
     out: List[Fraction] = []
     den = E
     for M in itertools.islice(nums, n_max + 1):
-        out.append(Fraction(M, den))
+        out.append(_lowest_terms(M, den, E))
         den *= E
     return out
 
@@ -121,7 +179,7 @@ def eval_mu(m: Method, gamma: Fraction, n: int) -> Fraction:
     if n < 0:
         return Fraction(0)
     E, nums = _scaled_numerators(m, gamma)
-    return Fraction(next(itertools.islice(nums, n, None)), E ** (n + 1))
+    return _lowest_terms(next(itertools.islice(nums, n, None)), E ** (n + 1), E)
 
 
 def tau_prefix(m: Method, n_max: int) -> List[Fraction]:
@@ -244,9 +302,7 @@ def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:
     rows = ["n,value,sign"]
     for n in range(1, len(vals)):
         sign = "positive" if vals[n] > 0 else ("negative" if vals[n] < 0 else "zero")
-        num, den = vals[n].numerator, vals[n].denominator
-        text = str(num) if den == 1 else "{}/{}".format(num, den)
-        rows.append("{},{},{}".format(n, text, sign))
+        rows.append("{},{},{}".format(n, fraction_str(vals[n]), sign))
     return rows
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import time
@@ -8,7 +9,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbcert import analyzer, cli, poly, published, recursion
@@ -197,6 +198,108 @@ class TestIntegerScaledKernel:
         for call in (mu_prefix, mu_signs, first_negative_mu, eval_mu):
             with pytest.raises(ArithmeticDomainError):
                 call(m, F(3), 5)
+
+
+def unreduced_scaled(m, gamma, n_max):
+    """Reference: E and M_0..M_{n_max} of the integer recurrence with no
+    content taken out, so that mu_n = Fraction(M_n, E^(n+1))."""
+    gamma = F(gamma)
+    p, q = gamma.numerator, gamma.denominator
+    L = math.lcm(*(c.denominator for c in m.a + m.b))
+    B = [int(L * c) for c in m.b]
+    E = q * L + p * B[0]
+    C = [q * int(L * a) - p * b for a, b in zip(m.a, B[1:])]
+    M = []
+    for n in range(n_max + 1):
+        acc = q * B[n] * E**n if n <= m.k else 0
+        for j in range(1, min(n, m.k) + 1):
+            acc += C[j - 1] * E ** (j - 1) * M[n - j]
+        M.append(acc)
+    return E, M
+
+
+@st.composite
+def _small_method_and_gamma(draw):
+    """A random method with small coefficients, zeros among them, and b0
+    free, zero or negative; gamma is 0, random, or, for b0 < 0, past -1/b0,
+    where 1 + gamma*b0 < 0."""
+    k = draw(st.integers(1, 3))
+    coeff = st.one_of(st.just(F(0)), _small_fraction)
+    a = draw(st.lists(coeff, min_size=k, max_size=k))
+    b = draw(st.lists(coeff, min_size=k + 1, max_size=k + 1))
+    b[0] = draw(st.sampled_from([b[0], F(0), -abs(b[0]) or F(-1, 3)]))
+    m = Method(k, tuple(a), tuple(b))
+    if m.b0 < 0 and draw(st.booleans()):
+        return m, -draw(st.sampled_from([F(3, 2), F(3), F(7)])) / m.b0
+    if draw(st.booleans()):
+        return m, F(0)
+    return m, draw(st.builds(F, st.integers(0, 3000), st.integers(1, 1000)))
+
+
+def _assert_canonical(v):
+    assert type(v) is F
+    assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+    assert hash(v) == hash(F(v.numerator, v.denominator))
+
+
+class TestLowestTerms:
+    """Exact values are reduced against E alone and built without a second
+    normalisation: they must equal Fraction(M_n, E^(n+1)) of the unreduced
+    recurrence and be canonical Fractions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_method_and_gamma(), st.integers(0, 40))
+    @example((catalog("ab1"), F(1)), 8)  # mu_n = 0 for n >= 2
+    @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), 30)  # E < 0
+    @example((catalog("bdf4"), F(4866, 10000)), 40)
+    def test_equals_unreduced_fraction(self, case, n_max):
+        m, g = case
+        E, M = unreduced_scaled(m, g, n_max)
+        expected = [F(v, E ** (n + 1)) for n, v in enumerate(M)]
+        got = mu_prefix(m, g, n_max)
+        assert [(v.numerator, v.denominator) for v in got] == [
+            (v.numerator, v.denominator) for v in expected
+        ]
+        for v in got:
+            _assert_canonical(v)
+        last = eval_mu(m, g, n_max)
+        _assert_canonical(last)
+        assert last == expected[-1]
+        assert mu_signs(m, g, n_max) == [_sign(v) for v in expected]
+        E0, M0 = unreduced_scaled(m, 0, n_max)
+        taus = tau_prefix(m, n_max)
+        assert taus == [F(v, E0 ** (n + 1)) for n, v in enumerate(M0)]
+        for v in taus:
+            _assert_canonical(v)
+
+    def test_content_is_taken_out(self):
+        # gamma = 2433/5000 and L = 25: unreduced, E = 5000*25 + 2433*12 = 154196
+        assert unreduced_scaled(catalog("bdf4"), F(4866, 10000), 0)[0] == 154196
+        E, _nums = recursion._scaled_numerators(catalog("bdf4"), F(4866, 10000))
+        assert E == 38549
+
+    def test_lowest_terms_edge_cases(self):
+        # each cheap round takes out one factor 2 only, so a high power of 2
+        # is left to the full gcd
+        v = recursion._lowest_terms(3 << 20, 1 << 30, 2)
+        assert (v.numerator, v.denominator) == (3, 1 << 10)
+        _assert_canonical(v)
+        assert v + F(1, 1 << 10) == F(1, 1 << 8)
+        # d = (-2)^9 < 0: the sign moves to the numerator
+        v = recursion._lowest_terms(5 * 8, -(2**9), -2)
+        assert (v.numerator, v.denominator) == (-5, 2**6)
+        v = recursion._lowest_terms(0, 7**5, 7)
+        assert (v.numerator, v.denominator) == (0, 1)
+        _assert_canonical(v)
+
+    def test_exact_signs_match_interval_run(self):
+        # the exact kernel against the ball kernel on the BDF4 remark, scaled down
+        m, g = catalog("bdf4"), F(4866, 10000)
+        signs = mu_signs(m, g, 3000)
+        run = run_mu_signs(m, g, 3000, 1800)
+        assert run.unknown == []
+        assert run.negative == [n for n in range(1, 3001) if signs[n] < 0]
+        assert run.negative
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")

@@ -100,15 +100,16 @@ def _sign(M: int, E: int, n: int) -> int:
     return -s if E < 0 and n % 2 == 0 else s
 
 
+# _coprime_fraction(num, den): Fraction(num, den) for coprime num and den > 0,
+# built without the gcd that Fraction's constructor would run again on every
+# value of a long prefix
 if hasattr(Fraction, "_from_coprime_ints"):
     _coprime_fraction = Fraction._from_coprime_ints
 else:
     def _coprime_fraction(num: int, den: int) -> Fraction:
-        """Fraction(num, den) for coprime num and den > 0, built without the
-        gcd that Fraction's constructor runs again on every value.  Before
-        Python 3.12 Fraction has no such constructor; its __new__ only sets
-        the two slots after normalising, so setting them directly gives an
-        equal object (same equality, hash and arithmetic)."""
+        """Before Python 3.12 Fraction has no such constructor; its __new__
+        only sets the two slots after normalising, so setting them directly
+        gives an equal object (same equality, hash and arithmetic)."""
         q = object.__new__(Fraction)
         q._numerator = num
         q._denominator = den

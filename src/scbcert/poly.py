@@ -802,6 +802,11 @@ def _root_scale_exponent(p: Sequence[Fraction]) -> int:
     return e
 
 
+def _huge_root_exponent(p: Sequence[Fraction]) -> int:
+    """_root_scale_exponent(p) past HUGE_ROOT_BOUND, else 0."""
+    return _root_scale_exponent(p) if cauchy_bound(p) > HUGE_ROOT_BOUND else 0
+
+
 def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     """Approximate roots of p to about dps digits: double-precision
     Durand-Kerner seeds, polished by ``mpmath.polyroots`` at dps digits
@@ -811,7 +816,7 @@ def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
     never converge: past HUGE_ROOT_BOUND the roots w = z / 2^e of
     p(2^e w) / 2^(e deg p), of modulus about 1, are found instead and
     scaled back exactly."""
-    e = _root_scale_exponent(p) if cauchy_bound(p) > HUGE_ROOT_BOUND else 0
+    e = _huge_root_exponent(p)
     if e:
         p = [Fraction(c) / 2 ** (e * i) for i, c in enumerate(p)]
     seeds = _float_seeds(p)
@@ -861,7 +866,10 @@ def enclose_roots(
     certifies a box around each.
 
     Each box has width <= width and holds exactly one root of every
-    polynomial in the coefficient family.  Completeness holds because the
+    polynomial in the coefficient family.  Past HUGE_ROOT_BOUND the width
+    is relative: it is multiplied by the 2^e of ``_approx_roots``' scaling,
+    about the largest root modulus, since an absolute width there can be
+    finer than the working precision reaches.  Completeness holds because the
     boxes, conjugates included, are pairwise disjoint and their count is the
     degree.  Raises EnclosureError when certification fails at this
     precision.
@@ -870,7 +878,9 @@ def enclose_roots(
     if n < 1:
         return []
     failed = "could not certify disjoint root enclosures at {} digits".format(digits)
-    approx = _approx_roots([c.mid_fraction() for c in coeffs], digits + 10)
+    mids = [c.mid_fraction() for c in coeffs]
+    approx = _approx_roots(mids, digits + 10)
+    width *= 2 ** _huge_root_exponent(mids)
     if len(approx) != n:
         raise EnclosureError(failed)
     zero = IntervalScalar.exact_int(0, digits)

@@ -30,7 +30,6 @@ from .arith import (
     ArithmeticDomainError,
     ComplexBox,
     IntervalScalar,
-    Sign,
     fraction_str,
 )
 from .methods import Method, char_poly_mu
@@ -213,26 +212,39 @@ def _integer_ball(iv: IntervalScalar, scale: int) -> Tuple[int, int]:
     return c, hi - c
 
 
-def eval_mu_interval(
-    m: Method, gamma: GammaLike, n_max: int, digits: int
-) -> Iterator[Tuple[int, IntervalScalar]]:
-    """Stream (n, enclosure of mu_n) for n = 1..n_max at fixed precision.
+# bits the ball kernel keeps below each radius: window midpoints are kept to
+# about (useful + BALL_GUARD) bits, coefficients to at least that many
+BALL_GUARD = 96
 
-    Every emitted interval contains the exact value for every gamma in the
-    input enclosure.  The recurrence coefficients and inhomogeneous terms
-    are the outward-rounded intervals at ``digits`` (P bits); the recurrence
-    itself runs in midpoint-radius arithmetic on integers.  Each coefficient
-    is a ball (C_j, rc_j) at scale 2^-P, and the sliding window of k terms
-    holds balls (X_i, R_i) at one shared scale 2^-S, with the invariant that
-    mu_(n-i) lies in [X_i - R_i, X_i + R_i] * 2^-S.  A term is the exact sum
-    T = sum_j C_j X_(n-j), one full-precision product per coefficient, with
-    radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where |C_j|*
-    is |C_j| rounded up to 64 leading bits, then one rounding shift by P bits
-    (which adds 1 to the radius).  After each term the window is rescaled:
-    shifted left exactly to P + 32 bits when its largest |X_i| has fewer
-    than P bits, and right, with rounding and 2 added to each radius, to
-    P + 32 bits when it has more than P + 96; an all-zero window is left
-    alone.
+
+def _cut_balls(
+    balls: Sequence[Tuple[int, int]], cut: int
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The balls (c, r) rounded from scale 2^-P to 2^-(P - cut), as lists
+    C, rc and the 64 leading bits of each |C|, rounded up: |C| <= top << sh."""
+    C: List[int] = []
+    rc: List[int] = []
+    top: List[int] = []
+    sh: List[int] = []
+    for c, r in balls:
+        if cut:
+            c, r = (c + (1 << (cut - 1))) >> cut, (r >> cut) + 2
+        s = max(0, abs(c).bit_length() - 64)
+        C.append(c)
+        rc.append(r)
+        top.append(-(-abs(c) >> s))
+        sh.append(s)
+    return C, rc, top, sh
+
+
+def _mu_balls(
+    m: Method, gamma: GammaLike, n_max: int, digits: int
+) -> Tuple[int, Iterator[Tuple[int, int, int, int]]]:
+    """The integer ball kernel behind eval_mu_interval and run_mu_signs.
+
+    Returns the working precision P in bits and an iterator over (n, x, r,
+    S) for n = 1..n_max, with mu_n in [x - r, x + r] * 2^-S for every gamma
+    in the input enclosure.  See eval_mu_interval for the scheme.
     """
     g = _gamma_interval(gamma, digits)
     one = IntervalScalar.exact_int(1, digits)
@@ -249,52 +261,96 @@ def eval_mu_interval(
     P = den.bits
     k = m.k
     # window entries run oldest first, so the coefficients run C_k..C_1
-    C: List[int] = []
-    rc: List[int] = []
-    top: List[int] = []  # |C_j| rounded up to 64 leading bits: top << cut
-    cut: List[int] = []
-    for iv in reversed(coeffs):
-        c, r = _integer_ball(iv, P)
-        s = max(0, abs(c).bit_length() - 64)
-        C.append(c)
-        rc.append(r)
-        top.append(-(-abs(c) >> s))
-        cut.append(s)
-    X = [0] * k  # mu_n = 0 for n < 0
-    R = [0] * k
-    S = P
-    half = 1 << (P - 1)
-    for n in range(n_max + 1):
-        if n <= k:
-            T, rad = _integer_ball(inhom[n], P + S)
-        else:
-            T = rad = 0
-        for c, rcj, t, s, xi, ri in zip(C, rc, top, cut, X, R):
-            T += c * xi
-            rad += ((t * ri) << s) + rcj * (abs(xi) + ri)
-        x = (T + half) >> P
-        r = -(-rad >> P) + 1
-        if n:
-            yield n, IntervalScalar(
-                from_man_exp(x - r, -S, P, round_floor),
-                from_man_exp(x + r, -S, P, round_ceiling),
-                P,
-            )
-        del X[0], R[0]
-        X.append(x)
-        R.append(r)
-        bl = max(map(abs, X)).bit_length()
-        if bl and bl < P:
-            d = P + 32 - bl
-            X = [v << d for v in X]
-            R = [v << d for v in R]
-            S += d
-        elif bl > P + 96:
-            d = bl - P - 32
-            h = 1 << (d - 1)
-            X = [(v + h) >> d for v in X]
-            R = [(v >> d) + 2 for v in R]
-            S -= d
+    full = [_integer_ball(iv, P) for iv in reversed(coeffs)]
+    cb = max(abs(c).bit_length() for c, _ in full)
+
+    def balls() -> Iterator[Tuple[int, int, int, int]]:
+        cut = 0
+        C, rc, top, sh = _cut_balls(full, cut)
+        X = [0] * k  # mu_n = 0 for n < 0
+        R = [0] * k
+        S = P
+        for n in range(n_max + 1):
+            Pc = P - cut  # the coefficients' scale is 2^-Pc
+            if n <= k:
+                T, rad = _integer_ball(inhom[n], Pc + S)
+            else:
+                T = rad = 0
+            for c, rcj, t, s, xi, ri in zip(C, rc, top, sh, X, R):
+                T += c * xi
+                rad += ((t * ri) << s) + rcj * (abs(xi) + ri)
+            x = (T + (1 << Pc >> 1)) >> Pc
+            r = -(-rad >> Pc) + 1
+            if n:
+                yield n, x, r, S
+            del X[0], R[0]
+            X.append(x)
+            R.append(r)
+            bl = max(map(abs, X)).bit_length()
+            if not bl:
+                continue  # an all-zero window is left alone
+            useful = bl - max(R).bit_length()
+            d = bl - min(P + 32, useful + BALL_GUARD)
+            if d < -32:
+                X = [v << -d for v in X]
+                R = [v << -d for v in R]
+                S -= d
+            elif d > 64:
+                h = 1 << (d - 1)
+                X = [(v + h) >> d for v in X]
+                R = [(v >> d) + 2 for v in R]
+                S -= d
+            # multiples of 32 bits, so the coefficients are cut anew only
+            # every few dozen terms; never below 0 or past the scale P
+            want = min(P, max(0, cb - useful - BALL_GUARD)) >> 5 << 5
+            if want != cut:
+                cut = want
+                C, rc, top, sh = _cut_balls(full, cut)
+
+    return P, balls()
+
+
+def eval_mu_interval(
+    m: Method, gamma: GammaLike, n_max: int, digits: int
+) -> Iterator[Tuple[int, IntervalScalar]]:
+    """Stream (n, enclosure of mu_n) for n = 1..n_max at fixed precision.
+
+    Every emitted interval contains the exact value for every gamma in the
+    input enclosure.  The recurrence coefficients and inhomogeneous terms
+    are the outward-rounded intervals at ``digits`` (P bits); the recurrence
+    itself runs in midpoint-radius arithmetic on integers, keeping each
+    midpoint only to the bits its radius leaves (Arb's rule).
+
+    The sliding window of k terms holds balls (X_i, R_i) at one shared
+    scale 2^-S, with the invariant that mu_(n-i) lies in
+    [X_i - R_i, X_i + R_i] * 2^-S.  Each coefficient is a ball (C_j, rc_j)
+    at scale 2^-(P - cut).  A term is the exact sum T = sum_j C_j X_(n-j),
+    with radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where
+    |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
+    by P - cut bits (which adds 1 to the radius).
+
+    After each term the window is rescaled.  Its useful bits are
+    bitlen(max |X_i|) - bitlen(max R_i), and its target length is
+    min(P + 32, useful + BALL_GUARD): the working precision caps it while
+    the radius is small, and past that the radius keeps about BALL_GUARD
+    bits.  The window is shifted left exactly when it is more than 32 bits
+    short of the target, and right, with rounding and 2 added to each
+    radius, when it is more than 64 bits over; an all-zero window is left
+    alone.  The coefficients are rounded from their full P-bit balls to
+    about (useful + BALL_GUARD) bits of their own length: the cut is
+    bitlen(max |C_j|) - useful - BALL_GUARD, clamped to [0, P] and rounded
+    down to a multiple of 32, and a ball (c, rc) becomes
+    (round(c / 2^cut), (rc >> cut) + 2).  Every rounding goes into a
+    radius, so each product costs about the useful length, not P, and a
+    trim moves a radius by about 2^-64 of itself.
+    """
+    P, balls = _mu_balls(m, gamma, n_max, digits)
+    for n, x, r, S in balls:
+        yield n, IntervalScalar(
+            from_man_exp(x - r, -S, P, round_floor),
+            from_man_exp(x + r, -S, P, round_ceiling),
+            P,
+        )
 
 
 def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:
@@ -319,14 +375,16 @@ class IntervalRun:
 
 
 def run_mu_signs(m: Method, gamma: GammaLike, n_max: int, digits: int) -> IntervalRun:
+    """Signs of mu_1..mu_n_max read straight off the integer balls; rounding
+    eval_mu_interval's endpoints outward keeps these signs."""
     run = IntervalRun(n_max=n_max, digits=digits)
-    for n, val in eval_mu_interval(m, gamma, n_max, digits):
-        s = val.sign()
-        if s is Sign.NEGATIVE:
+    _P, balls = _mu_balls(m, gamma, n_max, digits)
+    for n, x, r, _S in balls:
+        if x + r < 0:
             run.negative.append(n)
             if run.first_negative is None:
                 run.first_negative = n
-        elif s is Sign.UNKNOWN:
+        elif x - r <= 0:
             run.unknown.append(n)
     return run
 

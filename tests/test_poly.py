@@ -245,6 +245,28 @@ class TestRootEngine:
                 assert not is_pair and box.contains_point(j * 10**52, 0)
                 assert box.width_fraction() <= width
 
+    @pytest.mark.parametrize(
+        "roots",
+        [[j * 10**52 for j in range(1, 7)], [j * 10**40 + 7 for j in range(1, 4)]],
+        ids=["j*10^52", "j*10^40+7"],
+    )
+    def test_width_is_relative_past_the_huge_bound(self, roots):
+        # an absolute 10^-30 is finer than 64 digits reach on roots this
+        # large; past HUGE_ROOT_BOUND the width counts relative to 2^e
+        p = [1]
+        for r in roots:
+            p = poly.mul(p, [1, -r])
+        assert poly.cauchy_bound(p) > poly.HUGE_ROOT_BOUND
+        scaled = F(1, 10**30) * 2 ** poly._root_scale_exponent([F(c) for c in p])
+        coeffs = [arith.IntervalScalar.exact_int(c, 64) for c in p]
+        classes = poly.enclose_roots(coeffs, F(1, 10**30), 64)
+        assert len(classes) == len(roots)
+        for r in roots:
+            (box,) = [box for box, _ in classes if box.contains_point(r, 0)]
+            assert box.is_real_line() and box.width_fraction() <= scaled
+        # 2^e is Fujiwara's bound, within a few bits of the largest root
+        assert max(roots) * F(1, 10**30) <= scaled < max(roots) * F(16, 10**30)
+
     def test_scaling_leaves_small_bounds_alone(self, monkeypatch):
         # below HUGE_ROOT_BOUND the roots come from the unscaled polynomial
         monkeypatch.setattr(poly, "_root_scale_exponent", lambda p: 1 / 0)

@@ -357,10 +357,11 @@ class TestIntervalEvaluation:
             for n in range(1, 51):
                 assert vals[n].contains_fraction(exact[n])
 
-    # The integer ball kernel rescales its window after every term: left when
-    # the midpoints shrink below the working precision, right when they grow
-    # 96 bits past it, never when they are all zero.  Each path must keep
-    # every yielded interval around the exact value.
+    # The integer ball kernel rescales its window after every term toward
+    # min(P + 32, useful + BALL_GUARD) bits: left when the midpoints fall 32
+    # bits short, right when they grow 64 bits past it, never when they are
+    # all zero; and it rounds its coefficients to the useful length.  Each
+    # path must keep every yielded interval around the exact value.
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_decaying(self, digits):
@@ -415,11 +416,21 @@ class TestIntervalEvaluation:
                 assert box.contains_fraction(exact[n]), n
 
     @settings(max_examples=150, deadline=None)
-    @given(_method_and_gamma(), st.integers(1, 80), st.sampled_from([5, 30, 64, 200]))
-    def test_containment_random_methods(self, case, n_max, digits):
+    @given(
+        _method_and_gamma(),
+        st.one_of(
+            st.tuples(st.integers(1, 80), st.sampled_from([5, 30, 64, 200])),
+            # long runs at low precision, where the radius eats the useful
+            # bits: about a third of them trim the window (at 5 digits too)
+            # and cut the coefficients (from 30 digits)
+            st.tuples(st.integers(1, 400), st.sampled_from([5, 30, 64])),
+        ),
+    )
+    def test_containment_random_methods(self, case, run):
         # the catalog and custom methods of the exact kernel's test, with
         # 1 + gamma*b0 of either sign, against the Fraction recursion
         m, g = case
+        n_max, digits = run
         try:
             boxes = list(eval_mu_interval(m, g, n_max, digits))
         except ArithmeticDomainError:
@@ -440,6 +451,34 @@ class TestIntervalEvaluation:
         assert run.negative == [n for n in range(1, 3001) if exact[n] < 0]
         assert run.negative and not run.unknown
         assert run_mu_signs(m, g, 3000, 1500).unknown
+
+    @pytest.mark.parametrize("digits, n_negative, n_unknown", [(1800, 177, 0), (1500, 91, 326)])
+    def test_trimmed_balls_on_the_remark(self, digits, n_negative, n_unknown):
+        # by n = 3000 the radius has used up all but about 390 of the 5980
+        # bits at 1800 digits, so trimming goes deepest here: every interval
+        # still holds the exact value, and the signs run_mu_signs reads off
+        # the integer balls are those of the yielded intervals
+        m, g = catalog("bdf4"), F(4866, 10000)
+        exact = mu_prefix(m, g, 3000)
+        boxes = list(eval_mu_interval(m, g, 3000, digits))
+        assert [n for n, _ in boxes] == list(range(1, 3001))
+        for n, box in boxes:
+            assert box.contains_fraction(exact[n]), n
+        run = run_mu_signs(m, g, 3000, digits)
+        assert run.negative == [n for n, box in boxes if box.sign() is Sign.NEGATIVE]
+        assert run.unknown == [n for n, box in boxes if box.sign() is Sign.UNKNOWN]
+        assert (len(run.negative), len(run.unknown)) == (n_negative, n_unknown)
+        assert run.first_negative == run.negative[0]
+
+    def test_radius_swallowing_every_bit(self):
+        # at 50 digits the radius outgrows the midpoints early: the useful
+        # length goes negative and the coefficient cut is clamped
+        m, g = catalog("bdf4"), F(4866, 10000)
+        run = run_mu_signs(m, g, 3000, 50)
+        assert (run.negative, len(run.unknown)) == ([], 2912)
+        exact = mu_prefix(m, g, 3000)
+        for n, box in eval_mu_interval(m, g, 3000, 50):
+            assert box.contains_fraction(exact[n]), n
 
 
 class TestMemberFunctions:

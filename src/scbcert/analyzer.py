@@ -78,11 +78,6 @@ class Mechanism(enum.Enum):
     NONE_POSITIVE = "none_positive"
 
 
-class StabilityAnswer(enum.Enum):
-    YES = "yes"
-    NO = "no"
-
-
 # ---------------------------------------------------------------------------
 # evidence payloads
 # ---------------------------------------------------------------------------
@@ -172,12 +167,6 @@ class CrossoverBound:
     hi: Fraction
 
 
-@dataclass(frozen=True)
-class SimpleRootBound:
-    enclosure: RealRootEnclosure
-    n: int
-
-
 @dataclass
 class GammaSupResult:
     method_name: str
@@ -217,16 +206,16 @@ def damped_root_poly(m: Method, lam: Fraction) -> List[Fraction]:
     return [r - Fraction(lam) * s for r, s in zip(rho, sigma)]
 
 
-def in_stability_interior(m: Method, lam: Fraction) -> StabilityAnswer:
+def in_stability_interior(m: Method, lam: Fraction) -> bool:
     """Exact interior test: nonzero leading coefficient and every root of
     rho - lambda*sigma strictly inside the unit circle (Schur-Cohn)."""
     lam = Fraction(lam)
     if 1 - lam * m.b0 == 0:
-        return StabilityAnswer.NO
+        return False
     p = damped_root_poly(m, lam)
     if poly.degree(poly.strip(p)) < 1:
-        return StabilityAnswer.NO
-    return StabilityAnswer.YES if poly.all_roots_strictly_inside(p) else StabilityAnswer.NO
+        return False
+    return poly.all_roots_strictly_inside(p)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +309,7 @@ def check_scb(
             InfeasibleWitness(n, "negative integer-scaled numerator", True),
         )
 
-    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
+    if not in_stability_interior(m, -gamma):
         return verdict(
             Feasibility.INFEASIBLE,
             InfeasibleStability(
@@ -418,7 +407,7 @@ def _guess_feasible(m: Method, gamma: Fraction, horizon: Optional[int]) -> Optio
     guesses False.  A modulus tie, a near-double root, a negative real root,
     c near 0, no seeds or order 0 give None.
     """
-    if in_stability_interior(m, -gamma) is StabilityAnswer.NO:
+    if not in_stability_interior(m, -gamma):
         return False
     if first_negative_mu(m, gamma, _scan_horizon(m, horizon)) is not None:
         return False
@@ -546,38 +535,6 @@ def scb_exists(
 # ---------------------------------------------------------------------------
 
 
-def simple_root_bound(m: Method, n_scan: int) -> Optional[SimpleRootBound]:
-    """Smallest positive simple root of any member function gamma -> mu_n(gamma)
-    for n <= n_scan, certified through its exact numerator polynomial."""
-    if n_scan < 1:
-        raise AnalyzerError("n_scan must be at least 1")
-    nums = mu_gamma_numerators(m, n_scan)
-    best: Optional[Tuple[RealRootEnclosure, int]] = None
-    for n in range(1, n_scan + 1):
-        num = poly.to_integer(nums[n])
-        if poly.degree(num) < 1:
-            continue
-        for enc in poly.isolate_real_roots(num):
-            if enc.multiplicity != 1:
-                continue  # derivative vanishes too: bound not applicable
-            if enc.hi <= 0:
-                continue
-            if poly.sign_at_fraction(list(enc.poly), Fraction(0)) == 0:
-                if enc.contains(Fraction(0)):
-                    continue  # this enclosure's root is zero itself
-                cand = enc
-            else:
-                cand = poly.refine_away_from_zero(enc)
-                if cand.hi <= 0:
-                    continue
-            cand = poly.refine(cand, Fraction(1, 10**30))
-            if best is None or cand.hi < best[0].lo:
-                best = (cand, n)
-    if best is None:
-        return None
-    return SimpleRootBound(best[0], best[1])
-
-
 def _dominance_gap_sign(
     m: Method,
     gamma: Fraction,
@@ -665,34 +622,6 @@ def crossover(
         else:
             hi = mid2
     return CrossoverBound(lo=lo, hi=hi)
-
-
-def infeasible_by_complex_dominance(
-    m: Method,
-    gamma: Fraction,
-    digits: int = DEFAULT_DIGITS,
-    digits_cap: int = DEFAULT_DIGITS_CAP,
-) -> Optional[InfeasibleComplexDominance]:
-    """Certificate that a strictly dominant complex pair with nonzero
-    coefficient exists at gamma (so gamma is not a boundedness step-size
-    coefficient, and neither is anything above it)."""
-    gamma = Fraction(gamma)
-    if gamma <= 0:
-        raise AnalyzerError("gamma must be positive")
-    try:
-        for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
-            di = cf.dominant_index()
-            if di is None:
-                continue
-            if not cf.roots[di].is_pair:
-                return None
-            evidence = _complex_dominance(cf, di)
-            if evidence is not None:
-                return evidence
-            # coefficient not yet separated from zero: escalate
-    except MultipleRootError:
-        pass
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ def precision_ladder(start: int = DEFAULT_DIGITS, cap: int = DEFAULT_DIGITS_CAP)
     yield cap
 
 
-def rational_of(num: int, den: int) -> Fraction:
-    """Canonical reduced rational with positive denominator."""
-    if den == 0:
-        raise ArithmeticDomainError("zero denominator")
-    return Fraction(num, den)
-
-
 def parse_exact(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal strings as exact rationals.
 
@@ -384,10 +377,6 @@ class IntervalScalar:
 
     def strictly_inside(self, other: "IntervalScalar") -> bool:
         return mpf_cmp(other.lo, self.lo) < 0 and mpf_cmp(self.hi, other.hi) < 0
-
-
-def certified_sign(x: IntervalScalar) -> Sign:
-    return x.sign()
 
 
 class ComplexBox:

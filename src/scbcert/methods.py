@@ -301,15 +301,6 @@ def method_from_dict(data: Dict) -> Method:
     return Method(k=k, a=tuple(a), b=tuple(b), name=name, family="Custom")
 
 
-def method_to_dict(m: Method) -> Dict:
-    return {
-        "k": m.k,
-        "a": [str(x) for x in m.a],
-        "b": [str(x) for x in m.b],
-        "name": m.name,
-    }
-
-
 def load_method_file(path: str) -> Method:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)

@@ -1,13 +1,13 @@
 """Exact polynomial algebra with certified root analysis.
 
-Coefficient lists are kept in descending degree order throughout, matching
-the serialization format used by the CLI.  Where an exact real root is the
-answer, it is isolated with signed subresultant (Sturm) chains over the
-integers and refined by exact rational bisection.  All roots of a real
-polynomial with exact or interval coefficients, real and complex alike, are
-enclosed by one engine, ``enclose_roots``: double-precision Durand-Kerner
-seeds, polished by ``mpmath.polyroots`` at the working precision, then
-rigorously certified and refined with the interval Newton operator.
+Coefficient lists are kept in descending degree order throughout.  Where an
+exact real root is the answer, it is isolated with signed subresultant
+(Sturm) chains over the integers and refined by exact rational bisection.
+All roots of a real polynomial with exact or interval coefficients, real and
+complex alike, are enclosed by one engine, ``enclose_roots``:
+double-precision Durand-Kerner seeds, polished by ``mpmath.polyroots`` at
+the working precision, then rigorously certified and refined with the
+interval Newton operator.
 Root location relative to the unit circle is decided exactly by one
 mechanism, the Schur-Cohn reduction over the integers: membership of the open
 unit disk directly, and membership of the circle itself through the gcd with
@@ -27,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
 
-from .arith import DEFAULT_DIGITS, ArithmeticDomainError, ComplexBox, IntervalScalar, digits_to_bits
+from .arith import ArithmeticDomainError, ComplexBox, IntervalScalar, digits_to_bits
 
 # ---------------------------------------------------------------------------
 # dense coefficient-list helpers (descending order)
@@ -387,16 +387,6 @@ def yun_squarefree(p: Sequence[int]) -> List[Tuple[list, int]]:
     return out
 
 
-def squarefree_part(p: Sequence[int]) -> list:
-    p = primitive(p)
-    if degree(p) < 1:
-        return p
-    g = gcd_int_poly(p, derivative(p))
-    if degree(g) == 0:
-        return p
-    return to_integer(divexact([Fraction(c) for c in p], [Fraction(c) for c in g]))
-
-
 # ---------------------------------------------------------------------------
 # resultants and discriminants
 # ---------------------------------------------------------------------------
@@ -626,20 +616,6 @@ def isolate_real_roots(p: Sequence[int]) -> List[RealRootEnclosure]:
 # ---------------------------------------------------------------------------
 # certified complex root enclosures
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComplexRootEnclosure:
-    """Certified box holding one distinct root, counted ``multiplicity`` times."""
-
-    box: ComplexBox
-    multiplicity: int = 1
-
-    def is_real(self) -> bool:
-        return self.box.is_real_line()
-
-    def modulus(self) -> IntervalScalar:
-        return self.box.modulus()
 
 
 class EnclosureError(ArithmeticDomainError):
@@ -919,36 +895,6 @@ def enclose_roots(
     return out
 
 
-def enclose_all_roots(
-    p: Sequence[Fraction], target_width: Fraction, digits: int = DEFAULT_DIGITS
-) -> List[ComplexRootEnclosure]:
-    """Certified enclosures of all roots of p with multiplicities, at the one
-    working precision given.
-
-    Enclosures are pairwise disjoint for distinct roots; multiplicities sum
-    to deg(p); each box has width <= target_width.
-    """
-    ip = to_integer(p)
-    if degree(ip) < 1:
-        raise ValueError("enclose_all_roots needs a non-constant polynomial")
-    factors = yun_squarefree(ip)
-    if not factors:
-        raise EnclosureError("square-free decomposition failed")
-    width = target_width
-    for _ in range(64):
-        out: List[ComplexRootEnclosure] = []
-        for q, m in factors:
-            coeffs = [IntervalScalar.exact_int(c, digits) for c in q]
-            for box, is_pair in enclose_roots(coeffs, width, digits):
-                out.append(ComplexRootEnclosure(box, m))
-                if is_pair:
-                    out.append(ComplexRootEnclosure(box.conjugate(), m))
-        if _pairwise_disjoint([e.box for e in out]):
-            return out
-        width /= 16
-    raise EnclosureError("could not separate enclosures of distinct roots")
-
-
 # ---------------------------------------------------------------------------
 # root condition / unit disk classification
 # ---------------------------------------------------------------------------
@@ -1018,15 +964,3 @@ def all_roots_strictly_inside(p: Sequence[Fraction]) -> bool:
         raise ValueError("needs a non-constant polynomial")
     return _schur_cohn_inside(ip)
 
-
-# ---------------------------------------------------------------------------
-# serialization (JSON arrays of decimal integer strings, descending)
-# ---------------------------------------------------------------------------
-
-
-def int_poly_to_json(p: Sequence[int]) -> List[str]:
-    return [str(int(c)) for c in strip(p)]
-
-
-def int_poly_from_json(data: Sequence[str]) -> list:
-    return strip([int(s) for s in data])

@@ -5,6 +5,7 @@ in captured output) and asserts both the mathematical claims and the stated
 runtime budget.
 """
 
+import functools
 import random
 import time
 from contextlib import contextmanager
@@ -22,6 +23,7 @@ from scbcert.analyzer import (
     gamma_sup,
     scb_exists,
 )
+from scbcert.arith import IntervalScalar
 from scbcert.methods import catalog
 from scbcert.recursion import closed_form, mu_prefix, run_mu_signs, tau_prefix
 
@@ -138,15 +140,15 @@ def test_criterion_6_mechanism_attribution(bdf_gamma_sup_results):
     """Mechanism tags: simple-root for bdf3 (with the non-sharp crossover
     bracketed at 5/6, strictly above the optimum), crossover for the rest."""
     with criterion("6 (mechanism attribution)", 300):
+        for name, r in bdf_gamma_sup_results.items():
+            assert r.mechanism is Mechanism(published.MECHANISM[name]), name
         r3 = bdf_gamma_sup_results["bdf3"]
-        assert r3.mechanism is Mechanism.SIMPLE_ROOT
-        assert r3.mechanism_index == 6
+        assert r3.mechanism_index == published.SIMPLE_ROOT_INDEX["bdf3"]
         cb = crossover(catalog("bdf3"), r3.hi, F(3, 2), tol=F(1, 10**7))
         assert cb is not None
-        assert F(5, 6) - F(1, 10**6) <= cb.lo and cb.hi <= F(5, 6) + F(1, 10**6)
+        x = published.BDF3_CROSSOVER
+        assert x - F(1, 10**6) <= cb.lo and cb.hi <= x + F(1, 10**6)
         assert cb.lo > r3.hi  # the crossover bound is not sharp here
-        for name in ("bdf2", "bdf4", "bdf5", "bdf6"):
-            assert bdf_gamma_sup_results[name].mechanism is Mechanism.CROSSOVER, name
 
 
 def test_criterion_7_closed_form_fixtures():
@@ -223,15 +225,22 @@ def test_criterion_8_identity_suites():
             p = [rng.randint(-9, 9) for _ in range(deg + 1)]
             if p[0] == 0:
                 p[0] = 1
-            sf = poly.squarefree_part(p)
+            factors = poly.yun_squarefree(p)
+            sf = functools.reduce(poly.mul, (q for q, _ in factors), [1])
             chain = poly.sturm_chain(sf)
             total = poly.sturm_variations_inf(chain, False) - poly.sturm_variations_inf(
                 chain, True
             )
             encs = poly.isolate_real_roots(p)
             assert len(encs) == total
-            croots = poly.enclose_all_roots([F(c) for c in p], F(1, 10**4))
-            assert sum(e.multiplicity for e in croots) == deg
+            croots = [
+                (is_pair, mult)
+                for q, mult in factors
+                for _, is_pair in poly.enclose_roots(
+                    [IntervalScalar.exact_int(c, 64) for c in q], F(1, 10**4), 64
+                )
+            ]
+            assert sum(mult * (2 if is_pair else 1) for is_pair, mult in croots) == deg
 
 
 def test_criterion_9_monotonicity_grid():

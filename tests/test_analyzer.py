@@ -13,14 +13,11 @@ from scbcert.analyzer import (
     InfeasibleStability,
     InfeasibleWitness,
     Mechanism,
-    StabilityAnswer,
     check_scb,
     crossover,
     gamma_sup,
     in_stability_interior,
-    infeasible_by_complex_dominance,
     scb_exists,
-    simple_root_bound,
     verify_against_poly,
 )
 from scbcert.methods import Method, catalog, generating_polys, validate
@@ -37,10 +34,10 @@ def near_unit_method(e):
 
 class TestStabilityInterior:
     def test_examples(self):
-        assert in_stability_interior(catalog("bdf3"), F(-2)) is StabilityAnswer.YES
-        assert in_stability_interior(catalog("ab1"), F(-1)) is StabilityAnswer.YES
-        assert in_stability_interior(catalog("ab3"), F(-84, 529)) is StabilityAnswer.YES
-        assert in_stability_interior(catalog("ab1"), F(-2)) is StabilityAnswer.NO
+        assert in_stability_interior(catalog("bdf3"), F(-2)) is True
+        assert in_stability_interior(catalog("ab1"), F(-1)) is True
+        assert in_stability_interior(catalog("ab3"), F(-84, 529)) is True
+        assert in_stability_interior(catalog("ab1"), F(-2)) is False
 
     def test_bdf_left_halfline(self):
         rng = random.Random(8)
@@ -48,12 +45,12 @@ class TestStabilityInterior:
             m = catalog(name)
             for _ in range(8):
                 g = F(rng.randint(1, 300), rng.randint(100, 200))
-                assert in_stability_interior(m, -g) is StabilityAnswer.YES, (name, g)
+                assert in_stability_interior(m, -g) is True, (name, g)
 
     def test_degenerate_leading_coefficient(self):
         # lambda = 1/b0 makes the damped polynomial degenerate
         m = catalog("bdf1")
-        assert in_stability_interior(m, F(1)) is StabilityAnswer.NO
+        assert in_stability_interior(m, F(1)) is False
 
 
 class TestCheckScb:
@@ -245,32 +242,6 @@ class TestScbExists:
                 assert v.status is Existence.EXISTS, name
 
 
-class TestSimpleRootBound:
-    def test_bdf3(self):
-        sr = simple_root_bound(catalog("bdf3"), 10)
-        assert sr.n == 6
-        assert sr.enclosure.lo <= F("0.831264155298")
-        assert sr.enclosure.hi >= F("0.831264155297")
-
-    def test_ab2(self):
-        sr = simple_root_bound(catalog("ab2"), 5)
-        assert sr.n == 2
-        assert sr.enclosure.lo <= F(4, 9) <= sr.enclosure.hi
-
-    def test_ab3(self):
-        sr = simple_root_bound(catalog("ab3"), 5)
-        assert sr.n == 2
-        assert sr.enclosure.lo <= F(84, 529) <= sr.enclosure.hi
-
-    def test_upper_bound_property(self):
-        # the simple-root bound is an upper bound: never below the certified
-        # lower end of the optimum enclosure
-        m = catalog("ab2")
-        sr = simple_root_bound(m, 5)
-        r = gamma_sup(m, F(1, 10**6))
-        assert sr.enclosure.hi >= r.lo - F(1, 10**6)
-
-
 class TestCrossover:
     def test_bdf4_window(self):
         cb = crossover(catalog("bdf4"), F(0), F(7, 12), tol=F(1, 10**6))
@@ -301,12 +272,25 @@ class TestCrossover:
         assert analyzer._dominance_gap_sign(m, cb.hi, 64, 4096) == -1
 
 
+def dominance_evidence(name, gamma):
+    """check_scb's complex-dominance evidence from the closed form at 64
+    digits, or None when no conjugate pair dominates."""
+    cf = recursion.closed_form(catalog(name), gamma)
+    di = cf.dominant_index()
+    assert di is not None
+    return analyzer._complex_dominance(cf, di) if cf.roots[di].is_pair else None
+
+
 class TestComplexDominance:
     def test_bdf2_above_half(self):
-        assert infeasible_by_complex_dominance(catalog("bdf2"), F(6, 10)) is not None
+        assert dominance_evidence("bdf2", F(6, 10)) is not None
+        # a negative term inside the horizon is reported first
+        v = check_scb(catalog("bdf2"), F(6, 10))
+        assert v.status is Feasibility.INFEASIBLE
+        assert isinstance(v.evidence, InfeasibleWitness)
 
     def test_bdf4_at_half(self):
-        assert infeasible_by_complex_dominance(catalog("bdf4"), F(1, 2)) is not None
+        assert dominance_evidence("bdf4", F(1, 2)) is not None
         # the residue formula keeps the pair coefficient near the working
         # precision (an interval solve of the starting values gave 2.3e-60)
         v = check_scb(catalog("bdf4"), F(1, 2))
@@ -316,7 +300,8 @@ class TestComplexDominance:
         assert 0 < lo and hi - lo < F(1, 10**61)
 
     def test_bdf3_at_half_absent(self):
-        assert infeasible_by_complex_dominance(catalog("bdf3"), F(1, 2)) is None
+        assert dominance_evidence("bdf3", F(1, 2)) is None
+        assert check_scb(catalog("bdf3"), F(1, 2)).status is Feasibility.FEASIBLE
 
 
 class TestGammaSup:
@@ -467,13 +452,10 @@ class TestGuidedBisection:
 
 
 class TestSquarefreeRootEngine:
-    def test_closed_forms_skip_the_general_enclosure(self, monkeypatch):
+    def test_closed_forms_skip_the_general_enclosure(self):
         # an exact gamma's closed form has passed the discriminant test, so
-        # its roots go straight to the squarefree engine
-        def general(*args, **kwargs):
-            raise AssertionError("closed form built through enclose_all_roots")
-
-        monkeypatch.setattr(poly, "enclose_all_roots", general)
+        # its roots go straight to the one enclosure engine, enclose_roots,
+        # and every catalog verdict on the grid is decided
         for name in methods.catalog_names():
             m = catalog(name)
             for i in range(1, 31):

@@ -10,27 +10,10 @@ from scbcert.arith import (
     ComplexBox,
     IntervalScalar,
     Sign,
-    certified_sign,
     digits_to_bits,
     parse_exact,
     precision_ladder,
-    rational_of,
 )
-
-
-class TestRationalOf:
-    def test_reduction(self):
-        assert rational_of(126, 121) == F(126, 121)
-        assert rational_of(0, 5) == F(0, 1)
-        assert rational_of(4, -6) == F(-2, 3)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            rational_of(1, 0)
-
-    def test_canonical_form(self):
-        q = rational_of(-10, -4)
-        assert q.numerator == 5 and q.denominator == 2
 
 
 class TestParseExact:
@@ -69,10 +52,10 @@ class TestIntervalBasics:
             a.div(b)
 
     def test_signs(self):
-        assert certified_sign(IntervalScalar.from_fractions(F(1, 10), F(2, 10), 20)) is Sign.POSITIVE
-        assert certified_sign(IntervalScalar.from_fractions(-3, -1, 20)) is Sign.NEGATIVE
+        assert IntervalScalar.from_fractions(F(1, 10), F(2, 10), 20).sign() is Sign.POSITIVE
+        assert IntervalScalar.from_fractions(-3, -1, 20).sign() is Sign.NEGATIVE
         tiny = IntervalScalar.from_fractions(F(-1, 10**9), F(1, 10**9), 20)
-        assert certified_sign(tiny) is Sign.UNKNOWN
+        assert tiny.sign() is Sign.UNKNOWN
 
     def test_width_shrinks_with_precision(self):
         widths = []

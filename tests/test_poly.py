@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction as F
 
@@ -86,32 +87,53 @@ class TestRefine:
         assert printed_in(r, "0.131359487166")
 
 
+def squarefree(p):
+    """Squarefree part of the integer polynomial p: its Yun factors multiplied."""
+    return functools.reduce(poly.mul, (q for q, _ in poly.yun_squarefree(p)), [1])
+
+
+def all_root_classes(p, width, digits=64):
+    """(box, is_pair, multiplicity) for every distinct root of p, a conjugate
+    pair once by its upper box: enclose_roots on each Yun factor."""
+    out = []
+    for q, mult in poly.yun_squarefree(poly.to_integer(p)):
+        coeffs = [arith.IntervalScalar.exact_int(c, digits) for c in q]
+        out += [(box, is_pair, mult) for box, is_pair in poly.enclose_roots(coeffs, width, digits)]
+    return out
+
+
+def root_count(classes):
+    """Roots counted with multiplicity, two for each conjugate pair."""
+    return sum(mult * (2 if is_pair else 1) for _, is_pair, mult in classes)
+
+
 class TestEncloseAllRoots:
     def test_ebdf3_cubic(self):
         # 11 z^3 - 18 z^2 + 9 z - 2 = (z-1)(11 z^2 - 7 z + 2)
-        encs = poly.enclose_all_roots([F(11), F(-18), F(9), F(-2)], F(1, 10**7))
-        assert len(encs) == 3
-        reals = [e for e in encs if e.is_real()]
-        pairs = [e for e in encs if not e.is_real()]
-        assert len(reals) == 1 and len(pairs) == 2
-        assert reals[0].box.re.contains_fraction(1)
-        for e in pairs:
-            m = e.modulus()
+        classes = all_root_classes([F(11), F(-18), F(9), F(-2)], F(1, 10**7))
+        assert root_count(classes) == 3
+        reals = [box for box, is_pair, _ in classes if not is_pair]
+        pairs = [box for box, is_pair, _ in classes if is_pair]
+        assert len(reals) == 1 and len(pairs) == 1
+        assert reals[0].re.contains_fraction(1)
+        for box in pairs:
+            m = box.modulus()
             # modulus enclosure within (sqrt(2/11) - 1e-6, sqrt(2/11) + 1e-6)
             assert m.pow_int(2).contains_fraction(F(2, 11))
             assert m.width_fraction() < F(2, 10**6)
 
     def test_ebdf5_quartic_moduli(self):
-        encs = poly.enclose_all_roots([F(137), F(-163), F(137), F(-63), F(12)], F(1, 10**7))
-        assert len(encs) == 4
-        assert all(not e.is_real() for e in encs)
-        assert all(e.modulus().hi_fraction() <= F(71, 100) for e in encs)
+        classes = all_root_classes([F(137), F(-163), F(137), F(-63), F(12)], F(1, 10**7))
+        assert root_count(classes) == 4
+        assert all(is_pair for _, is_pair, _ in classes)
+        assert all(box.modulus().hi_fraction() <= F(71, 100) for box, _, _ in classes)
 
     def test_z2_minus_one(self):
-        encs = poly.enclose_all_roots([F(1), F(0), F(-1)], F(1, 100))
-        vals = sorted(e.box.re.mid_fraction() for e in encs)
-        assert encs[0].box.re.contains_fraction(-1) or encs[1].box.re.contains_fraction(-1)
-        assert len(encs) == 2 and vals[0] < 0 < vals[1]
+        classes = all_root_classes([F(1), F(0), F(-1)], F(1, 100))
+        boxes = [box for box, _, _ in classes]
+        vals = sorted(box.re.mid_fraction() for box in boxes)
+        assert any(box.re.contains_fraction(-1) for box in boxes)
+        assert root_count(classes) == 2 and len(classes) == 2 and vals[0] < 0 < vals[1]
 
     def test_conjugate_symmetry_and_count(self):
         rng = random.Random(42)
@@ -119,25 +141,23 @@ class TestEncloseAllRoots:
             deg = rng.randint(1, 6)
             p = [F(rng.randint(-9, 9)) for _ in range(deg + 1)]
             p[0] = F(rng.randint(1, 9))
-            encs = poly.enclose_all_roots(p, F(1, 10**4))
-            assert sum(e.multiplicity for e in encs) == deg
-            ups = [e for e in encs if not e.is_real() and e.box.im.lo_fraction() > 0]
-            downs = [e for e in encs if not e.is_real() and e.box.im.hi_fraction() < 0]
-            assert len(ups) == len(downs)
-            for u in ups:
-                mirror = u.box.conjugate()
-                assert any(
-                    d.box.re.intersects(mirror.re) and d.box.im.intersects(mirror.im)
-                    for d in downs
-                )
+            classes = all_root_classes(p, F(1, 10**4))
+            assert root_count(classes) == deg
+            # a pair is listed once, by a box strictly above the real axis
+            for box, is_pair, _ in classes:
+                if is_pair:
+                    assert box.im.lo_fraction() > 0
+                else:
+                    assert box.is_real_line()
 
     def test_multiple_roots(self):
         # (z^2+1)^2 (z-1/2)
         sq = poly.mul([F(1), F(0), F(1)], [F(1), F(0), F(1)])
         p = poly.mul(sq, [F(1), F(-1, 2)])
-        encs = poly.enclose_all_roots(p, F(1, 10**5))
-        assert sum(e.multiplicity for e in encs) == 5
-        assert sorted(e.multiplicity for e in encs) == [1, 2, 2]
+        classes = all_root_classes(p, F(1, 10**5))
+        assert root_count(classes) == 5
+        per_root = [mult for _, is_pair, mult in classes for _ in range(2 if is_pair else 1)]
+        assert sorted(per_root) == [1, 2, 2]
 
 
 # Root layouts with known exact roots, drawn as (integer factor, roots): each
@@ -288,7 +308,7 @@ class TestRootEngine:
             m = methods.catalog(name)
             for _ in range(6):
                 g = F(rng.randint(1, 300), rng.randint(1, 100))
-                p = poly.squarefree_part(poly.to_integer(methods.char_poly_mu(m, g)))
+                p = squarefree(poly.to_integer(methods.char_poly_mu(m, g)))
                 _check_against_sturm(p)
 
 
@@ -446,8 +466,8 @@ class TestSchurCohn:
             m = methods.catalog(name)
             assert methods.validate(m).ok, name
             answers = {analyzer.in_stability_interior(m, -g) for g in grid}
-            assert answers <= {analyzer.StabilityAnswer.YES, analyzer.StabilityAnswer.NO}
-            assert analyzer.StabilityAnswer.YES in answers, name
+            assert {type(a) for a in answers} == {bool}
+            assert True in answers, name
 
         monkeypatch.setattr(poly, "pseudo_sturm_chain", no_sturm)
         circle = {}
@@ -489,7 +509,7 @@ class TestSturmConsistency:
             p = [rng.randint(-9, 9) for _ in range(deg + 1)]
             if p[0] == 0:
                 p[0] = 1
-            sf = poly.squarefree_part(p)
+            sf = squarefree(p)
             if poly.degree(sf) < 1:
                 continue
             chain = poly.sturm_chain(sf)
@@ -531,14 +551,6 @@ class TestUnitCircleRoots:
         p = poly.mul([1, -2], [2, -1])
         assert poly.degree(poly.gcd_int_poly(p, poly.reverse(p))) == 2
         assert poly.degree(self._circle_part(p)) == 0
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        p = [5184, -539352, 4277340, -7093698, 3248425]
-        s = poly.int_poly_to_json(p)
-        assert s == ["5184", "-539352", "4277340", "-7093698", "3248425"]
-        assert poly.int_poly_from_json(s) == p
 
 
 class TestDivisionAndGcd:

@@ -292,15 +292,6 @@ class TestLowestTerms:
         assert (v.numerator, v.denominator) == (0, 1)
         _assert_canonical(v)
 
-    def test_exact_signs_match_interval_run(self):
-        # the exact kernel against the ball kernel on the BDF4 remark, scaled down
-        m, g = catalog("bdf4"), F(4866, 10000)
-        signs = mu_signs(m, g, 3000)
-        run = run_mu_signs(m, g, 3000, 1800)
-        assert run.unknown == []
-        assert run.negative == [n for n in range(1, 3001) if signs[n] < 0]
-        assert run.negative
-
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
 
@@ -378,7 +369,7 @@ class TestIntervalEvaluation:
         # outside the stability interior mu grows, so the window is shifted
         # right with rounding many times over the run
         m, g = catalog("ab2"), F(3)
-        assert analyzer.in_stability_interior(m, -g) is analyzer.StabilityAnswer.NO
+        assert analyzer.in_stability_interior(m, -g) is False
         exact = mu_prefix(m, g, 600)
         assert abs(exact[-1]) > 2**1000
         for n, box in eval_mu_interval(m, g, 600, digits):

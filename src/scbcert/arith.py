@@ -91,7 +91,11 @@ def fraction_str(q: Fraction) -> str:
     it; a Fraction is used as it is, anything else is converted first."""
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    num, den = q.numerator, q.denominator
+    return ratio_str(q.numerator, q.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """fraction_str of num/den, given in lowest terms with den > 0."""
     return str(num) if den == 1 else "{}/{}".format(num, den)
 
 

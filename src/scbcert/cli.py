@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import analyzer, methods, published, recursion
 from .analyzer import Existence, Feasibility, GammaSupOptions, Mechanism
-from .arith import fraction_str, parse_exact
+from .arith import fraction_str, parse_exact, ratio_str
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -321,16 +321,12 @@ def cmd_mu_curve(args) -> int:
     if mark is not None and mark < 0:
         raise UsageError("marker gamma must be 0 or above")
     lines = ["gamma,n,value,marker"]
-    for g in grid:
-        mus = recursion.mu_prefix(m, g, n_hi)
+    gammas = grid + ([mark] if mark is not None else [])
+    for i, (g, mus) in enumerate(recursion.mu_sweep(m, gammas, n_hi)):
         g_text = fraction_str(g)
+        tag = "mark" if i == len(grid) else ""
         for n in range(n_lo, n_hi + 1):
-            lines.append("{},{},{},".format(g_text, n, fraction_str(mus[n])))
-    if mark is not None:
-        mus = recursion.mu_prefix(m, mark, n_hi)
-        g_text = fraction_str(mark)
-        for n in range(n_lo, n_hi + 1):
-            lines.append("{},{},{},mark".format(g_text, n, fraction_str(mus[n])))
+            lines.append(f"{g_text},{n},{ratio_str(*mus[n])},{tag}")
     write_text("\n".join(lines), args)
     return EXIT_FEASIBLE
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -50,6 +51,49 @@ class MultipleRootError(ArithmeticDomainError):
 # ---------------------------------------------------------------------------
 
 
+def _method_integers(m: Method) -> Tuple[int, List[int], List[int]]:
+    """L, the common denominator of the coefficients, and the integers L*a_j
+    (j = 1..k) and L*b_j (j = 0..k): the part of the integer setup that does
+    not depend on gamma."""
+    L = math.lcm(*(c.denominator for c in m.a + m.b))
+    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
+    B = [L // c.denominator * c.numerator for c in m.b]
+    return L, A, B
+
+
+def _scaled_coefficients(
+    ints: Tuple[int, List[int], List[int]], gamma: Fraction
+) -> Tuple[int, List[int], List[int]]:
+    """E, C_1..C_k and F_0..F_k of the integer-scaled recurrence (see
+    _scaled_numerators) at gamma, from the method's integers (L, A, B),
+    with their content taken out.  C_j / E is the recurrence coefficient
+    (a_j - gamma*b_j) / (1 + gamma*b0) exactly."""
+    L, A, B = ints
+    gamma = Fraction(gamma)
+    p, q = gamma.numerator, gamma.denominator
+    E = q * L + p * B[0]
+    if E == 0:
+        raise ArithmeticDomainError("1 + gamma*b0 vanishes")
+    C = [q * a - p * b for a, b in zip(A, B[1:])]
+    F = [q * b for b in B]
+    c = math.gcd(E, *C, *F)
+    return E // c, [v // c for v in C], [v // c for v in F]
+
+
+def _numerators(E: int, C: Sequence[int], F: Sequence[int]) -> Iterator[int]:
+    """The endless iterator over M_0, M_1, ... of _scaled_numerators."""
+    k = len(C)
+    inhom = [F[n] * E**n for n in range(k + 1)]
+    # the window runs oldest first, so the coefficients run C_k..C_1
+    D = [C[j - 1] * E ** (j - 1) for j in range(k, 0, -1)]
+    window = [0] * k  # M_(n-k)..M_(n-1); M_n = 0 for n < 0
+    for n in itertools.count():
+        acc = sum(map(operator.mul, D, window), inhom[n] if n <= k else 0)
+        yield acc
+        del window[0]
+        window.append(acc)
+
+
 def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
     """The integer-scaled recurrence behind every exact value of mu and tau.
 
@@ -63,34 +107,8 @@ def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
 
     Returns E and an endless iterator over M_0, M_1, ...
     """
-    gamma = Fraction(gamma)
-    p, q = gamma.numerator, gamma.denominator
-    k = m.k
-    L = math.lcm(*(c.denominator for c in m.a + m.b))
-    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
-    B = [L // c.denominator * c.numerator for c in m.b]
-    E = q * L + p * B[0]
-    if E == 0:
-        raise ArithmeticDomainError("1 + gamma*b0 vanishes")
-    C = [q * a - p * b for a, b in zip(A, B[1:])]
-    F = [q * b for b in B]
-    c = math.gcd(E, *C, *F)
-    E //= c
-    inhom = [F[n] // c * E**n for n in range(k + 1)]
-    # the window runs oldest first, so the coefficients run C_k..C_1
-    D = [C[j - 1] // c * E ** (j - 1) for j in range(k, 0, -1)]
-
-    def numerators() -> Iterator[int]:
-        window = [0] * k  # M_(n-k)..M_(n-1); M_n = 0 for n < 0
-        for n in itertools.count():
-            acc = inhom[n] if n <= k else 0
-            for d, x in zip(D, window):
-                acc += d * x
-            yield acc
-            del window[0]
-            window.append(acc)
-
-    return E, numerators()
+    E, C, F = _scaled_coefficients(_method_integers(m), gamma)
+    return E, _numerators(E, C, F)
 
 
 def _sign(M: int, E: int, n: int) -> int:
@@ -119,44 +137,60 @@ else:
 _E_GCD_ROUNDS = 4
 
 
-def _lowest_terms(M: int, d: int, E: int) -> Fraction:
-    """M/d as a Fraction, where d divides a power of E.
+def _lowest_terms(M: int, d: int, E: int) -> Tuple[int, int]:
+    """M/d in lowest terms as a pair (num, den) with den > 0, where d is a
+    power E^(n+1), n >= 0.
 
     Every common factor of M and d is built from primes of E, so dividing
     out g = gcd(M, gcd(d, E)), a big-by-small gcd at linear cost, reaches
     lowest terms after a few rounds in practice.  (g must divide d, which
-    gcd(M, E) alone need not once d has been divided.)  If it has not, one
-    full gcd(M, d) finishes, so the worst case is the plain Fraction cost.
+    gcd(M, E) alone need not once d has been divided; in the first round d
+    is still a power of E, so there g = gcd(M, E).)  If it has not, one full
+    gcd(M, d) finishes, so the worst case is the plain Fraction cost.
     """
     if M == 0:
-        return _coprime_fraction(0, 1)
+        return 0, 1
     if d < 0:
         M, d = -M, -d
     e = abs(E)
-    for _ in range(_E_GCD_ROUNDS):
-        g = math.gcd(M, math.gcd(d, e))
+    g = math.gcd(M, e)  # the first round, while d is a power of E
+    for _ in range(_E_GCD_ROUNDS - 1):
         if g == 1:
-            return _coprime_fraction(M, d)
+            return M, d
         M //= g
         d //= g
+        g = math.gcd(M, math.gcd(d, e))
+    if g == 1:
+        return M, d
     g = math.gcd(M, d)
-    return _coprime_fraction(M // g, d // g)
+    return M // g, d // g
 
 
-def _fractions(E: int, nums: Iterator[int], n_max: int) -> List[Fraction]:
-    """mu_0..mu_{n_max} as M_n / E^(n+1), with a running power of E."""
-    out: List[Fraction] = []
+def _reduced_values(E: int, nums: Iterator[int], n_max: int) -> Iterator[Tuple[int, int]]:
+    """mu_0..mu_{n_max} as lowest-terms pairs of M_n / E^(n+1), with a
+    running power of E."""
     den = E
     for M in itertools.islice(nums, n_max + 1):
-        out.append(_lowest_terms(M, den, E))
+        yield _lowest_terms(M, den, E)
         den *= E
-    return out
 
 
 def mu_prefix(m: Method, gamma: Fraction, n_max: int) -> List[Fraction]:
     """Exact values mu_0..mu_{n_max}; terms for n < 0 are zero."""
     E, nums = _scaled_numerators(m, gamma)
-    return _fractions(E, nums, n_max)
+    return [_coprime_fraction(num, den) for num, den in _reduced_values(E, nums, n_max)]
+
+
+def mu_sweep(
+    m: Method, gammas: Sequence[Fraction], n_max: int
+) -> Iterator[Tuple[Fraction, List[Tuple[int, int]]]]:
+    """(gamma, lowest-terms pairs (num, den) of mu_0..mu_{n_max}) for each
+    gamma in turn: mu_prefix over a grid, with the method's integers built
+    once and no Fraction built per value."""
+    ints = _method_integers(m)
+    for g in gammas:
+        E, C, F = _scaled_coefficients(ints, g)
+        yield g, list(_reduced_values(E, _numerators(E, C, F), n_max))
 
 
 def mu_signs(m: Method, gamma: Fraction, n_max: int) -> List[int]:
@@ -179,7 +213,8 @@ def eval_mu(m: Method, gamma: Fraction, n: int) -> Fraction:
     if n < 0:
         return Fraction(0)
     E, nums = _scaled_numerators(m, gamma)
-    return _lowest_terms(next(itertools.islice(nums, n, None)), E ** (n + 1), E)
+    M = next(itertools.islice(nums, n, None))
+    return _coprime_fraction(*_lowest_terms(M, E ** (n + 1), E))
 
 
 def tau_prefix(m: Method, n_max: int) -> List[Fraction]:
@@ -237,6 +272,25 @@ def _cut_balls(
     return C, rc, top, sh
 
 
+def _product_form(
+    C: List[int], exact: Optional[Tuple[int, List[int]]], Pc: int
+) -> Tuple[List[int], List[int], int, int]:
+    """(U, V, s, E) with sum_j C_j*x_j = (2^s * sum_j U_j*x_j + sum_j V_j*x_j) / E
+    exactly for every window x, where C holds the coefficient midpoints at
+    scale 2^-Pc.
+
+    At a rational gamma, exact = (E, N) with the exact coefficients N_j / E.
+    Then U = N, s = Pc and V_j = C_j*E - N_j*2^Pc: the ball around C_j holds
+    N_j*2^Pc / E, so |V_j| <= rc_j*|E|, and every product is small by big.
+    At an interval gamma (exact is None) it is the plain sum: U = C, V = 0,
+    s = 0 and E = 1.
+    """
+    if exact is None:
+        return C, [0] * len(C), 0, 1
+    E, N = exact
+    return N, [c * E - (nj << Pc) for c, nj in zip(C, N)], Pc, E
+
+
 def _mu_balls(
     m: Method, gamma: GammaLike, n_max: int, digits: int
 ) -> Tuple[int, Iterator[Tuple[int, int, int, int]]]:
@@ -263,10 +317,15 @@ def _mu_balls(
     # window entries run oldest first, so the coefficients run C_k..C_1
     full = [_integer_ball(iv, P) for iv in reversed(coeffs)]
     cb = max(abs(c).bit_length() for c, _ in full)
+    exact = None  # (E, N) at a rational gamma, N in the window's order
+    if isinstance(gamma, (Fraction, int)):
+        E, N, _F = _scaled_coefficients(_method_integers(m), gamma)
+        exact = E, N[::-1]
 
     def balls() -> Iterator[Tuple[int, int, int, int]]:
         cut = 0
         C, rc, top, sh = _cut_balls(full, cut)
+        U, V, su, E = _product_form(C, exact, P)
         X = [0] * k  # mu_n = 0 for n < 0
         R = [0] * k
         S = P
@@ -276,9 +335,12 @@ def _mu_balls(
                 T, rad = _integer_ball(inhom[n], Pc + S)
             else:
                 T = rad = 0
-            for c, rcj, t, s, xi, ri in zip(C, rc, top, sh, X, R):
-                T += c * xi
+            tu = tv = 0
+            for u, v, rcj, t, s, xi, ri in zip(U, V, rc, top, sh, X, R):
+                tu += u * xi
+                tv += v * xi
                 rad += ((t * ri) << s) + rcj * (abs(xi) + ri)
+            T += ((tu << su) + tv) // E  # sum_j C_j*x_j, exactly
             x = (T + (1 << Pc >> 1)) >> Pc
             r = -(-rad >> Pc) + 1
             if n:
@@ -306,6 +368,7 @@ def _mu_balls(
             if want != cut:
                 cut = want
                 C, rc, top, sh = _cut_balls(full, cut)
+                U, V, su, E = _product_form(C, exact, P - cut)
 
     return P, balls()
 
@@ -328,6 +391,17 @@ def eval_mu_interval(
     with radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where
     |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
     by P - cut bits (which adds 1 to the radius).
+
+    At a rational gamma the exact coefficients are N_j / E, with the small
+    integers of the exact recurrence (see _scaled_numerators), and the ball
+    around C_j holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut)
+    is an integer with |d_j| <= rc_j*|E|, and
+    E*T = 2^(P - cut) * sum_j N_j X_(n-j) + sum_j d_j X_(n-j)
+    holds exactly.  T is computed that way: 2k small-by-big products, one
+    shift and one exact division by E (of either sign), at linear cost in
+    the length of the window instead of k full products.  T is the same
+    integer either way, so every midpoint, radius and scale, and every
+    sign read off them, is unchanged; only the cost differs.
 
     After each term the window is rescaled.  Its useful bits are
     bitlen(max |X_i|) - bitlen(max R_i), and its target length is

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from scbcert import analyzer, cli, published, recursion
+from scbcert import analyzer, cli, methods, published, recursion
 from scbcert.cli import (
     EXIT_FEASIBLE,
     EXIT_INCONCLUSIVE,
@@ -144,6 +148,21 @@ class TestTauCommand:
         assert lines[1] == "1,18/11,positive"
 
 
+@st.composite
+def _curve_args(draw):
+    """A catalog method, an index range, a grid start:end:step and maybe a
+    marker; the grid starts at 0 or above and has up to 6 points."""
+    name = draw(st.sampled_from(methods.catalog_names()))
+    n_hi = draw(st.integers(0, 25))
+    n_lo = draw(st.integers(0, n_hi))
+    start = draw(st.sampled_from([F(0), F(1)]))
+    start += draw(st.builds(F, st.integers(0, 50), st.integers(1, 40)))
+    step = draw(st.builds(F, st.integers(1, 30), st.integers(1, 20)))
+    end = start + step * draw(st.integers(0, 5))
+    mark = draw(st.one_of(st.none(), st.builds(F, st.integers(0, 90), st.integers(1, 60))))
+    return name, n_lo, n_hi, [start, end, step], mark
+
+
 class TestMuCurveCommand:
     def test_bdf1_values(self, capsys):
         code, out = run_cli(
@@ -174,6 +193,28 @@ class TestMuCurveCommand:
                      "--gamma", "2:1:1/2"])
         assert code == EXIT_USAGE
 
+    @settings(max_examples=80, deadline=None)
+    @given(_curve_args())
+    @example(("ab1", 0, 8, [F(0), F(3), F(1)], F(1)))  # E = 1; mu_n = 0 at gamma = 1, n >= 2
+    @example(("bdf1", 1, 5, [F(0), F(0), F(1)], None))  # gamma = 0 alone
+    def test_rows_equal_fraction_str_of_mu_prefix(self, case):
+        name, n_lo, n_hi, (start, end, step), mark = case
+        argv = ["mu-curve", "--method", name, "--n", "{}..{}".format(n_lo, n_hi),
+                "--gamma", ":".join(fraction_str(x) for x in (start, end, step))]
+        if mark is not None:
+            argv += ["--mark-gamma", fraction_str(mark)]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(argv) == EXIT_FEASIBLE
+        m = methods.catalog(name)
+        expected = ["gamma,n,value,marker"]
+        gammas = [start + i * step for i in range((end - start) // step + 1)]
+        for g, tag in [(g, "") for g in gammas] + ([(mark, "mark")] if mark is not None else []):
+            mus = recursion.mu_prefix(m, g, n_hi)
+            expected += ["{},{},{},{}".format(fraction_str(g), n, fraction_str(mus[n]), tag)
+                         for n in range(n_lo, n_hi + 1)]
+        assert buf.getvalue() == "\n".join(expected) + "\n"
+
 
 def never(*args, **kwargs):
     raise AssertionError("computed before the format was checked")
@@ -191,7 +232,7 @@ class TestFormatChoices:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_mu_curve_is_csv_only(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(recursion, "mu_prefix", never)
+        monkeypatch.setattr(recursion, "mu_sweep", never)
         code = main(["mu-curve", "--method", "bdf2", "--n", "1..2",
                      "--gamma", "0:1:1/2", "--format", fmt])
         assert code == EXIT_USAGE

@@ -18,8 +18,6 @@ import json
 import pathlib
 import sys
 
-import pytest
-
 from scbcert import cli, methods
 
 CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
@@ -27,8 +25,9 @@ CORPUS = pathlib.Path(__file__).resolve().parent / "golden" / "cli_corpus.json"
 # reports up to this many bytes are stored in full as well as by digest
 FULL_TEXT_BYTES = 4096
 
-# runs for minutes: the 27000-term sign runs at 16000 and 15000 digits
-SLOW_CASES = (("reproduce", "--target", "remark-bdf4", "--with-insufficiency"),)
+# the longest case, replayed on its own: the 27000-term sign runs at 16000
+# and 15000 digits (about 5 s)
+LONG_CASES = (("reproduce", "--target", "remark-bdf4", "--with-insufficiency"),)
 
 
 def cases():
@@ -43,7 +42,7 @@ def cases():
     out.append(("gamma-sup", "--method", "bdf4", "--tol", "1e-40"))
     out.append(("gamma-sup", "--method", "bdf6", "--tol", "1e-40"))
     out.append(("gamma-sup", "--method", "bdf3", "--with-crossover"))
-    return out + list(SLOW_CASES)
+    return out + list(LONG_CASES)
 
 
 def run_case(argv):
@@ -71,13 +70,13 @@ def _entry(argv, code, text):
     return entry
 
 
-def _replay(slow):
-    """Replay the stored cases that are (not) slow; fail at the first one
-    whose exit code or output differs."""
+def _replay(long_cases):
+    """Replay the stored cases that are (not) in LONG_CASES; fail at the
+    first one whose exit code or output differs."""
     stored = json.loads(CORPUS.read_text(encoding="utf-8"))
     assert [tuple(e["argv"]) for e in stored] == cases()
     for entry in stored:
-        if (tuple(entry["argv"]) in SLOW_CASES) != slow:
+        if (tuple(entry["argv"]) in LONG_CASES) != long_cases:
             continue
         code, text = run_case(entry["argv"])
         assert _entry(entry["argv"], code, text) == entry, (
@@ -88,12 +87,11 @@ def _replay(slow):
 
 
 def test_corpus_replays():
-    _replay(slow=False)
+    _replay(long_cases=False)
 
 
-@pytest.mark.slow
 def test_corpus_replays_slow_cases():
-    _replay(slow=True)
+    _replay(long_cases=True)
 
 
 if __name__ == "__main__":

@@ -281,16 +281,39 @@ class TestLowestTerms:
     def test_lowest_terms_edge_cases(self):
         # each cheap round takes out one factor 2 only, so a high power of 2
         # is left to the full gcd
-        v = recursion._lowest_terms(3 << 20, 1 << 30, 2)
-        assert (v.numerator, v.denominator) == (3, 1 << 10)
+        assert recursion._lowest_terms(3 << 20, 1 << 30, 2) == (3, 1 << 10)
+        v = recursion._coprime_fraction(3, 1 << 10)
         _assert_canonical(v)
         assert v + F(1, 1 << 10) == F(1, 1 << 8)
         # d = (-2)^9 < 0: the sign moves to the numerator
-        v = recursion._lowest_terms(5 * 8, -(2**9), -2)
-        assert (v.numerator, v.denominator) == (-5, 2**6)
-        v = recursion._lowest_terms(0, 7**5, 7)
-        assert (v.numerator, v.denominator) == (0, 1)
-        _assert_canonical(v)
+        assert recursion._lowest_terms(5 * 8, -(2**9), -2) == (-5, 2**6)
+        assert recursion._lowest_terms(0, 7**5, 7) == (0, 1)
+        _assert_canonical(recursion._coprime_fraction(0, 1))
+
+
+class TestMuSweep:
+    """mu_sweep gives the values of the Fraction recursion as lowest-terms
+    pairs with a positive denominator, one gamma after another, from the
+    method's integers built once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_method_and_gamma(), st.integers(0, 30))
+    @example((Method(1, (F(1),), (F(-1), F(2))), F(2)), 12)  # E = -1
+    @example((catalog("ab1"), F(1)), 8)  # E = 1, mu_n = 0 for n >= 2
+    @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), 30)  # E < 0
+    def test_equals_fraction_recursion(self, case, n_max):
+        m, g = case
+        grid = [F(0), g, g + F(1, 7)]
+        expected = []
+        for x in grid:
+            try:
+                mus = fraction_mu_prefix(m, x, n_max)
+                expected.append((x, [(v.numerator, v.denominator) for v in mus]))
+            except ArithmeticDomainError:
+                with pytest.raises(ArithmeticDomainError):
+                    list(recursion.mu_sweep(m, grid, n_max))
+                return
+        assert list(recursion.mu_sweep(m, grid, n_max)) == expected
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
@@ -433,6 +456,35 @@ class TestIntervalEvaluation:
         for n, box in boxes:
             assert box.contains_fraction(mus[n]), n
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _method_and_gamma(),
+        st.one_of(
+            st.tuples(st.integers(1, 80), st.sampled_from([5, 30, 64, 200])),
+            st.tuples(st.integers(1, 400), st.sampled_from([5, 30, 64])),
+        ),
+    )
+    @example((catalog("bdf4"), F(4866, 10000)), (1500, 600))  # the cut moves many times
+    @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), (300, 30))
+    def test_rational_products_match_the_generic_path(self, case, run):
+        # at a rational gamma the kernel forms each sum from the exact
+        # coefficients N_j / E; on the same gamma as an interval it takes the
+        # plain products.  Both build the same coefficient balls, so every
+        # (n, x, r, S) must agree bit for bit, with E < 0 (the second
+        # example: 1 + gamma*b0 = -1) as with E > 0.
+        m, g = case
+        n_max, digits = run
+        iv = IntervalScalar.from_fraction(g, digits)
+        try:
+            P, rational = recursion._mu_balls(m, g, n_max, digits)
+        except ArithmeticDomainError:
+            with pytest.raises(ArithmeticDomainError):
+                recursion._mu_balls(m, iv, n_max, digits)
+            return
+        P_generic, generic = recursion._mu_balls(m, iv, n_max, digits)
+        assert P == P_generic
+        assert list(rational) == list(generic)
+
     def test_ball_signs_match_exact_signs(self):
         # the remark's miniature: 3000 terms of bdf4 just above its optimum,
         # where 1800 digits decide every sign and 1500 do not
@@ -460,6 +512,13 @@ class TestIntervalEvaluation:
         assert run.unknown == [n for n, box in boxes if box.sign() is Sign.UNKNOWN]
         assert (len(run.negative), len(run.unknown)) == (n_negative, n_unknown)
         assert run.first_negative == run.negative[0]
+
+    @pytest.mark.parametrize("digits, n_unknown", [(1000, 1218), (600, 1932), (200, 2644)])
+    def test_unresolved_counts_on_the_remark(self, digits, n_unknown):
+        # between the trimmed runs above and the 50-digit one below, no
+        # negative is resolved; the counts pin how fast the radius grows
+        run = run_mu_signs(catalog("bdf4"), F(4866, 10000), 3000, digits)
+        assert (run.negative, len(run.unknown)) == ([], n_unknown)
 
     def test_radius_swallowing_every_bit(self):
         # at 50 digits the radius outgrows the midpoints early: the useful

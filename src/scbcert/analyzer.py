@@ -9,8 +9,10 @@ interval negative witness, a stability violation, or a strictly dominant
 complex conjugate pair with nonzero coefficient (which forces infinitely
 many negative terms).  gamma_sup brackets the optimal coefficient between a
 certified feasible and a certified infeasible rational, bisecting to the
-requested tolerance; double-precision guesses steer the bisection, and
-only the two endpoints it reports are certified.
+requested tolerance; double-precision guesses steer the bracket search and
+the bisection, and check_scb certifies the steps they leave open, the
+infeasible points of the halving that looks for a feasible one, and the
+endpoints reported.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 from . import poly, published, recursion
 from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, IntervalScalar, precision_ladder
 from .methods import Method, char_poly_mu, generating_polys, n0, validate
-from .poly import EnclosureError, RealRootEnclosure
+from .poly import EnclosureError
 from .recursion import (
     ClosedForm,
     MultipleRootError,
@@ -668,16 +670,18 @@ def gamma_sup(
     feasibility these bracket the supremum.  Unbounded and none-positive
     outcomes are reported through their own mechanisms.
 
-    The bracket search certifies every point.  The bisection after it is
-    steered by ``_guess_feasible``, an uncertified double-precision guess;
-    check_scb decides only the steps the guess leaves open and then the two
-    endpoints reported.  That is sound by the same downward inheritance: a
-    guess "feasible" at mid moved lo to mid, so a certified feasible final
-    lo >= mid proves mid feasible, and alike for hi.  Once both endpoints
-    certify, every guess agreed with check_scb, so the path and the report
-    are those of a fully certified bisection.  When either endpoint fails
-    to certify, the bisection is rerun from the certified bracket with
-    check_scb at every step.
+    One search finds the bracket from gamma = 1 (doubling while feasible,
+    halving while not) and bisects it to tol.  It is steered by
+    ``_guess_feasible``, an uncertified double-precision guess; check_scb
+    decides the steps the guess leaves open, every infeasible step of the
+    halving before a feasible point is known (the none-positive proof needs
+    that verdict's witness), and then the endpoints reported: lo and hi, or
+    lo = UNBOUNDED_CAP alone.  That is sound by downward inheritance: a
+    guess "feasible" at g moved lo to g, so a certified feasible final
+    lo >= g proves g feasible, and alike for hi.  Once the endpoints
+    certify, every guess agreed with check_scb, so the ladder, the path and
+    the report are those of a fully certified search.  When a certificate
+    contradicts a guess, the search is rerun with check_scb at every step.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -705,113 +709,104 @@ def gamma_sup(
             )
         return v
 
-    def none_positive(v: ScbVerdict) -> Optional[GammaSupResult]:
-        proof = _certify_none_positive(m, v)
-        if proof is None:
+    steps = {"guessed": 0, "certified": 0}
+
+    def search(guess: Callable[[Fraction], Optional[bool]]) -> Optional[GammaSupResult]:
+        """The bracket search and the bisection to tol, each step decided by
+        the guess or, where it gives none, by check_scb; None when a
+        certificate contradicts a guess.  A step the guess decides keeps no
+        verdict."""
+        ladder: List[Fraction] = []
+        lo: Optional[Fraction] = None
+        hi: Optional[Fraction] = None
+        cert_lo: Optional[ScbVerdict] = None
+        cert_hi: Optional[ScbVerdict] = None
+        g = Fraction(1)
+        while lo is None or hi is None or hi - lo > tol:
+            bisecting = lo is not None and hi is not None
+            if bisecting:
+                g = (lo + hi) / 2
+            v = None
+            feasible = guess(g)
+            # the halving's infeasible points are certified: the
+            # none-positive proof needs their witnesses
+            if feasible is None or (lo is None and not feasible):
+                v = feas(g)
+                if feasible is not None and feasible != (v.status is Feasibility.FEASIBLE):
+                    return None
+                feasible = v.status is Feasibility.FEASIBLE
+            if bisecting:
+                steps["guessed" if v is None else "certified"] += 1
+            if feasible:
+                lo, cert_lo = g, v
+                if hi is None:
+                    ladder.append(g)
+                    g *= 2
+                    if g > UNBOUNDED_CAP:
+                        cert_lo = cert_lo or verdict_at(lo)
+                        if cert_lo.status is not Feasibility.FEASIBLE:
+                            return None
+                        return GammaSupResult(
+                            method_name=m.name,
+                            mechanism=Mechanism.UNBOUNDED,
+                            lo=lo,
+                            cert_lo=cert_lo,
+                            ladder=tuple(ladder),
+                            tol=tol,
+                        )
+            else:
+                hi, cert_hi = g, v
+                if lo is None:
+                    proof = _certify_none_positive(m, v)
+                    if proof is not None:
+                        return GammaSupResult(
+                            method_name=m.name,
+                            mechanism=Mechanism.NONE_POSITIVE,
+                            none_positive=proof,
+                            cert_hi=v,
+                            tol=tol,
+                        )
+                    g /= 2
+                    if g < EPS_MIN:
+                        raise AnalyzerError(
+                            "no feasible gamma found above {} and no none-positive "
+                            "proof".format(EPS_MIN)
+                        )
+        cert_lo = cert_lo or verdict_at(lo)
+        cert_hi = cert_hi or verdict_at(hi)
+        if (cert_lo.status is not Feasibility.FEASIBLE
+                or cert_hi.status is not Feasibility.INFEASIBLE):
             return None
+        ev = cert_hi.evidence
+        simple_root = isinstance(ev, InfeasibleWitness)
         return GammaSupResult(
             method_name=m.name,
-            mechanism=Mechanism.NONE_POSITIVE,
-            none_positive=proof,
-            cert_hi=v,
+            mechanism=Mechanism.SIMPLE_ROOT if simple_root else Mechanism.CROSSOVER,
+            mechanism_index=ev.n if simple_root else None,
+            lo=lo,
+            hi=hi,
+            cert_lo=cert_lo,
+            cert_hi=cert_hi,
             tol=tol,
         )
 
-    # bracket search from gamma = 1: double while feasible, halve while not
-    ladder: List[Fraction] = []
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    g = Fraction(1)
-    while lo is None or hi is None:
-        v = feas(g)
-        if v.status is Feasibility.FEASIBLE:
-            lo, cert_lo = g, v
-            if hi is None:
-                ladder.append(g)
-                g *= 2
-                if g > UNBOUNDED_CAP:
-                    return GammaSupResult(
-                        method_name=m.name,
-                        mechanism=Mechanism.UNBOUNDED,
-                        lo=lo,
-                        cert_lo=cert_lo,
-                        ladder=tuple(ladder),
-                        tol=tol,
-                    )
-        else:
-            hi, cert_hi = g, v
-            if lo is None:
-                result = none_positive(v)
-                if result is not None:
-                    return result
-                g /= 2
-                if g < EPS_MIN:
-                    raise AnalyzerError(
-                        "no feasible gamma found above {} and no none-positive proof".format(
-                            EPS_MIN
-                        )
-                    )
-
-    steps = {"guessed": 0, "certified": 0}
-
-    def bisect(
-        lo: Fraction, cert_lo: Optional[ScbVerdict], hi: Fraction, cert_hi: Optional[ScbVerdict],
-        guess: Callable[[Fraction], Optional[bool]],
-    ) -> Tuple[Fraction, Optional[ScbVerdict], Fraction, Optional[ScbVerdict]]:
-        """Bisect to tol; a step the guess decides keeps no verdict."""
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            v = None
-            feasible = guess(mid)
-            if feasible is None:
-                v = feas(mid)
-                feasible = v.status is Feasibility.FEASIBLE
-                steps["certified"] += 1
-            else:
-                steps["guessed"] += 1
-            if feasible:
-                lo, cert_lo = mid, v
-            else:
-                hi, cert_hi = mid, v
-        return lo, cert_lo, hi, cert_hi
-
-    bracket = (lo, cert_lo, hi, cert_hi)
-    lo, cert_lo, hi, cert_hi = bisect(*bracket, lambda g: _guess_feasible(m, g, opts.horizon))
-    if cert_lo is None:
-        cert_lo = verdict_at(lo)
-    if cert_hi is None:
-        cert_hi = verdict_at(hi)
-    if cert_lo.status is not Feasibility.FEASIBLE or cert_hi.status is not Feasibility.INFEASIBLE:
-        # some guess was wrong: the fully certified bisection
-        lo, cert_lo, hi, cert_hi = bisect(*bracket, lambda g: None)
-
-    mechanism = Mechanism.CROSSOVER
-    mech_index: Optional[int] = None
-    ev = cert_hi.evidence
-    if isinstance(ev, InfeasibleWitness):
-        mechanism = Mechanism.SIMPLE_ROOT
-        mech_index = ev.n
-    result = GammaSupResult(
-        method_name=m.name,
-        mechanism=mechanism,
-        mechanism_index=mech_index,
-        lo=lo,
-        hi=hi,
-        cert_lo=cert_lo,
-        cert_hi=cert_hi,
-        tol=tol,
-        guessed_steps=steps["guessed"],
-        certified_steps=steps["certified"],
-    )
+    result = search(lambda g: _guess_feasible(m, g, opts.horizon))
+    if result is None:
+        # some guess was wrong: the fully certified search
+        result = search(lambda g: None)
+    result.guessed_steps = steps["guessed"]
+    result.certified_steps = steps["certified"]
+    if result.hi is None:
+        return result  # UNBOUNDED or NONE_POSITIVE
     if m.name in published.GAMMA_SUP_POLYS:
         entry = published.GAMMA_SUP_POLYS[m.name]
-        outcome = verify_against_poly(result, entry["poly"], entry["selector"])
-        result.poly_check = outcome
+        result.poly_check = verify_against_poly(result, entry["poly"], entry["selector"])
     if opts.compute_crossover:
         # from lo: where the optimum is the crossover, the pair already
         # dominates at hi
-        result.crossover_bound = crossover(m, lo, max(2 * hi, hi + 1), tol=CROSSOVER_TOL,
-                                           digits=opts.digits, digits_cap=opts.digits_cap)
+        result.crossover_bound = crossover(m, result.lo, max(2 * result.hi, result.hi + 1),
+                                           tol=CROSSOVER_TOL, digits=opts.digits,
+                                           digits_cap=opts.digits_cap)
     return result
 
 
@@ -820,50 +815,32 @@ def gamma_sup(
 # ---------------------------------------------------------------------------
 
 
-def _root_in_closed_interval(
-    enc: RealRootEnclosure, lo: Fraction, hi: Fraction
-) -> bool:
-    """Exact membership test of an isolated root in [lo, hi]."""
-    cur = enc
-    p = list(enc.poly)
-    for endpoint in (lo, hi):
-        if poly.sign_at_fraction(p, endpoint) == 0 and cur.contains(endpoint):
-            return True  # the isolated root is the endpoint itself
-    while True:
-        if lo <= cur.lo and cur.hi <= hi:
-            return True
-        if cur.hi < lo or cur.lo > hi:
-            return False
-        cur = poly.refine(cur, cur.width() / 4)
+# the number of distinct real roots a selector asks p to have; None: any
+_SELECTOR_ROOTS = {"unique": 1, "smaller": 2, "smallest": None}
 
 
 def verify_against_poly(
     result: GammaSupResult, p: Sequence[int], selector: str = "smallest"
 ) -> str:
     """'confirmed' when the designated real root of p lies in the enclosure
-    and is the only root of p there; 'refuted' otherwise."""
+    and is the only root of p there; 'refuted' otherwise.
+
+    Every selector designates the smallest real root: "unique" when it is
+    the only one, "smaller" when there is exactly one other.  It lies in
+    [lo, hi] and is the only root there exactly when no root lies below lo
+    and one lies in [lo, hi]; three Sturm counts on one chain decide that
+    and the total.
+    """
     if result.lo is None or result.hi is None:
         raise AnalyzerError("result has no finite enclosure")
-    lo, hi = result.lo, result.hi
-    p = poly.strip(list(p))
-    encs = poly.isolate_real_roots(p)
-    if selector == "unique":
-        if len(encs) != 1:
-            return "refuted"
-        chosen = encs[0]
-    elif selector == "smaller":
-        if len(encs) != 2:
-            return "refuted"
-        chosen = encs[0]
-    elif selector == "smallest":
-        if not encs:
-            return "refuted"
-        chosen = encs[0]
-    else:
+    if selector not in _SELECTOR_ROOTS:
         raise AnalyzerError("unknown root selector {!r}".format(selector))
-    if not _root_in_closed_interval(chosen, lo, hi):
+    lo, hi = result.lo, result.hi
+    chain = poly.sturm_chain(p)
+    at_lo = poly.sign_at_fraction(p, lo) == 0
+    below = poly.count_real_roots(p, None, lo, chain) - at_lo
+    inside = poly.count_real_roots(p, lo, hi, chain) + at_lo
+    total = _SELECTOR_ROOTS[selector]
+    if total is not None and poly.count_real_roots(p, chain=chain) != total:
         return "refuted"
-    inside = poly.count_real_roots(p, lo, hi)
-    if poly.sign_at_fraction(p, lo) == 0:
-        inside += 1
-    return "confirmed" if inside == 1 else "refuted"
+    return "confirmed" if below == 0 and inside == 1 else "refuted"

@@ -275,8 +275,30 @@ def _variations(signs: Iterable[int]) -> int:
     return v
 
 
+def _sign_right_of(a: Sequence[int], x: Fraction) -> int:
+    """Sign of an integer polynomial just right of x: the sign at x of its
+    first derivative that does not vanish there."""
+    a = strip(a)
+    while not is_zero(a):
+        s = sign_at_fraction(a, x)
+        if s:
+            return s
+        a = derivative(a)
+    return 0
+
+
 def sturm_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    return _variations(sign_at_fraction(p, x) for p in chain)
+    """Sign variations of a Sturm chain at x.
+
+    Every term of a generalized chain is a multiple of its last, the gcd of
+    p and p'; at a multiple root x of p all of them vanish, so the signs
+    just right of x count instead.  Elsewhere the two counts agree, and
+    count_real_roots stays the number of roots in (lo, hi] for any
+    endpoints."""
+    signs = [sign_at_fraction(p, x) for p in chain]
+    if signs and signs[-1] == 0:
+        signs = [_sign_right_of(p, x) for p in chain]
+    return _variations(signs)
 
 
 def sturm_variations_inf(chain: Sequence[Sequence[int]], positive: bool) -> int:

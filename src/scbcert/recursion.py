@@ -168,10 +168,25 @@ def _lowest_terms(M: int, d: int, E: int) -> Tuple[int, int]:
 
 def _reduced_values(E: int, nums: Iterator[int], n_max: int) -> Iterator[Tuple[int, int]]:
     """mu_0..mu_{n_max} as lowest-terms pairs of M_n / E^(n+1), with a
-    running power of E."""
+    running power of E.
+
+    Once gcd(M_1, E) = 1, every later pair is already in lowest terms and
+    only its sign is normalised.  Proof: let p be a prime dividing E.  In
+    the recurrence of _scaled_numerators, F_n*E^n and C_j*E^(j-1)*M_(n-j)
+    vanish mod p for n >= 1 and j >= 2, so M_n = C_1*M_(n-1) (mod p), and
+    M_0 = F_0.  Hence M_n = C_1^n * F_0 (mod p) for all n.  p does not
+    divide M_1 = C_1*F_0 (mod p), so it divides neither C_1 nor F_0, and
+    so no M_n.  The denominator E^(n+1) has no other primes, so
+    gcd(M_n, E^(n+1)) = 1.
+    """
     den = E
-    for M in itertools.islice(nums, n_max + 1):
-        yield _lowest_terms(M, den, E)
+    coprime = False
+    for n, M in enumerate(itertools.islice(nums, n_max + 1)):
+        if coprime:
+            yield (M, den) if den > 0 else (-M, -den)
+        else:
+            yield _lowest_terms(M, den, E)
+            coprime = n == 1 and math.gcd(M, E) == 1
         den *= E
 
 

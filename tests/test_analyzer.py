@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scbcert import analyzer, arith, methods, poly, published, recursion
 from scbcert.analyzer import (
@@ -373,10 +375,12 @@ class TestGammaSup:
         assert counts["rungs"] == counts["closed_form"]
         assert counts["newton_certify"] == counts["newton_root"]
         # guesses decide 26 of the 28 bisection steps: check_scb runs at the
-        # two bracket points, the two open steps and one endpoint
+        # two infeasible halving points 1 and 1/2 and at the two open steps,
+        # which are the reported endpoints; the feasible bracket point 1/4 is
+        # guessed
         assert (r.guessed_steps, r.certified_steps) == (26, 2)
         assert dict(counts) == {
-            "check_scb": 5, "closed_form": 4, "rungs": 4, "newton_root": 12, "newton_certify": 12,
+            "check_scb": 4, "closed_form": 3, "rungs": 3, "newton_root": 9, "newton_certify": 9,
         }
 
 
@@ -399,16 +403,25 @@ class TestGuidedBisection:
         # no fallback: each step is decided once
         assert guided.guessed_steps + guided.certified_steps == certified.certified_steps
 
-    @pytest.mark.parametrize("name", ["bdf4", "ab3", "bdf3"])
-    def test_lying_guess_falls_back(self, name, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, at",
+        [
+            ("bdf4", None), ("ab3", None), ("bdf3", None),
+            ("ab4", None),  # at 1: the halving that ends in NONE_POSITIVE
+            ("bdf6", F(1, 8)),  # the bracket's feasible point
+            ("bdf1", analyzer.UNBOUNDED_CAP),  # the top of the doubling ladder
+        ],
+        ids=["bdf4", "ab3", "bdf3", "ab4", "bdf6-at-eighth", "bdf1-at-cap"],
+    )
+    def test_lying_guess_falls_back(self, name, at, monkeypatch):
+        # the first guess given, or the one at gamma = at, is flipped
         honest = gamma_sup(catalog(name), F(1, 10**9))
-        assert honest.guessed_steps > 0
         real_guess = analyzer._guess_feasible
         flipped = []
 
         def lying(m, gamma, horizon):
             guess = real_guess(m, gamma, horizon)
-            if guess is not None and not flipped:
+            if guess is not None and not flipped and at in (None, gamma):
                 flipped.append(gamma)
                 return not guess
             return guess
@@ -417,10 +430,31 @@ class TestGuidedBisection:
         r = gamma_sup(catalog(name), F(1, 10**9))
         assert flipped
         assert r == honest and repr(r) == repr(honest)
-        # the fallback rerun certified every bisection step once more
-        steps = honest.guessed_steps + honest.certified_steps
-        assert r.certified_steps >= steps
-        assert r.cert_lo.gamma == r.lo and r.cert_hi.gamma == r.hi
+        if honest.hi is not None:  # a bisected bracket
+            assert honest.guessed_steps > 0
+            # the fallback rerun certified every bisection step once more
+            steps = honest.guessed_steps + honest.certified_steps
+            assert r.certified_steps >= steps
+            assert r.cert_lo.gamma == r.lo and r.cert_hi.gamma == r.hi
+
+    def test_bdf1_certifies_only_the_cap(self, monkeypatch):
+        # every rung of the doubling ladder is guessed feasible; only
+        # lo = UNBOUNDED_CAP is certified, and the report is the unguided one
+        calls = []
+        real_check = analyzer.check_scb
+
+        def spy(m, gamma, *args):
+            calls.append(gamma)
+            return real_check(m, gamma, *args)
+
+        monkeypatch.setattr(analyzer, "check_scb", spy)
+        guided = gamma_sup(catalog("bdf1"), F(1, 10**9))
+        assert calls == [analyzer.UNBOUNDED_CAP]
+        _unguided(monkeypatch)
+        certified = gamma_sup(catalog("bdf1"), F(1, 10**9))
+        assert len(calls) == 1 + 21
+        assert guided == certified and repr(guided) == repr(certified)
+        assert guided.ladder == certified.ladder == tuple(F(2**i) for i in range(21))
 
     def test_near_double_root_is_left_to_check_scb(self, monkeypatch):
         # chi = (z - 7/10)(z - 7/10 - 10^-11) at gamma = 1: doubles see a
@@ -481,3 +515,77 @@ class TestVerifyAgainstPoly:
             verify_against_poly(r, published.GAMMA_SUP_POLYS["bdf3"]["poly"], "unique")
             == "refuted"
         )
+
+
+_root = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def _poly_and_bracket(draw):
+    """An integer polynomial with chosen rational roots, one of them possibly
+    repeated, times x^2 + c with c > 0; and a bracket [lo, hi] whose
+    endpoints may be roots."""
+    roots = draw(st.lists(_root, max_size=4))
+    if roots and draw(st.booleans()):
+        roots += [draw(st.sampled_from(roots))] * draw(st.integers(1, 2))
+    c = draw(st.builds(F, st.integers(1, 20), st.integers(1, 6)))
+    sign = draw(st.sampled_from([1, -1]))
+    p = [sign * c.denominator, 0, sign * c.numerator]
+    for r in roots:
+        p = poly.mul(p, [r.denominator, -r.numerator])
+    lo = draw(st.sampled_from(roots + [draw(_root)]))
+    above = [r for r in roots if r > lo]
+    if above and draw(st.booleans()):
+        hi = draw(st.sampled_from(above))
+    else:
+        hi = lo + draw(st.builds(F, st.integers(1, 24), st.integers(1, 6)))
+    return p, lo, hi
+
+
+def _isolation_verdict(p, lo, hi, selector):
+    """verify_against_poly by isolating every real root: the smallest one is
+    designated, and each root is placed inside or outside [lo, hi]."""
+    encs = poly.isolate_real_roots(p)
+    wanted = {"unique": 1, "smaller": 2, "smallest": len(encs)}[selector]
+    if not encs or len(encs) != wanted:
+        return "refuted"
+
+    def in_closed(enc):
+        if any(poly.sign_at_fraction(list(enc.poly), x) == 0 and enc.contains(x) for x in (lo, hi)):
+            return True  # the isolated root is the endpoint itself
+        while True:
+            if lo <= enc.lo and enc.hi <= hi:
+                return True
+            if enc.hi <= lo or enc.lo >= hi:
+                return False
+            enc = poly.refine(enc, enc.width() / 4)
+
+    inside = [i for i, enc in enumerate(encs) if in_closed(enc)]
+    return "confirmed" if inside == [0] else "refuted"
+
+
+class TestVerifyAgainstPolyCounts:
+    """verify_against_poly's three Sturm counts give the verdict of isolating
+    every real root."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_poly_and_bracket())
+    @example(([1, -5, 7, -3], F(1), F(2)))  # (x - 1)^2 (x - 3), lo the double root
+    @example(([1, -5, 7, -3], F(0), F(1)))  # hi the double root
+    @example(([1, 0, 1], F(-1), F(1)))  # no real root
+    def test_equals_isolation(self, case):
+        p, lo, hi = case
+        r = analyzer.GammaSupResult("poly", Mechanism.CROSSOVER, lo=lo, hi=hi)
+        for selector in ("unique", "smaller", "smallest"):
+            assert verify_against_poly(r, p, selector) == _isolation_verdict(p, lo, hi, selector)
+
+    def test_double_root_at_lo_confirmed(self):
+        # every Sturm term vanishes at a double root: the counts there use
+        # the signs just right of it
+        r = analyzer.GammaSupResult("poly", Mechanism.CROSSOVER, lo=F(1), hi=F(2))
+        p = [1, -5, 7, -3]  # (x - 1)^2 (x - 3)
+        assert poly.count_real_roots(p, F(1), F(2)) == 0
+        assert poly.count_real_roots(p, F(0), F(1)) == 1
+        assert verify_against_poly(r, p, "smaller") == "confirmed"
+        assert verify_against_poly(r, p, "smallest") == "confirmed"
+        assert verify_against_poly(r, p, "unique") == "refuted"

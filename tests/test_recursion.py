@@ -301,6 +301,10 @@ class TestMuSweep:
     @example((Method(1, (F(1),), (F(-1), F(2))), F(2)), 12)  # E = -1
     @example((catalog("ab1"), F(1)), 8)  # E = 1, mu_n = 0 for n >= 2
     @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), 30)  # E < 0
+    # gcd(M_1, E) is 1 at 0, 4 at 1/2 and 2 at 9/14: values are reduced
+    # after n = 1 only where it exceeds 1
+    @example((catalog("bdf2"), F(1, 2)), 30)
+    @example((catalog("ab2"), F(1)), 30)  # M_0 = 0, so gcd(M_1, E) = E
     def test_equals_fraction_recursion(self, case, n_max):
         m, g = case
         grid = [F(0), g, g + F(1, 7)]

@@ -188,12 +188,6 @@ class GammaSupResult:
     guessed_steps: int = field(default=0, compare=False, repr=False)
     certified_steps: int = field(default=0, compare=False, repr=False)
 
-    @property
-    def enclosure(self) -> Optional[Tuple[Fraction, Fraction]]:
-        if self.lo is None or self.hi is None:
-            return None
-        return (self.lo, self.hi)
-
 
 # ---------------------------------------------------------------------------
 # stability-region interior membership
@@ -291,7 +285,10 @@ def check_scb(
     if gamma <= 0:
         raise AnalyzerError("gamma must be positive")
     horizon = _scan_horizon(m, horizon)
-    digits_used = digits
+    # the ladder starts at 64 digits at most; digits_used is the highest
+    # rung run so far, or this first one before any runs
+    start = min(digits, 64, digits_cap)
+    digits_used = start
 
     def verdict(status: Feasibility, evidence: Evidence) -> ScbVerdict:
         return ScbVerdict(status, m.name, gamma, evidence, horizon, digits_used)
@@ -299,6 +296,24 @@ def check_scb(
     def exact_witness(n: int) -> ScbVerdict:
         return verdict(
             Feasibility.INFEASIBLE, InfeasibleWitness(n, str(eval_mu(m, gamma, n)), True)
+        )
+
+    def exact_feasible(
+        window_start: int, form: Optional[RationalExponentialForm] = None
+    ) -> ScbVerdict:
+        """FEASIBLE from an exact form valid for n >= window_start: mu is
+        identically zero there (order 0) or a nonnegative exponential
+        polynomial (form).  The terms before window_start are scanned
+        exactly, since the prefix scan may stop short of it; a negative one
+        is the witness instead."""
+        upto = max(prefix_n, window_start)
+        signs = mu_signs(m, gamma, upto)
+        neg = _first_negative(signs)
+        if neg is not None:
+            return exact_witness(neg)
+        checked = upto if form is None else max(upto, horizon)
+        return verdict(
+            Feasibility.FEASIBLE, FeasibleCert(checked, _zero_indices(signs), None, form)
         )
 
     def scanned_witness() -> Optional[ScbVerdict]:
@@ -327,16 +342,9 @@ def check_scb(
         return exact_witness(neg)
 
     try:
-        for dig, cf in _closed_forms(m, gamma, min(digits, 64), digits_cap):
-            digits_used = max(digits_used, dig)
+        for digits_used, cf in _closed_forms(m, gamma, start, digits_cap):
             if cf.order == 0:
-                # identically zero beyond the window; the exact prefix was clean
-                return verdict(
-                    Feasibility.FEASIBLE,
-                    FeasibleCert(
-                        max(prefix_n, cf.window_start), _zero_indices(signs), None, None
-                    ),
-                )
+                return exact_feasible(cf.window_start)
             di = cf.dominant_index()
             if di is None:
                 continue
@@ -360,7 +368,7 @@ def check_scb(
                     return exact_witness(neg)
             # interval consistency pass over the requested horizon
             if horizon > tc.n_start:
-                run = run_mu_signs(m, gamma, horizon, dig)
+                run = run_mu_signs(m, gamma, horizon, digits_used)
                 if run.negative:
                     raise AnalyzerError(
                         "soundness violation: certified tail contradicts a "
@@ -375,21 +383,13 @@ def check_scb(
                 Feasibility.FEASIBLE, FeasibleCert(max(n_check, horizon), zeros, tc, None)
             )
         else:
-            digits_used = max(digits_used, digits_cap)  # the last rung is the cap
+            digits_used = digits_cap  # the last rung is the cap
     except MultipleRootError:
         # raised at the first rung, since the test is exact: no closed form
         # at any precision, but all roots may be rational
         form = rational_closed_form(m, gamma)
         if form is not None and form.all_terms_nonnegative():
-            upto = max(prefix_n, form.window_start)
-            signs = mu_signs(m, gamma, upto)
-            neg = _first_negative(signs)
-            if neg is not None:
-                return exact_witness(neg)
-            return verdict(
-                Feasibility.FEASIBLE,
-                FeasibleCert(max(upto, horizon), _zero_indices(signs), None, form),
-            )
+            return exact_feasible(form.window_start, form)
 
     # fallback: exact witness scan over the horizon
     return scanned_witness() or verdict(

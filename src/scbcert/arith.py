@@ -13,7 +13,6 @@ ceil(digits * log2(10)); binary endpoints keep certificates bit-reproducible.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -52,12 +51,6 @@ _LOG2_10_DEN = 10**7
 
 class ArithmeticDomainError(ZeroDivisionError):
     """Raised for undefined interval operations (e.g. division through 0)."""
-
-
-class Sign(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    UNKNOWN = "unknown"
 
 
 def digits_to_bits(digits: int) -> int:
@@ -197,13 +190,6 @@ class IntervalScalar:
 
     def contains_zero(self) -> bool:
         return mpf_cmp(self.lo, fzero) <= 0 and mpf_cmp(self.hi, fzero) >= 0
-
-    def sign(self) -> Sign:
-        if mpf_cmp(self.lo, fzero) > 0:
-            return Sign.POSITIVE
-        if mpf_cmp(self.hi, fzero) < 0:
-            return Sign.NEGATIVE
-        return Sign.UNKNOWN
 
     def __repr__(self) -> str:
         d = min(self.digits, 17)
@@ -459,17 +445,11 @@ class ComplexBox:
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
 
-    def contains_point(self, re: RationalLike, im: RationalLike = 0) -> bool:
-        return self.re.contains_fraction(re) and self.im.contains_fraction(im)
-
     def strictly_inside(self, other: "ComplexBox") -> bool:
         return self.re.strictly_inside(other.re) and self.im.strictly_inside(other.im)
 
     def intersects(self, other: "ComplexBox") -> bool:
         return self.re.intersects(other.re) and self.im.intersects(other.im)
-
-    def is_real_line(self) -> bool:
-        return self.im.lo == fzero and self.im.hi == fzero
 
     def width_fraction(self) -> Fraction:
         return max(self.re.width_fraction(), self.im.width_fraction())

@@ -174,15 +174,19 @@ def _positive_int(text: str) -> int:
 
 
 def _precision_cap(args) -> int:
+    """The escalation cap: --precision-cap, else the environment, else the
+    default; a starting --precision above it is a usage error."""
     if args.precision_cap is not None:
-        return args.precision_cap
-    env = os.environ.get(PRECISION_CAP_ENV)
-    if not env:
-        return analyzer.DEFAULT_DIGITS_CAP
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError("{}: {}".format(PRECISION_CAP_ENV, exc)) from exc
+        cap = args.precision_cap
+    else:
+        env = os.environ.get(PRECISION_CAP_ENV)
+        try:
+            cap = _positive_int(env) if env else analyzer.DEFAULT_DIGITS_CAP
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError("{}: {}".format(PRECISION_CAP_ENV, exc)) from exc
+    if args.precision > cap:
+        raise UsageError("--precision {} exceeds the precision cap {}".format(args.precision, cap))
+    return cap
 
 
 def _load_method(args) -> methods.Method:

@@ -3,11 +3,10 @@
 Coefficient lists are kept in descending degree order throughout.  Where an
 exact real root is the answer, it is isolated with signed subresultant
 (Sturm) chains over the integers and refined by exact rational bisection.
-All roots of a real polynomial with exact or interval coefficients, real and
-complex alike, are enclosed by one engine, ``enclose_roots``:
-double-precision Durand-Kerner seeds, polished by ``mpmath.polyroots`` at
-the working precision, then rigorously certified and refined with the
-interval Newton operator.
+All roots of an integer polynomial, real and complex alike, are enclosed by
+one engine, ``enclose_roots``: double-precision Durand-Kerner seeds,
+polished by ``mpmath.polyroots`` at the working precision, then rigorously
+certified and refined with the interval Newton operator.
 Root location relative to the unit circle is decided exactly by one
 mechanism, the Schur-Cohn reduction over the integers: membership of the open
 unit disk directly, and membership of the circle itself through the gcd with
@@ -276,7 +275,7 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _sign_right_of(a: Sequence[int], x: Fraction) -> int:
-    """Sign of an integer polynomial just right of x: the sign at x of its
+    """The sign of an integer polynomial just right of x: the sign at x of its
     first derivative that does not vanish there."""
     a = strip(a)
     while not is_zero(a):
@@ -288,7 +287,7 @@ def _sign_right_of(a: Sequence[int], x: Fraction) -> int:
 
 
 def sturm_variations_at(chain: Sequence[Sequence[int]], x: Fraction) -> int:
-    """Sign variations of a Sturm chain at x.
+    """The sign variations of a Sturm chain at x.
 
     Every term of a generalized chain is a multiple of its last, the gcd of
     p and p'; at a multiple root x of p all of them vanish, so the signs
@@ -511,9 +510,6 @@ class RealRootEnclosure:
     def refined(self, width: Fraction) -> "RealRootEnclosure":
         return refine(self, width)
 
-    def interval(self, digits: int) -> IntervalScalar:
-        return IntervalScalar.from_fractions(self.lo, self.hi, digits)
-
 
 def refine(enc: RealRootEnclosure, width: Fraction) -> RealRootEnclosure:
     """Shrink an isolating interval below ``width`` by exact sign bisection."""
@@ -676,8 +672,8 @@ def newton_certify(
     """Interval Newton test around an approximate root.
 
     Success certifies that the returned box (a strict subset of the trial
-    box) contains exactly one root of every polynomial in the coefficient
-    family.
+    box) contains exactly one root of every polynomial whose coefficients
+    lie in the coefficient boxes.
     """
     Z = ComplexBox(
         IntervalScalar.from_fractions(z_re - radius, z_re + radius, digits),
@@ -852,9 +848,9 @@ def _pairwise_disjoint(boxes: Sequence[ComplexBox]) -> bool:
 
 
 def enclose_roots(
-    coeffs: Sequence[IntervalScalar], width: Fraction, digits: int
+    p: Sequence[int], width: Fraction, digits: int
 ) -> List[Tuple[ComplexBox, bool]]:
-    """Certified root classes of a real polynomial with interval coefficients,
+    """Certified root classes of a real integer polynomial p (descending),
     at the one working precision given: (box, False) for each real root and
     (box, True) for the upper member of each conjugate pair.
 
@@ -863,26 +859,24 @@ def enclose_roots(
     at 10 digits above the working precision.  Interval Newton then
     certifies a box around each.
 
-    Each box has width <= width and holds exactly one root of every
-    polynomial in the coefficient family.  Past HUGE_ROOT_BOUND the width
-    is relative: it is multiplied by the 2^e of ``_approx_roots``' scaling,
-    about the largest root modulus, since an absolute width there can be
-    finer than the working precision reaches.  Completeness holds because the
-    boxes, conjugates included, are pairwise disjoint and their count is the
-    degree.  Raises EnclosureError when certification fails at this
-    precision.
+    Each box has width <= width and holds exactly one root of p.  Past
+    HUGE_ROOT_BOUND the width is relative: it is multiplied by the 2^e of
+    ``_approx_roots``' scaling, about the largest root modulus, since an
+    absolute width there can be finer than the working precision reaches.
+    Completeness holds because the boxes, conjugates included, are pairwise
+    disjoint and their count is the degree.  Raises EnclosureError when
+    certification fails at this precision.
     """
-    n = len(coeffs) - 1
+    n = len(p) - 1
     if n < 1:
         return []
     failed = "could not certify disjoint root enclosures at {} digits".format(digits)
-    mids = [c.mid_fraction() for c in coeffs]
-    approx = _approx_roots(mids, digits + 10)
-    width *= 2 ** _huge_root_exponent(mids)
+    approx = _approx_roots(p, digits + 10)
+    width *= 2 ** _huge_root_exponent(p)
     if len(approx) != n:
         raise EnclosureError(failed)
     zero = IntervalScalar.exact_int(0, digits)
-    cboxes = [ComplexBox(c, zero) for c in coeffs]
+    cboxes = [ComplexBox(IntervalScalar.exact_int(c, digits), zero) for c in p]
     dboxes = derivative_boxes(cboxes, digits)
     # split the seeds into real ones and upper-half pair ones; midpoint
     # rounding can push real roots slightly off the axis, so classify by

@@ -3,19 +3,18 @@
 The damped sequence (called mu here) resolves the implicit term of the
 one-leg recursion; its gamma=0 specialization (tau) drives the existence
 test.  Both are evaluated exactly, through one integer-scaled recurrence
-whose integer numerators also give the signs, or as containing intervals
-at a chosen working precision.  Closed forms combine certified root
-enclosures of the characteristic polynomial, from the one engine
-``poly.enclose_roots`` (point coefficients at a rational gamma, interval
-coefficients at an algebraic one), with the coefficient of each root read
-off the generating function as a residue, and the tail certificate turns a
+whose integer numerators also give the signs, or as containing integer
+balls at a chosen working precision, whose signs are certified.  Closed
+forms, at a rational gamma only, combine certified root enclosures of the
+integer characteristic polynomial, from the one engine
+``poly.enclose_roots``, with the coefficient of each root read off the
+generating function as a residue, and the tail certificate turns a
 dominant positive real root into a proof of positivity beyond a computed
 index.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from mpmath.libmp import from_man_exp, mpf_neg, round_ceiling, round_floor, to_fixed
+from mpmath.libmp import mpf_neg, to_fixed
 
 from . import poly
 from .arith import (
@@ -34,9 +33,9 @@ from .arith import (
     fraction_str,
 )
 from .methods import Method, char_poly_mu
-from .poly import EnclosureError, RealRootEnclosure
+from .poly import EnclosureError
 
-GammaLike = Union[Fraction, int, RealRootEnclosure, IntervalScalar]
+GammaLike = Union[Fraction, int, IntervalScalar]
 
 # tail_certificate gives up when the residual bound needs more terms than this
 TAIL_SEARCH_CAP = 1 << 14
@@ -112,7 +111,7 @@ def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
 
 
 def _sign(M: int, E: int, n: int) -> int:
-    """Sign of mu_n = M / E^(n+1)."""
+    """The sign of mu_n = M / E^(n+1)."""
     s = (M > 0) - (M < 0)
     return -s if E < 0 and n % 2 == 0 else s
 
@@ -249,8 +248,6 @@ def eval_tau(m: Method, n: int) -> Fraction:
 def _gamma_interval(gamma: GammaLike, digits: int) -> IntervalScalar:
     if isinstance(gamma, IntervalScalar):
         return gamma
-    if isinstance(gamma, RealRootEnclosure):
-        return gamma.interval(digits)
     return IntervalScalar.from_fraction(Fraction(gamma), digits)
 
 
@@ -309,11 +306,48 @@ def _product_form(
 def _mu_balls(
     m: Method, gamma: GammaLike, n_max: int, digits: int
 ) -> Tuple[int, Iterator[Tuple[int, int, int, int]]]:
-    """The integer ball kernel behind eval_mu_interval and run_mu_signs.
+    """The integer ball kernel behind run_mu_signs.
 
     Returns the working precision P in bits and an iterator over (n, x, r,
     S) for n = 1..n_max, with mu_n in [x - r, x + r] * 2^-S for every gamma
-    in the input enclosure.  See eval_mu_interval for the scheme.
+    in the input enclosure.  The recurrence coefficients and inhomogeneous
+    terms are the outward-rounded intervals at ``digits`` (P bits); the
+    recurrence itself runs in midpoint-radius arithmetic on integers,
+    keeping each midpoint only to the bits its radius leaves (Arb's rule).
+
+    The sliding window of k terms holds balls (X_i, R_i) at one shared
+    scale 2^-S, with the invariant that mu_(n-i) lies in
+    [X_i - R_i, X_i + R_i] * 2^-S.  Each coefficient is a ball (C_j, rc_j)
+    at scale 2^-(P - cut).  A term is the exact sum T = sum_j C_j X_(n-j),
+    with radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where
+    |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
+    by P - cut bits (which adds 1 to the radius).
+
+    At a rational gamma the exact coefficients are N_j / E, with the small
+    integers of the exact recurrence (see _scaled_numerators), and the ball
+    around C_j holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut)
+    is an integer with |d_j| <= rc_j*|E|, and
+    E*T = 2^(P - cut) * sum_j N_j X_(n-j) + sum_j d_j X_(n-j)
+    holds exactly.  T is computed that way: 2k small-by-big products, one
+    shift and one exact division by E (of either sign), at linear cost in
+    the length of the window instead of k full products.  T is the same
+    integer either way, so every midpoint, radius and scale, and every
+    sign read off them, is unchanged; only the cost differs.
+
+    After each term the window is rescaled.  Its useful bits are
+    bitlen(max |X_i|) - bitlen(max R_i), and its target length is
+    min(P + 32, useful + BALL_GUARD): the working precision caps it while
+    the radius is small, and past that the radius keeps about BALL_GUARD
+    bits.  The window is shifted left exactly when it is more than 32 bits
+    short of the target, and right, with rounding and 2 added to each
+    radius, when it is more than 64 bits over; an all-zero window is left
+    alone.  The coefficients are rounded from their full P-bit balls to
+    about (useful + BALL_GUARD) bits of their own length: the cut is
+    bitlen(max |C_j|) - useful - BALL_GUARD, clamped to [0, P] and rounded
+    down to a multiple of 32, and a ball (c, rc) becomes
+    (round(c / 2^cut), (rc >> cut) + 2).  Every rounding goes into a
+    radius, so each product costs about the useful length, not P, and a
+    trim moves a radius by about 2^-64 of itself.
     """
     g = _gamma_interval(gamma, digits)
     one = IntervalScalar.exact_int(1, digits)
@@ -388,60 +422,6 @@ def _mu_balls(
     return P, balls()
 
 
-def eval_mu_interval(
-    m: Method, gamma: GammaLike, n_max: int, digits: int
-) -> Iterator[Tuple[int, IntervalScalar]]:
-    """Stream (n, enclosure of mu_n) for n = 1..n_max at fixed precision.
-
-    Every emitted interval contains the exact value for every gamma in the
-    input enclosure.  The recurrence coefficients and inhomogeneous terms
-    are the outward-rounded intervals at ``digits`` (P bits); the recurrence
-    itself runs in midpoint-radius arithmetic on integers, keeping each
-    midpoint only to the bits its radius leaves (Arb's rule).
-
-    The sliding window of k terms holds balls (X_i, R_i) at one shared
-    scale 2^-S, with the invariant that mu_(n-i) lies in
-    [X_i - R_i, X_i + R_i] * 2^-S.  Each coefficient is a ball (C_j, rc_j)
-    at scale 2^-(P - cut).  A term is the exact sum T = sum_j C_j X_(n-j),
-    with radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where
-    |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
-    by P - cut bits (which adds 1 to the radius).
-
-    At a rational gamma the exact coefficients are N_j / E, with the small
-    integers of the exact recurrence (see _scaled_numerators), and the ball
-    around C_j holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut)
-    is an integer with |d_j| <= rc_j*|E|, and
-    E*T = 2^(P - cut) * sum_j N_j X_(n-j) + sum_j d_j X_(n-j)
-    holds exactly.  T is computed that way: 2k small-by-big products, one
-    shift and one exact division by E (of either sign), at linear cost in
-    the length of the window instead of k full products.  T is the same
-    integer either way, so every midpoint, radius and scale, and every
-    sign read off them, is unchanged; only the cost differs.
-
-    After each term the window is rescaled.  Its useful bits are
-    bitlen(max |X_i|) - bitlen(max R_i), and its target length is
-    min(P + 32, useful + BALL_GUARD): the working precision caps it while
-    the radius is small, and past that the radius keeps about BALL_GUARD
-    bits.  The window is shifted left exactly when it is more than 32 bits
-    short of the target, and right, with rounding and 2 added to each
-    radius, when it is more than 64 bits over; an all-zero window is left
-    alone.  The coefficients are rounded from their full P-bit balls to
-    about (useful + BALL_GUARD) bits of their own length: the cut is
-    bitlen(max |C_j|) - useful - BALL_GUARD, clamped to [0, P] and rounded
-    down to a multiple of 32, and a ball (c, rc) becomes
-    (round(c / 2^cut), (rc >> cut) + 2).  Every rounding goes into a
-    radius, so each product costs about the useful length, not P, and a
-    trim moves a radius by about 2^-64 of itself.
-    """
-    P, balls = _mu_balls(m, gamma, n_max, digits)
-    for n, x, r, S in balls:
-        yield n, IntervalScalar(
-            from_man_exp(x - r, -S, P, round_floor),
-            from_man_exp(x + r, -S, P, round_ceiling),
-            P,
-        )
-
-
 def prefix_csv_rows(vals: Sequence[Fraction]) -> List[str]:
     """CSV rows (n, exact value, sign) for an already computed prefix
     vals[0..n_max]; the row for n = 0 is left out."""
@@ -464,8 +444,8 @@ class IntervalRun:
 
 
 def run_mu_signs(m: Method, gamma: GammaLike, n_max: int, digits: int) -> IntervalRun:
-    """Signs of mu_1..mu_n_max read straight off the integer balls; rounding
-    eval_mu_interval's endpoints outward keeps these signs."""
+    """Signs of mu_1..mu_n_max read straight off the integer balls of
+    _mu_balls: negative where x + r < 0, unknown where the ball holds 0."""
     run = IntervalRun(n_max=n_max, digits=digits)
     _P, balls = _mu_balls(m, gamma, n_max, digits)
     for n, x, r, _S in balls:
@@ -534,7 +514,7 @@ class ClosedForm:
     """Certified representation sum_j c_j rho_j^n valid for n >= window_start."""
 
     method: Method
-    gamma: GammaLike
+    gamma: Fraction
     order: int
     window_start: int
     roots: List[RootRecord]
@@ -558,10 +538,6 @@ class ClosedForm:
             out.append(acc)
         return out
 
-    def reconstruct(self, n: int) -> IntervalScalar:
-        """Interval containing the exact sequence value (n >= window_start)."""
-        return self.reconstruct_range(n, n)[0]
-
     def dominant_index(self) -> Optional[int]:
         """Index of the root class certified strictly dominant, if any."""
         mods = [rec.modulus() for rec in self.roots]
@@ -584,16 +560,16 @@ def _n_inhomogeneous(m: Method) -> int:
     return 0
 
 
-def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> ClosedForm:
-    """Certified closed form of mu at gamma (simple characteristic roots), at
-    the one working precision given; gamma = 0 gives tau.
+def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> ClosedForm:
+    """Certified closed form of mu at a rational gamma (simple characteristic
+    roots), at the one working precision given; gamma = 0 gives tau.
 
     The generating function of mu is B(x)/D(x), with B(x) = sum_n b_n x^n and
     D(x) = x^order chi(1/x), where chi is the characteristic polynomial with
     its zero roots stripped and order = deg chi.  So each simple root z has
     the residue coefficient c = z^(order-1) B(1/z) / chi'(z), valid for
     n >= window_start; the reconstruction is then checked against the
-    sequence itself at n = window_start..window_start + 2k, values the
+    exact sequence at n = window_start..window_start + 2k, values the
     formula never used.  The check raises each root to its power once, at
     window_start, and advances it by one product per term
     (``ClosedForm.reconstruct_range``).
@@ -602,65 +578,37 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
     polynomial has a multiple root; raises EnclosureError (or another
     ArithmeticDomainError) if certification fails at this precision.
     """
-    exact_gamma = isinstance(gamma, (Fraction, int))
+    gamma = Fraction(gamma)
     n_b = _n_inhomogeneous(m)
     width = Fraction(1, 10) ** max(8, digits // 2)
-    zero = IntervalScalar.exact_int(0, digits)
     records: List[RootRecord] = []
     coeffs: List[ComplexBox] = []
-    if exact_gamma:
-        gamma = Fraction(gamma)
-        char = char_poly_mu(m, gamma)
-        while len(char) > 1 and char[-1] == 0:
-            char.pop()  # roots at zero do not enter the closed form
-        order = len(char) - 1
-        if order > 0 and poly.discriminant(char) == 0:
-            raise MultipleRootError(
-                "closed form unavailable: multiple characteristic roots; "
-                "use direct evaluation"
-            )
-        # the integer chi, with B scaled alike, keeps binary-exact residues exact
-        chi = poly.to_integer(char)
-        scale = chi[0] / char[0]
-        chi_boxes = poly.coeff_boxes(chi, digits)
-        b_boxes = poly.coeff_boxes([scale * b for b in m.b[: n_b + 1]], digits)
-        if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
-            # 1 is a root (at gamma = 0 by consistency): keep it and its
-            # residue sigma(1)/rho'(1) exact
-            c_one = sum(m.b[: n_b + 1]) / poly.eval_at(poly.derivative(char), Fraction(1))
-            one_box = ComplexBox.from_fractions(1, 0, digits)
-            records.append(RootRecord(one_box, False, exact=Fraction(1)))
-            coeffs.append(ComplexBox.from_fractions(c_one, 0, digits))
-            char = poly.divexact(char, [Fraction(1), Fraction(-1)])
-        root_coeffs = [IntervalScalar.exact_int(c, digits) for c in poly.to_integer(char)]
-    else:
-        # algebraic gamma: interval coefficients from the refined enclosure
-        if not isinstance(gamma, RealRootEnclosure):
-            raise ValueError("algebraic gamma must be a RealRootEnclosure")
-        gamma = gamma.refined(Fraction(1, 10) ** (digits + 10))
-        g = gamma.interval(digits)
-        one = IntervalScalar.exact_int(1, digits)
-        lead = one.add(g.mul(IntervalScalar.from_fraction(m.b0, digits)))
-        root_coeffs = [lead]
-        for j in range(1, m.k + 1):
-            aj = IntervalScalar.from_fraction(m.a[j - 1], digits)
-            bj = IntervalScalar.from_fraction(m.b[j], digits)
-            root_coeffs.append(g.mul(bj).sub(aj))
-        order = len(root_coeffs) - 1
-        chi_boxes = [ComplexBox(c, zero) for c in root_coeffs]
-        b_boxes = poly.coeff_boxes(m.b[: n_b + 1], digits)
-        # multiple-root guard: the discriminant as a function of gamma must
-        # exclude zero on the enclosure
-        disc_poly = char_discriminant_gamma_poly(m)
-        dval = poly.horner_box(poly.coeff_boxes(disc_poly, digits), ComplexBox(g, zero), digits)
-        if dval.re.contains_zero():
-            raise MultipleRootError(
-                "characteristic discriminant not certified nonzero at this gamma"
-            )
+    char = char_poly_mu(m, gamma)
+    while len(char) > 1 and char[-1] == 0:
+        char.pop()  # roots at zero do not enter the closed form
+    order = len(char) - 1
+    if order > 0 and poly.discriminant(char) == 0:
+        raise MultipleRootError(
+            "closed form unavailable: multiple characteristic roots; "
+            "use direct evaluation"
+        )
+    # the integer chi, with B scaled alike, keeps binary-exact residues exact
+    chi = poly.to_integer(char)
+    scale = chi[0] / char[0]
+    chi_boxes = poly.coeff_boxes(chi, digits)
+    b_boxes = poly.coeff_boxes([scale * b for b in m.b[: n_b + 1]], digits)
+    if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
+        # 1 is a root (at gamma = 0 by consistency): keep it and its
+        # residue sigma(1)/rho'(1) exact
+        c_one = sum(m.b[: n_b + 1]) / poly.eval_at(poly.derivative(char), Fraction(1))
+        one_box = ComplexBox.from_fractions(1, 0, digits)
+        records.append(RootRecord(one_box, False, exact=Fraction(1)))
+        coeffs.append(ComplexBox.from_fractions(c_one, 0, digits))
+        char = poly.divexact(char, [Fraction(1), Fraction(-1)])
     # the discriminant test above proved the roots simple
     dchi_boxes = poly.derivative_boxes(chi_boxes, digits)
     shift = order - 1 - n_b  # z^(order-1) B(1/z) = z^shift * (b_0 z^n_b + ... + b_n_b)
-    for box, is_pair in poly.enclose_roots(root_coeffs, width, digits):
+    for box, is_pair in poly.enclose_roots(poly.to_integer(char), width, digits):
         num = poly.horner_box(b_boxes, box, digits)
         num = num.mul(box.pow_int(shift)) if shift >= 0 else num.div_smith(box.pow_int(-shift))
         records.append(RootRecord(box, is_pair))
@@ -681,51 +629,13 @@ def closed_form(m: Method, gamma: GammaLike, digits: int = DEFAULT_DIGITS) -> Cl
         return cf
     # containment validation of the reconstruction over the checking window
     upto_check = s + 2 * m.k
-    if exact_gamma:
-        vals = mu_prefix(m, gamma, upto_check)
-    else:
-        ivals = [IntervalScalar.from_fraction(m.b[0], digits).div(lead)]
-        ivals += [v for _n, v in eval_mu_interval(m, g, upto_check, digits)]
+    vals = mu_prefix(m, gamma, upto_check)
     for n, rec_val in enumerate(cf.reconstruct_range(s, upto_check), s):
-        if exact_gamma:
-            if not rec_val.contains_fraction(vals[n]):
-                raise EnclosureError(
-                    "reconstruction does not contain the exact value at n={}".format(n)
-                )
-        else:
-            if not rec_val.intersects(ivals[n]):
-                raise EnclosureError(
-                    "reconstruction inconsistent with direct evaluation at n={}".format(n)
-                )
+        if not rec_val.contains_fraction(vals[n]):
+            raise EnclosureError(
+                "reconstruction does not contain the exact value at n={}".format(n)
+            )
     return cf
-
-
-def _lagrange_interpolate(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> List[Fraction]:
-    acc: List[Fraction] = []
-    for i, xi in enumerate(xs):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = poly.mul(num, [Fraction(1), -xj])
-            den *= xi - xj
-        acc = poly.add(acc, poly.scale(num, ys[i] / den))
-    return acc
-
-
-@functools.lru_cache(maxsize=None)
-def char_discriminant_gamma_poly(m: Method) -> List[Fraction]:
-    """Discriminant of the characteristic polynomial as an exact polynomial
-    in gamma (computed by interpolation, verified at an extra point)."""
-    npts = 2 * m.k + 2
-    xs = [Fraction(i) for i in range(npts)]
-    ys = [poly.discriminant(char_poly_mu(m, x)) for x in xs]
-    coeffs = _lagrange_interpolate(xs, ys)
-    check = Fraction(npts)
-    if poly.eval_at(coeffs, check) != poly.discriminant(char_poly_mu(m, check)):
-        raise ArithmeticDomainError("discriminant interpolation failed verification")
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +668,6 @@ class TailCertificate:
     dominant_coeff_lb: Fraction
     terms: Tuple[TailTerm, ...]
     residual_at_start: Fraction
-
-    def residual(self, n: int) -> Fraction:
-        return tail_residual(self.terms, n)
 
 
 def tail_residual(terms: Sequence[TailTerm], n: int) -> Fraction:

@@ -188,6 +188,48 @@ class TestDegenerateParameters:
         assert isinstance(vc.evidence, InfeasibleStability)
 
 
+    @pytest.mark.parametrize("horizon", [1, 2])
+    def test_order_zero_scans_up_to_the_window(self, horizon):
+        # a_j = gamma*b_j at gamma = 2: the closed form has order 0 and
+        # mu_n = 0 from n = 3 on, but mu_2 = -1/8 lies past a prefix scan
+        # that the horizon cuts short
+        m = Method(2, (F(4, 3), F(-1, 3)), (F(1, 6), F(2, 3), F(-1, 6)))
+        assert validate(m).ok
+        assert recursion.closed_form(m, F(2)).order == 0
+        v = check_scb(m, F(2), horizon=horizon)
+        assert v.status is Feasibility.INFEASIBLE
+        assert v.evidence == InfeasibleWitness(2, "-1/8", True)
+
+
+class TestPrecisionUsed:
+    """digits_used is the highest rung of the ladder that ran, or its first
+    rung min(digits, 64, digits_cap) when none did; never digits itself."""
+
+    def test_start_above_64_reports_the_rung(self):
+        # bdf4 at 1/2 is decided by complex dominance at the first rung
+        v = check_scb(catalog("bdf4"), F(1, 2), digits=100)
+        assert isinstance(v.evidence, InfeasibleComplexDominance)
+        assert v.digits_used == 64
+
+    def test_cap_below_the_start_is_the_one_rung(self, monkeypatch):
+        rungs = []
+        closed_form = recursion.closed_form
+
+        def recording(m, gamma, digits):
+            rungs.append(digits)
+            return closed_form(m, gamma, digits)
+
+        monkeypatch.setattr(recursion, "closed_form", recording)
+        v = check_scb(catalog("bdf4"), F(1, 2), digits=100, digits_cap=10)
+        assert rungs == [10] and v.digits_used == 10
+
+    def test_no_rung_run_reports_the_first(self):
+        # decided by the stability test before any closed form
+        v = check_scb(catalog("ab2"), F(3), digits=100)
+        assert isinstance(v.evidence, InfeasibleStability)
+        assert v.digits_used == 64
+
+
 class TestScbExists:
     def test_ebdf_family(self):
         for name in ("ebdf3", "ebdf4", "ebdf5"):

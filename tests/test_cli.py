@@ -265,6 +265,18 @@ class TestNumericInput:
         assert code == EXIT_USAGE
         assert "error: {}".format(cli.PRECISION_CAP_ENV) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["check", "-g", "1/3"], ["gamma-sup"], ["tau"]])
+    def test_precision_above_the_cap(self, capsys, monkeypatch, command):
+        for name in ("check_scb", "gamma_sup", "scb_exists"):
+            monkeypatch.setattr(analyzer, name, never)
+        monkeypatch.setattr(recursion, "tau_prefix", never)
+        argv = command[:1] + ["-m", "bdf2"] + command[1:]
+        assert main(argv + ["--precision", "100", "--precision-cap", "10"]) == EXIT_USAGE
+        assert "exceeds the precision cap 10" in capsys.readouterr().err
+        monkeypatch.setenv(cli.PRECISION_CAP_ENV, "32")
+        assert main(argv) == EXIT_USAGE
+        assert "--precision 64 exceeds the precision cap 32" in capsys.readouterr().err
+
     def test_precision_cap_is_passed_on(self, capsys, monkeypatch):
         seen = []
 
@@ -364,6 +376,18 @@ class TestCustomMethodFile:
                              "--gamma", "1/2")
         assert code == EXIT_FEASIBLE
         assert rep["method"] == "bdf2-clone"
+
+    @pytest.mark.parametrize("horizon", ["1", "2"])
+    def test_order_zero_witness_past_a_short_horizon(self, capsys, tmp_path, horizon):
+        # the closed form at gamma = 2 has order 0, and mu_2 = -1/8
+        path = tmp_path / "order0.json"
+        path.write_text(json.dumps({
+            "k": 2, "a": ["4/3", "-1/3"], "b": ["1/6", "2/3", "-1/6"], "name": "order0",
+        }))
+        code, rep = run_json(capsys, "check", "--method", str(path), "--gamma", "2",
+                             "--horizon", horizon)
+        assert code == EXIT_INFEASIBLE
+        assert (rep["evidence"]["n"], rep["evidence"]["value"]) == (2, "-1/8")
 
     def test_invalid_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -47,17 +47,27 @@ def _identifiers(node):
     return found
 
 
+def _public_definitions(tree):
+    """The public top-level functions and classes of a module, and the
+    public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield "{}.{}".format(node.name, item.name), item
+
+
 def test_every_public_definition_has_a_caller_in_the_package():
-    """A public top-level function or class that nothing else in the package
+    """A public function, class or method that nothing else in the package
     names is a second implementation kept alive only by its tests."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.rglob("*.py"))}
     named = sum((_identifiers(tree) for tree in trees.values()), Counter())
     unused = [
-        "{}.{}".format(module, node.name)
+        "{}.{}".format(module, qualname)
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and named[node.name] == _identifiers(node)[node.name]
+        for qualname, node in _public_definitions(tree)
+        if named[node.name] == _identifiers(node)[node.name]
     ]
     assert not unused, "public definitions no other code in the package names: {}".format(unused)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import mpmath
 
-from scbcert import analyzer, arith, methods, poly
+from scbcert import analyzer, methods, poly
 from scbcert.poly import RootCondition
 
 BDF3_QUARTIC = [5184, -539352, 4277340, -7093698, 3248425]
@@ -97,9 +97,17 @@ def all_root_classes(p, width, digits=64):
     pair once by its upper box: enclose_roots on each Yun factor."""
     out = []
     for q, mult in poly.yun_squarefree(poly.to_integer(p)):
-        coeffs = [arith.IntervalScalar.exact_int(c, digits) for c in q]
-        out += [(box, is_pair, mult) for box, is_pair in poly.enclose_roots(coeffs, width, digits)]
+        out += [(box, is_pair, mult) for box, is_pair in poly.enclose_roots(q, width, digits)]
     return out
+
+
+def on_real_line(box):
+    """The box's imaginary part is the point 0."""
+    return box.im.lo_fraction() == box.im.hi_fraction() == 0
+
+
+def holds(box, re, im=0):
+    return box.re.contains_fraction(re) and box.im.contains_fraction(im)
 
 
 def root_count(classes):
@@ -148,7 +156,7 @@ class TestEncloseAllRoots:
                 if is_pair:
                     assert box.im.lo_fraction() > 0
                 else:
-                    assert box.is_real_line()
+                    assert on_real_line(box)
 
     def test_multiple_roots(self):
         # (z^2+1)^2 (z-1/2)
@@ -194,11 +202,11 @@ def _check_against_sturm(p, digits=64):
     """enclose_roots on the squarefree integer polynomial p against Sturm
     counting; returns the root classes for further checks."""
     width = F(1, 10**30)
-    classes = poly.enclose_roots([arith.IntervalScalar.exact_int(c, digits) for c in p], width, digits)
+    classes = poly.enclose_roots(p, width, digits)
     real = [box for box, is_pair in classes if not is_pair]
     assert len(real) == poly.count_real_roots(p)
     for box in real:
-        assert box.is_real_line() and box.width_fraction() <= width
+        assert on_real_line(box) and box.width_fraction() <= width
         assert _real_roots_in(p, box.re.lo_fraction(), box.re.hi_fraction()) == 1
     for box, is_pair in classes:
         if is_pair:
@@ -234,7 +242,7 @@ class TestRootEngine:
         assert len(classes) == len(roots)
         for re, im in roots:
             holders = [
-                is_pair for box, is_pair in classes if box.contains_point(re, im)
+                is_pair for box, is_pair in classes if holds(box, re, im)
             ]
             assert holders == [im > 0], (re, im)
 
@@ -245,8 +253,7 @@ class TestRootEngine:
         p = poly.mul(poly.mul([1, -big], [1, -2 * big]), [1, -3 * big])
         for q, n_classes in ((p, 3), ([1, 0, 10**200], 1)):
             assert poly._float_seeds([F(c) for c in q]) is None
-            coeffs = [arith.IntervalScalar.exact_int(c, 256) for c in q]
-            assert len(poly.enclose_roots(coeffs, F(1, 10**30), 256)) == n_classes
+            assert len(poly.enclose_roots(q, F(1, 10**30), 256)) == n_classes
 
     def test_coefficient_overflow_is_scaled_away(self):
         # the constant term, about 7.2e314, is past the largest double, and
@@ -258,11 +265,10 @@ class TestRootEngine:
         assert poly._float_seeds([F(c) for c in p]) is None
         # 10^-6 is about 10^-58 of the roots: as fine as 64 digits go
         for digits, width in ((64, F(1, 10**6)), (200, F(1, 10**30))):
-            coeffs = [arith.IntervalScalar.exact_int(c, digits) for c in p]
-            classes = poly.enclose_roots(coeffs, width, digits)
+            classes = poly.enclose_roots(p, width, digits)
             assert len(classes) == 6
             for j, (box, is_pair) in enumerate(sorted(classes, key=lambda c: c[0].re.lo_fraction()), 1):
-                assert not is_pair and box.contains_point(j * 10**52, 0)
+                assert not is_pair and holds(box, j * 10**52)
                 assert box.width_fraction() <= width
 
     @pytest.mark.parametrize(
@@ -278,12 +284,11 @@ class TestRootEngine:
             p = poly.mul(p, [1, -r])
         assert poly.cauchy_bound(p) > poly.HUGE_ROOT_BOUND
         scaled = F(1, 10**30) * 2 ** poly._root_scale_exponent([F(c) for c in p])
-        coeffs = [arith.IntervalScalar.exact_int(c, 64) for c in p]
-        classes = poly.enclose_roots(coeffs, F(1, 10**30), 64)
+        classes = poly.enclose_roots(p, F(1, 10**30), 64)
         assert len(classes) == len(roots)
         for r in roots:
-            (box,) = [box for box, _ in classes if box.contains_point(r, 0)]
-            assert box.is_real_line() and box.width_fraction() <= scaled
+            (box,) = [box for box, _ in classes if holds(box, r)]
+            assert on_real_line(box) and box.width_fraction() <= scaled
         # 2^e is Fujiwara's bound, within a few bits of the largest root
         assert max(roots) * F(1, 10**30) <= scaled < max(roots) * F(16, 10**30)
 

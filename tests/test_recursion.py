@@ -13,13 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbcert import analyzer, cli, poly, published, recursion
-from scbcert.arith import ArithmeticDomainError, ComplexBox, IntervalScalar, Sign
-from scbcert.methods import Method, catalog, char_poly_mu
+from scbcert.arith import ArithmeticDomainError, ComplexBox, IntervalScalar
+from scbcert.methods import Method, catalog
 from scbcert.recursion import (
     MultipleRootError,
     closed_form,
     eval_mu,
-    eval_mu_interval,
     eval_tau,
     first_negative_mu,
     mu_gamma_numerators,
@@ -222,7 +221,8 @@ def unreduced_scaled(m, gamma, n_max):
 def _small_method_and_gamma(draw):
     """A random method with small coefficients, zeros among them, and b0
     free, zero or negative; gamma is 0, random, or, for b0 < 0, past -1/b0,
-    where 1 + gamma*b0 < 0."""
+    where 1 + gamma*b0 < 0.  A random gamma never hits -1/b0 itself, where
+    1 + gamma*b0 = 0 and the recurrence is undefined."""
     k = draw(st.integers(1, 3))
     coeff = st.one_of(st.just(F(0)), _small_fraction)
     a = draw(st.lists(coeff, min_size=k, max_size=k))
@@ -233,7 +233,8 @@ def _small_method_and_gamma(draw):
         return m, -draw(st.sampled_from([F(3, 2), F(3), F(7)])) / m.b0
     if draw(st.booleans()):
         return m, F(0)
-    return m, draw(st.builds(F, st.integers(0, 3000), st.integers(1, 1000)))
+    gammas = st.builds(F, st.integers(0, 3000), st.integers(1, 1000))
+    return m, draw(gammas.filter(lambda g: 1 + g * m.b0 != 0))
 
 
 def _assert_canonical(v):
@@ -347,6 +348,19 @@ def test_report_matches_golden(case):
     assert report == case["report"]
 
 
+def ball_bounds(m, gamma, n_max, digits):
+    """{n: (lo, hi)} for n = 1..n_max: the ball kernel's (x, r, S) for mu_n
+    as the exact bounds (x - r)/2^S and (x + r)/2^S; S goes negative on
+    growing runs."""
+    _P, balls = recursion._mu_balls(m, gamma, n_max, digits)
+    return {n: (F(x - r) / F(2) ** S, F(x + r) / F(2) ** S) for n, x, r, S in balls}
+
+
+def assert_contained(bounds, exact):
+    for n, (lo, hi) in bounds.items():
+        assert lo <= exact[n] <= hi, n
+
+
 class TestIntervalEvaluation:
     def test_containment_long_run(self):
         rng = random.Random(17)
@@ -354,8 +368,7 @@ class TestIntervalEvaluation:
             m = catalog(name)
             g = F(rng.randint(1, 9), rng.randint(10, 19))
             exact = mu_prefix(m, g, 2000)
-            for n, box in eval_mu_interval(m, g, 2000, 64):
-                assert box.contains_fraction(exact[n])
+            assert_contained(ball_bounds(m, g, 2000, 64), exact)
 
     def test_bdf2_positive_signs(self):
         run = run_mu_signs(catalog("bdf2"), F(1, 2), 100, 64)
@@ -369,17 +382,16 @@ class TestIntervalEvaluation:
         # a fat gamma interval still yields containing enclosures for both ends
         m = catalog("bdf2")
         g = IntervalScalar.from_fractions(F(1, 4), F(1, 3), 64)
-        vals = {n: v for n, v in eval_mu_interval(m, g, 50, 64)}
+        bounds = ball_bounds(m, g, 50, 64)
+        assert list(bounds) == list(range(1, 51))
         for gexact in (F(1, 4), F(7, 24), F(1, 3)):
-            exact = mu_prefix(m, gexact, 50)
-            for n in range(1, 51):
-                assert vals[n].contains_fraction(exact[n])
+            assert_contained(bounds, mu_prefix(m, gexact, 50))
 
     # The integer ball kernel rescales its window after every term toward
     # min(P + 32, useful + BALL_GUARD) bits: left when the midpoints fall 32
     # bits short, right when they grow 64 bits past it, never when they are
     # all zero; and it rounds its coefficients to the useful length.  Each
-    # path must keep every yielded interval around the exact value.
+    # path must keep every yielded ball around the exact value.
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_decaying(self, digits):
@@ -388,8 +400,7 @@ class TestIntervalEvaluation:
         m, g = catalog("bdf3"), F(1, 2)
         exact = mu_prefix(m, g, 1500)
         assert abs(exact[-1]) < F(1, 2**1000)
-        for n, box in eval_mu_interval(m, g, 1500, digits):
-            assert box.contains_fraction(exact[n]), n
+        assert_contained(ball_bounds(m, g, 1500, digits), exact)
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_growing(self, digits):
@@ -399,8 +410,11 @@ class TestIntervalEvaluation:
         assert analyzer.in_stability_interior(m, -g) is False
         exact = mu_prefix(m, g, 600)
         assert abs(exact[-1]) > 2**1000
-        for n, box in eval_mu_interval(m, g, 600, digits):
-            assert box.contains_fraction(exact[n]), n
+        bounds = ball_bounds(m, g, 600, digits)
+        assert_contained(bounds, exact)
+        # mu outgrew 2^P, so the shared scale 2^-S went past 1
+        _P, balls = recursion._mu_balls(m, g, 600, digits)
+        assert min(S for _n, _x, _r, S in balls) < 0
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_vanishing_window(self, digits):
@@ -409,14 +423,14 @@ class TestIntervalEvaluation:
         m, g = catalog("ab1"), F(1)
         exact = mu_prefix(m, g, 200)
         assert exact[1] == 1 and not any(exact[2:])
-        boxes = dict(eval_mu_interval(m, g, 200, digits))
-        for n, box in boxes.items():
-            assert box.contains_fraction(exact[n]), n
+        bounds = ball_bounds(m, g, 200, digits)
+        assert_contained(bounds, exact)
         # an all-zero window is never rescaled: its scale stays put, so every
-        # zero term gets the same small interval instead of a finer one each
+        # zero term gets the same small ball instead of a finer one each
         # time while the integers behind it grow
-        assert len({(boxes[n].lo, boxes[n].hi) for n in range(2, 201)}) == 1
-        assert boxes[200].width_fraction() < F(1, 2**64)
+        assert len({bounds[n] for n in range(2, 201)}) == 1
+        lo, hi = bounds[200]
+        assert hi - lo < F(1, 2**64)
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_algebraic_gamma(self, digits):
@@ -428,10 +442,9 @@ class TestIntervalEvaluation:
             key=lambda e: e.lo,
         ).refined(F(1, 10 ** (digits + 10)))
         m = catalog("bdf3")
-        ends = [mu_prefix(m, enc.lo, 80), mu_prefix(m, enc.hi, 80)]
-        for n, box in eval_mu_interval(m, enc, 80, digits):
-            for exact in ends:
-                assert box.contains_fraction(exact[n]), n
+        bounds = ball_bounds(m, IntervalScalar.from_fractions(enc.lo, enc.hi, digits), 80, digits)
+        for end in (enc.lo, enc.hi):
+            assert_contained(bounds, mu_prefix(m, end, 80))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -450,15 +463,13 @@ class TestIntervalEvaluation:
         m, g = case
         n_max, digits = run
         try:
-            boxes = list(eval_mu_interval(m, g, n_max, digits))
+            bounds = ball_bounds(m, g, n_max, digits)
         except ArithmeticDomainError:
             # the enclosure of 1 + gamma*b0 holds zero only when it is
             # zero or tiny against the rounding of gamma*b0
             assert abs(1 + g * m.b0) <= abs(g * m.b0) / 2**10
             return
-        mus = fraction_mu_prefix(m, g, n_max)
-        for n, box in boxes:
-            assert box.contains_fraction(mus[n]), n
+        assert_contained(bounds, fraction_mu_prefix(m, g, n_max))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -502,18 +513,17 @@ class TestIntervalEvaluation:
     @pytest.mark.parametrize("digits, n_negative, n_unknown", [(1800, 177, 0), (1500, 91, 326)])
     def test_trimmed_balls_on_the_remark(self, digits, n_negative, n_unknown):
         # by n = 3000 the radius has used up all but about 390 of the 5980
-        # bits at 1800 digits, so trimming goes deepest here: every interval
+        # bits at 1800 digits, so trimming goes deepest here: every ball
         # still holds the exact value, and the signs run_mu_signs reads off
-        # the integer balls are those of the yielded intervals
+        # the integer balls are those of their exact bounds
         m, g = catalog("bdf4"), F(4866, 10000)
         exact = mu_prefix(m, g, 3000)
-        boxes = list(eval_mu_interval(m, g, 3000, digits))
-        assert [n for n, _ in boxes] == list(range(1, 3001))
-        for n, box in boxes:
-            assert box.contains_fraction(exact[n]), n
+        bounds = ball_bounds(m, g, 3000, digits)
+        assert list(bounds) == list(range(1, 3001))
+        assert_contained(bounds, exact)
         run = run_mu_signs(m, g, 3000, digits)
-        assert run.negative == [n for n, box in boxes if box.sign() is Sign.NEGATIVE]
-        assert run.unknown == [n for n, box in boxes if box.sign() is Sign.UNKNOWN]
+        assert run.negative == [n for n, (lo, hi) in bounds.items() if hi < 0]
+        assert run.unknown == [n for n, (lo, hi) in bounds.items() if lo <= 0 <= hi]
         assert (len(run.negative), len(run.unknown)) == (n_negative, n_unknown)
         assert run.first_negative == run.negative[0]
 
@@ -530,9 +540,7 @@ class TestIntervalEvaluation:
         m, g = catalog("bdf4"), F(4866, 10000)
         run = run_mu_signs(m, g, 3000, 50)
         assert (run.negative, len(run.unknown)) == ([], 2912)
-        exact = mu_prefix(m, g, 3000)
-        for n, box in eval_mu_interval(m, g, 3000, 50):
-            assert box.contains_fraction(exact[n]), n
+        assert_contained(ball_bounds(m, g, 3000, 50), mu_prefix(m, g, 3000))
 
 
 class TestMemberFunctions:
@@ -595,7 +603,7 @@ class TestClosedForm:
             cf = closed_form(m, g, 64)
             exact = mu_prefix(m, g, 300)
             for n in range(cf.window_start, 301):
-                assert cf.reconstruct(n).contains_fraction(exact[n]), (name, n)
+                assert cf.reconstruct_range(n, n)[0].contains_fraction(exact[n]), (name, n)
         # custom methods whose closed form starts past n = 0 or drops zero
         # characteristic roots
         checked = Counter()
@@ -608,7 +616,7 @@ class TestClosedForm:
                 assert cf.window_start > 0 and cf.order < m.k, (kind, m, g)
             exact = mu_prefix(m, g, cf.window_start + 40)
             for n in range(cf.window_start, cf.window_start + 41):
-                assert cf.reconstruct(n).contains_fraction(exact[n]), (kind, m, g, n)
+                assert cf.reconstruct_range(n, n)[0].contains_fraction(exact[n]), (kind, m, g, n)
             checked[kind] += 1
         assert min(checked.values()) >= 6 and len(checked) == 3, checked
 
@@ -650,8 +658,9 @@ class TestClosedForm:
         assert eval_mu(catalog("ab1"), F(1), 5) == 0
 
     def test_algebraic_gamma_bdf3(self):
+        # a rational gamma within 1e-30 of the bdf3 optimum, a root of a quartic
         gstar = poly.isolate_real_roots(published.GAMMA_SUP_POLYS["bdf3"]["poly"])[0]
-        cf = closed_form(catalog("bdf3"), gstar, 80)
+        cf = closed_form(catalog("bdf3"), gstar.refined(F(1, 10**30)).lo, 80)
         reals = [
             (r, c) for r, c in zip(cf.roots, cf.coeffs) if not r.is_pair
         ]
@@ -661,40 +670,6 @@ class TestClosedForm:
         assert root.box.re.hi_fraction() >= F("0.500518")
         assert coeff.re.lo_fraction() <= F("0.50155510")
         assert coeff.re.hi_fraction() >= F("0.50155509")
-
-    def test_interval_path_matches_exact_path(self):
-        # gamma = p/q given as the isolated root of q*x - p goes through the
-        # interval-coefficient root certifier; it must find the same root
-        # classes as the exact-coefficient path at p/q, with intersecting
-        # root and coefficient boxes
-        rng = random.Random(61)
-        compared = 0
-        for name in ALL_NAMES:
-            m = catalog(name)
-            disc = poly.to_integer(recursion.char_discriminant_gamma_poly(m))
-            for _ in range(3):
-                g = F(rng.randint(1, 3 * 10**5), rng.randint(10**5, 2 * 10**5))
-                char = char_poly_mu(m, g)
-                if poly.sign_at_fraction(disc, g) == 0 or char[-1] == 0:
-                    continue  # multiple root, or a root at zero
-                exact = closed_form(m, g, 64)
-                enc = poly.isolate_real_roots([g.denominator, -g.numerator])[0]
-                approx = closed_form(m, enc, 64)
-                assert (approx.order, approx.window_start) == (exact.order, exact.window_start)
-                for is_pair in (False, True):
-                    assert sum(r.is_pair is is_pair for r in approx.roots) == sum(
-                        r.is_pair is is_pair for r in exact.roots
-                    ), (name, g)
-                for r, c in zip(exact.roots, exact.coeffs):
-                    hits = [
-                        i
-                        for i, a in enumerate(approx.roots)
-                        if a.is_pair is r.is_pair and a.box.intersects(r.box)
-                    ]
-                    assert len(hits) == 1, (name, g)
-                    assert approx.coeffs[hits[0]].intersects(c), (name, g)
-                compared += 1
-        assert compared >= 36
 
 
 class TestTailCertificate:
@@ -724,8 +699,9 @@ class TestTailCertificate:
     def test_residual_decreases(self):
         cf = closed_form(catalog("ebdf4"), F(0), 64)
         tc = tail_certificate(cf)
-        assert tc.residual(tc.n_start + 1) < tc.residual(tc.n_start)
-        assert tc.residual(tc.n_start) < tc.dominant_coeff_lb
+        at_start = recursion.tail_residual(tc.terms, tc.n_start)
+        assert recursion.tail_residual(tc.terms, tc.n_start + 1) < at_start
+        assert at_start < tc.dominant_coeff_lb
 
     def test_complex_dominant_returns_none(self):
         cf = closed_form(catalog("bdf2"), F(6, 10), 64)
@@ -746,55 +722,17 @@ class TestAtAlgebraicOptimum:
         )[1] == []
         # all other members up to 92 are strictly positive there; 92 is tiny
         gi = gstar.refined(F(1, 10**80))
-        vals = {n: v for n, v in eval_mu_interval(m, gi.interval(120), 92, 120)}
+        bounds = ball_bounds(m, IntervalScalar.from_fractions(gi.lo, gi.hi, 120), 92, 120)
         for n in range(1, 93):
+            lo, hi = bounds[n]
             if n == 6:
-                assert vals[n].contains_fraction(0)
+                assert lo <= 0 <= hi
             else:
-                assert vals[n].sign() is Sign.POSITIVE, n
-        assert vals[92].contains_fraction(F("1.585176e-28")) or (
-            vals[92].lo_fraction() < F("1.585177e-28")
-            and vals[92].hi_fraction() > F("1.585176e-28")
+                assert lo > 0, n
+        lo, hi = bounds[92]
+        assert lo <= F("1.585176e-28") <= hi or (
+            lo < F("1.585177e-28") and hi > F("1.585176e-28")
         )
-
-
-class TestGammaDiscriminant:
-    def test_bdf4_multiple_roots_only_at_7_12(self):
-        disc = recursion.char_discriminant_gamma_poly(catalog("bdf4"))
-        assert poly.eval_at(disc, F(7, 12)) == 0
-        # ... and that is the only vanishing point on the positive axis
-        roots = poly.isolate_real_roots(poly.to_integer(disc))
-        positive = []
-        for e in roots:
-            if e.hi <= 0:
-                continue
-            if poly.sign_at_fraction(list(e.poly), F(0)) == 0 and e.contains(F(0)):
-                continue  # the enclosed root is zero itself
-            if e.lo <= 0:
-                e = poly.refine_away_from_zero(e)
-                if e.hi <= 0:
-                    continue
-            positive.append(e)
-        assert len(positive) == 1
-        assert positive[0].contains(F(7, 12))
-
-    def test_bdf2_multiple_roots_at_half(self):
-        disc = recursion.char_discriminant_gamma_poly(catalog("bdf2"))
-        assert poly.eval_at(disc, F(1, 2)) == 0
-        assert poly.eval_at(disc, F(1, 3)) != 0
-
-    def test_matches_pointwise_discriminant(self):
-        import random as _r
-
-        rng = _r.Random(4)
-        for name in ("bdf3", "ab2"):
-            m = catalog(name)
-            disc = recursion.char_discriminant_gamma_poly(m)
-            for _ in range(10):
-                g = F(rng.randint(0, 40), rng.randint(1, 9))
-                from scbcert.methods import char_poly_mu
-
-                assert poly.eval_at(disc, g) == poly.discriminant(char_poly_mu(m, g))
 
 
 class TestSequenceCsv:

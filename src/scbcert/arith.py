@@ -178,9 +178,6 @@ class IntervalScalar:
     def hi_fraction(self) -> Fraction:
         return _mpf_to_fraction(self.hi)
 
-    def mid_fraction(self) -> Fraction:
-        return (self.lo_fraction() + self.hi_fraction()) / 2
-
     def width_fraction(self) -> Fraction:
         return self.hi_fraction() - self.lo_fraction()
 
@@ -351,22 +348,6 @@ class IntervalScalar:
             )
         return IntervalScalar(fzero, mpf_pow_int(self.mag(), n, bits, round_ceiling), bits)
 
-    def intersect(self, other: "IntervalScalar") -> "IntervalScalar":
-        lo = _mpf_max(self.lo, other.lo)
-        hi = _mpf_min(self.hi, other.hi)
-        if mpf_cmp(lo, hi) > 0:
-            raise ArithmeticDomainError("empty intersection")
-        return IntervalScalar(lo, hi, self._bits_with(other))
-
-    def intersects(self, other: "IntervalScalar") -> bool:
-        return not (
-            mpf_cmp(self.hi, other.lo) < 0 or mpf_cmp(other.hi, self.lo) < 0
-        )
-
-    # -- certified comparisons --------------------------------------------
-
-    def strictly_inside(self, other: "IntervalScalar") -> bool:
-        return mpf_cmp(other.lo, self.lo) < 0 and mpf_cmp(self.hi, other.hi) < 0
 
 
 class ComplexBox:
@@ -444,12 +425,6 @@ class ComplexBox:
 
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
-
-    def strictly_inside(self, other: "ComplexBox") -> bool:
-        return self.re.strictly_inside(other.re) and self.im.strictly_inside(other.im)
-
-    def intersects(self, other: "ComplexBox") -> bool:
-        return self.re.intersects(other.re) and self.im.intersects(other.im)
 
     def width_fraction(self) -> Fraction:
         return max(self.re.width_fraction(), self.im.width_fraction())

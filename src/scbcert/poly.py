@@ -5,8 +5,9 @@ exact real root is the answer, it is isolated with signed subresultant
 (Sturm) chains over the integers and refined by exact rational bisection.
 All roots of an integer polynomial, real and complex alike, are enclosed by
 one engine, ``enclose_roots``: double-precision Durand-Kerner seeds,
-polished by ``mpmath.polyroots`` at the working precision, then rigorously
-certified and refined with the interval Newton operator.
+polished by Newton's method in Gaussian fixed point, then certified all at
+once by one exact test, pairwise disjoint Gerschgorin inclusion disks;
+``mpmath.polyroots`` seeds only the roots that doubles cannot separate.
 Root location relative to the unit circle is decided exactly by one
 mechanism, the Schur-Cohn reduction over the integers: membership of the open
 unit disk directly, and membership of the circle itself through the gcd with
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import gcd, isqrt
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
+from mpmath.libmp import from_float, to_fixed
 
 from .arith import ArithmeticDomainError, ComplexBox, IntervalScalar, digits_to_bits
 
@@ -640,10 +641,6 @@ class EnclosureError(ArithmeticDomainError):
     pass
 
 
-# interval Newton steps newton_refine takes before it calls the refinement stalled
-NEWTON_MAX_ITER = 80
-
-
 def horner_box(coeffs: Sequence[ComplexBox], z: ComplexBox, digits: int) -> ComplexBox:
     acc = ComplexBox.from_fractions(0, 0, digits)
     for c in coeffs:
@@ -659,91 +656,6 @@ def derivative_boxes(coeffs: Sequence[ComplexBox], digits: int) -> List[ComplexB
     """Coefficients of the derivative of a polynomial with box coefficients."""
     n = len(coeffs) - 1
     return [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(coeffs[:-1])]
-
-
-def newton_certify(
-    coeffs: Sequence[ComplexBox],
-    dcoeffs: Sequence[ComplexBox],
-    z_re: Fraction,
-    z_im: Fraction,
-    radius: Fraction,
-    digits: int,
-) -> Optional[ComplexBox]:
-    """Interval Newton test around an approximate root.
-
-    Success certifies that the returned box (a strict subset of the trial
-    box) contains exactly one root of every polynomial whose coefficients
-    lie in the coefficient boxes.
-    """
-    Z = ComplexBox(
-        IntervalScalar.from_fractions(z_re - radius, z_re + radius, digits),
-        IntervalScalar.from_fractions(z_im - radius, z_im + radius, digits),
-    )
-    mid = ComplexBox.from_fractions(z_re, z_im, digits)
-    try:
-        fz = horner_box(coeffs, mid, digits)
-        dfZ = horner_box(dcoeffs, Z, digits)
-        N = mid.sub(fz.div_smith(dfZ))
-    except ArithmeticDomainError:
-        return None
-    if N.strictly_inside(Z):
-        return N
-    return None
-
-
-def newton_refine(
-    coeffs: Sequence[ComplexBox],
-    dcoeffs: Sequence[ComplexBox],
-    box: ComplexBox,
-    width: Fraction,
-    digits: int,
-) -> ComplexBox:
-    cur = box
-    for _ in range(NEWTON_MAX_ITER):
-        if cur.width_fraction() <= width:
-            return cur
-        mid = ComplexBox.from_fractions(cur.re.mid_fraction(), cur.im.mid_fraction(), digits)
-        try:
-            fz = horner_box(coeffs, mid, digits)
-            dfZ = horner_box(dcoeffs, cur, digits)
-            N = mid.sub(fz.div_smith(dfZ))
-            nxt = ComplexBox(N.re.intersect(cur.re), N.im.intersect(cur.im))
-        except ArithmeticDomainError:
-            break
-        if nxt.width_fraction() >= cur.width_fraction():
-            break
-        cur = nxt
-    if cur.width_fraction() <= width:
-        return cur
-    raise EnclosureError("Newton refinement stalled before target width")
-
-
-def newton_root(
-    coeffs: Sequence[ComplexBox],
-    dcoeffs: Sequence[ComplexBox],
-    z_re: Fraction,
-    z_im: Fraction,
-    width: Fraction,
-    digits: int,
-) -> Optional[ComplexBox]:
-    """Certified box of width <= width around the one root near z_re + i*z_im.
-
-    The trial box grows from a radius of about the square root of the
-    working precision (seeds are far closer than that, and a small first box
-    keeps clustered roots apart) until interval Newton maps it strictly
-    inside itself; the box found is then refined.  None when no trial box
-    certifies or the refinement stalls.
-    """
-    radius = Fraction(1, 2) ** max(8, digits_to_bits(digits) // 2)
-    while radius <= Fraction(1, 2):
-        box = newton_certify(coeffs, dcoeffs, z_re, z_im, radius, digits)
-        if box is not None:
-            try:
-                return newton_refine(coeffs, dcoeffs, box, width, digits)
-            except EnclosureError:
-                return None
-        radius *= 4
-    return None
 
 
 # the double-precision seed pass stops here, converged or not
@@ -780,7 +692,7 @@ def _float_seeds(p: Sequence[Fraction]) -> Optional[List[complex]]:
     return z
 
 
-# _approx_roots rescales polynomials whose Cauchy bound exceeds this
+# enclose_roots rescales polynomials whose Cauchy bound exceeds this
 HUGE_ROOT_BOUND = 2**64
 
 
@@ -801,114 +713,244 @@ def _huge_root_exponent(p: Sequence[Fraction]) -> int:
     return _root_scale_exponent(p) if cauchy_bound(p) > HUGE_ROOT_BOUND else 0
 
 
-def _approx_roots(p: Sequence[Fraction], dps: int) -> list:
-    """Approximate roots of p to about dps digits: double-precision
-    Durand-Kerner seeds, polished by ``mpmath.polyroots`` at dps digits
-    (mpmath's own start where the seeds are unusable or do not converge).
-
-    polyroots stops on an absolute tolerance, so roots far beyond 1 would
-    never converge: past HUGE_ROOT_BOUND the roots w = z / 2^e of
-    p(2^e w) / 2^(e deg p), of modulus about 1, are found instead and
-    scaled back exactly."""
-    e = _huge_root_exponent(p)
-    if e:
-        p = [Fraction(c) / 2 ** (e * i) for i, c in enumerate(p)]
-    seeds = _float_seeds(p)
+def _approx_roots(p: Sequence[int], dps: int, seeds: Optional[List[complex]]) -> list:
+    """Roots of p to about dps digits by ``mpmath.polyroots``, started from
+    the double-precision seeds, or from mpmath's own start where there are
+    none or they do not converge (doubles can split a close pair into two
+    real roots); [] when neither converges.  polyroots stops on an absolute
+    tolerance, so roots far beyond 1 would never converge: enclose_roots
+    passes those scaled to modulus about 1."""
     with mpmath.workdps(dps):
-        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in p]
-        # seeds that do not converge (doubles can split a close pair into two
-        # real roots) are dropped for mpmath's own start
-        starts = [None] if seeds is None else [[mpmath.mpc(w) for w in seeds], None]
-        for init in starts:
+        coeffs = [mpmath.mpf(c) for c in p]
+        for init in ([None] if seeds is None else [[mpmath.mpc(w) for w in seeds], None]):
             try:
-                roots = mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
+                return mpmath.polyroots(coeffs, maxsteps=300, extraprec=120, roots_init=init)
             except (mpmath.libmp.NoConvergence, ZeroDivisionError):
                 continue
-            return [z * mpmath.ldexp(1, e) for z in roots] if e else roots
         return []
 
 
-def _mpf_fraction(x) -> Fraction:
-    """Exact value of an mpf, read from its own mantissa and exponent (not
-    rounded to the global working precision)."""
-    sign, man, exp, _bc = x._mpf_
-    man = int(man)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man << exp)
-    return Fraction(man, 1 << (-exp))
+# the Newton polish takes double seeds at this fixed-point scale, 2^-SEED_BITS
+SEED_BITS = 64
+# bits the polish carries beyond the working precision
+POLISH_GUARD = 32
+# Newton steps at the final scale before the disk test takes the centres as
+# they stand
+FINAL_STEPS = 8
 
 
-def _pairwise_disjoint(boxes: Sequence[ComplexBox]) -> bool:
-    for a, b in itertools.combinations(boxes, 2):
-        if a.intersects(b):
-            return False
-    return True
+def _fixed_seeds(seeds: Iterable, prec: int) -> List[Tuple[int, int]]:
+    """Approximate roots, Python complex numbers or mpmath numbers at their
+    own precision, as Gaussian integers x + iy standing for (x + iy) /
+    2^prec, rounded down."""
+
+    def fixed(v) -> int:
+        return to_fixed(v._mpf_ if isinstance(v, mpmath.mpf) else from_float(v), prec)
+
+    return [(fixed(z.real), fixed(z.imag)) for z in seeds]
+
+
+def _div_round(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer (b > 0)."""
+    return (2 * a + b) // (2 * b)
+
+
+def _newton_step(q: Sequence[int], x: int, y: int, prec: int) -> Optional[Tuple[int, int]]:
+    """The Newton step q(z)/q'(z) at z = (x + iy) / 2^prec, in units of
+    2^-prec, from fixed-point Horner sums at that scale; None where q'(z)
+    rounds to 0.  q is real, so at y = 0 the step is real too: real seeds
+    stay on the axis."""
+    fr, fi, dr, di = q[0] << prec, 0, 0, 0
+    for c in q[1:]:
+        dr, di = ((dr * x - di * y) >> prec) + fr, ((dr * y + di * x) >> prec) + fi
+        fr, fi = ((fr * x - fi * y) >> prec) + (c << prec), (fr * y + fi * x) >> prec
+    den = dr * dr + di * di
+    if den == 0:
+        return None
+    return (
+        _div_round((fr * dr + fi * di) << prec, den),
+        _div_round((fi * dr - fr * di) << prec, den),
+    )
+
+
+def _polish(
+    q: Sequence[int], seeds: Sequence[Tuple[int, int]], prec: int, final: int
+) -> Optional[List[Tuple[int, int]]]:
+    """Newton's method on fixed-point seeds at scale 2^-prec: one step at
+    each scale while the scale doubles up to 2^-final, where the steps go on
+    until one moves the point by at most 2^POLISH_GUARD units (FINAL_STEPS
+    more at most).  The results are at scale 2^-final; None where a
+    derivative vanishes."""
+    out = []
+    for x, y in seeds:
+        p, left = prec, FINAL_STEPS
+        while True:
+            step = _newton_step(q, x, y, p)
+            if step is None:
+                return None
+            x, y = x - step[0], y - step[1]
+            if p < final:
+                shift = min(p, final - p)
+                x, y, p = x << shift, y << shift, p + shift
+            elif left == 0 or max(abs(step[0]), abs(step[1])) <= 1 << POLISH_GUARD:
+                break
+            else:
+                left -= 1
+        out.append((x, y))
+    return out
+
+
+def _gerschgorin_disks(
+    q: Sequence[int], reals: Sequence[Tuple[int, int]], uppers: Sequence[Tuple[int, int]], prec: int
+) -> Optional[List[Tuple[int, int, int]]]:
+    """Disks that each hold exactly one root of the real integer polynomial
+    q, one per centre of reals and uppers: (x, y, r) for the disk of radius
+    r about x + iy, in units of 2^-prec.  The n = deg q centres are the
+    Gaussian fixed-point numbers of reals (y = 0) and uppers and the
+    conjugates of uppers.  None when two centres coincide, two disks meet,
+    or an upper disk reaches the real axis.
+
+    With a_0 the leading coefficient and W_i = q(z_i) / (a_0 prod_(j != i)
+    (z_i - z_j)), q/a_0 is the characteristic polynomial of diag(z) - 1 W^T,
+    so by Gerschgorin's theorem on its columns every root lies in the union
+    of the disks D(z_i - W_i, (n - 1)|W_i|), and disjoint disks hold one root
+    each (Braess & Hadeler, Numer. Math. 21, 1973; Carstensen, Numer. Math.
+    59, 1991).  W_i is an exact Gaussian rational; its centre is rounded
+    down and the radius widened by 2 units to cover that, except where
+    q(z_i) = 0, whose disk is the point z_i.  A disk about a real centre is
+    symmetric about the axis, so its one root is real; an upper disk above
+    the axis holds a non-real root, and its mirror the conjugate.
+    """
+    n = len(q) - 1
+    centres = list(reals) + list(uppers) + [(x, -y) for x, y in uppers]
+    if len(centres) != n:
+        return None
+    a0 = q[0]
+    disks = []
+    for i, (x, y) in enumerate(centres[: n - len(uppers)]):
+        # q(z_i) 2^(n prec), exactly
+        fr, fi = a0, 0
+        for k, c in enumerate(q[1:], 1):
+            fr, fi = fr * x - fi * y + (c << (k * prec)), fr * y + fi * x
+        if fr == fi == 0:
+            disks.append((x, y, 0))
+            continue
+        # prod_(j != i) (z_i - z_j) 2^((n - 1) prec)
+        dr, di = 1, 0
+        for j, (u, v) in enumerate(centres):
+            if j != i:
+                dr, di = dr * (x - u) - di * (y - v), dr * (y - v) + di * (x - u)
+        dd = dr * dr + di * di
+        if dd == 0:
+            return None
+        # W_i 2^prec = F conj(D) / (a_0 |D|^2)
+        den = a0 * dd
+        wr, wi = (fr * dr + fi * di) // den, (fi * dr - fr * di) // den
+        r_sq = -(-((n - 1) ** 2) * (fr * fr + fi * fi) // (den * a0))
+        r = (isqrt(r_sq - 1) + 1 if r_sq else 0) + 2
+        disks.append((x - wr, y - wi, r))
+    ups = disks[len(reals):]
+    if any(cy <= r for _, cy, r in ups):
+        return None
+    every = disks + [(cx, -cy, r) for cx, cy, r in ups]
+    for i, (ax, ay, ar) in enumerate(every):
+        for bx, by, br in every[i + 1 :]:
+            if (ax - bx) ** 2 + (ay - by) ** 2 <= (ar + br) ** 2:
+                return None
+    return disks
+
+
+def _split_seeds(
+    seeds: Sequence[Tuple[int, int]], n_real: int
+) -> Optional[Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]]:
+    """The n_real seeds nearest the real axis, put on it and in increasing
+    order, and the upper members of the rest, by decreasing imaginary part;
+    None when the rest do not split evenly across the axis."""
+    by_im = sorted(seeds, key=lambda s: abs(s[1]))
+    rest = by_im[n_real:]
+    uppers = sorted((s for s in rest if s[1] > 0), key=lambda s: -s[1])
+    if 2 * len(uppers) != len(rest):
+        return None
+    return sorted((x, 0) for x, _ in by_im[:n_real]), uppers
+
+
+def _seed_sets(
+    q: Sequence[int], digits: int, final: int
+) -> Iterator[Tuple[int, List[Tuple[int, int]]]]:
+    """The seed sets enclose_roots tries, in order, as (scale, fixed-point
+    seeds): the double pass at SEED_BITS, then ``_approx_roots`` at 10
+    digits above the working precision, rounded to the final scale."""
+    seeds = _float_seeds(q)
+    if seeds is not None:
+        yield SEED_BITS, _fixed_seeds(seeds, SEED_BITS)
+    approx = _approx_roots(q, digits + 10, seeds)
+    if len(approx) == len(q) - 1:
+        yield final, _fixed_seeds(approx, final)
+
+
+def _disk_span(m: int, r: int, exp: int, digits: int) -> IntervalScalar:
+    """[(m - r) 2^exp, (m + r) 2^exp], rounded outward to the working precision."""
+
+    def at(v: int) -> Fraction:
+        return Fraction(v << exp) if exp >= 0 else Fraction(v, 1 << -exp)
+
+    return IntervalScalar.from_fractions(at(m - r), at(m + r), digits)
 
 
 def enclose_roots(
     p: Sequence[int], width: Fraction, digits: int
 ) -> List[Tuple[ComplexBox, bool]]:
-    """Certified root classes of a real integer polynomial p (descending),
-    at the one working precision given: (box, False) for each real root and
-    (box, True) for the upper member of each conjugate pair.
+    """Certified root classes of a squarefree real integer polynomial p
+    (descending), at the one working precision given: (box, False) for each
+    real root and (box, True) for the upper member of each conjugate pair.
 
-    The approximations come from ``_approx_roots``: double-precision
-    Durand-Kerner seeds, polished by ``mpmath.polyroots(roots_init=...)``
-    at 10 digits above the working precision.  Interval Newton then
-    certifies a box around each.
+    Double-precision Durand-Kerner seeds, split into reals and pairs by an
+    exact Sturm count of the real roots, are polished by Newton's method in
+    Gaussian fixed point, the scale doubling up to 2^-(bits + POLISH_GUARD);
+    a pair is polished once, by its upper member, and mirrored.  One exact
+    test, ``_gerschgorin_disks``, then certifies a disk about each.  Where
+    the double pass fails or its disks meet (roots closer than a double
+    separates), seeds from ``mpmath.polyroots`` at 10 digits above the
+    working precision go through the same polish and test.
 
-    Each box has width <= width and holds exactly one root of p.  Past
-    HUGE_ROOT_BOUND the width is relative: it is multiplied by the 2^e of
-    ``_approx_roots``' scaling, about the largest root modulus, since an
-    absolute width there can be finer than the working precision reaches.
-    Completeness holds because the boxes, conjugates included, are pairwise
-    disjoint and their count is the degree.  Raises EnclosureError when
-    certification fails at this precision.
+    Each box is the outward-rounded square about a disk: it has width <=
+    width and holds exactly one root of p, and a root that Newton's method
+    hits exactly (a dyadic one) gets a point box.  Past HUGE_ROOT_BOUND the
+    roots w = z / 2^e of p(2^e w), of modulus about 1, are enclosed instead
+    and scaled back exactly, and the width is relative: it is multiplied by
+    2^e, since an absolute width there can be finer than the working
+    precision reaches.  Raises EnclosureError when certification fails at
+    this precision.
     """
     n = len(p) - 1
     if n < 1:
         return []
-    failed = "could not certify disjoint root enclosures at {} digits".format(digits)
-    approx = _approx_roots(p, digits + 10)
-    width *= 2 ** _huge_root_exponent(p)
-    if len(approx) != n:
-        raise EnclosureError(failed)
+    e = _huge_root_exponent(p)
+    q = [int(c) << (e * (n - i)) for i, c in enumerate(p)]
+    width *= 2**e
+    final = digits_to_bits(digits) + POLISH_GUARD
+    n_real = count_real_roots(p)
     zero = IntervalScalar.exact_int(0, digits)
-    cboxes = [ComplexBox(IntervalScalar.exact_int(c, digits), zero) for c in p]
-    dboxes = derivative_boxes(cboxes, digits)
-    # split the seeds into real ones and upper-half pair ones; midpoint
-    # rounding can push real roots slightly off the axis, so classify by
-    # conjugate pairing: roots with positive imaginary part whose mirror is
-    # also present form the pairs
-    n_pairs = min(sum(mpmath.im(z) > 0 for z in approx), sum(mpmath.im(z) < 0 for z in approx))
-    cand = sorted(approx, key=lambda z: abs(mpmath.im(z)))
-    reals, rest = cand[: n - 2 * n_pairs], cand[n - 2 * n_pairs :]
-    uppers = sorted((z for z in rest if mpmath.im(z) > 0), key=lambda z: -mpmath.im(z))
-    if 2 * len(uppers) != len(rest):
-        raise EnclosureError(failed)
-    out: List[Tuple[ComplexBox, bool]] = []
-    boxes: List[ComplexBox] = []
-    for z, is_pair in [(z, False) for z in reals] + [(z, True) for z in uppers]:
-        # a real seed gets a trial box symmetric about the real axis: the one
-        # root certified there is then real, since its conjugate is a root too
-        zr = _mpf_fraction(mpmath.re(z))
-        zi = _mpf_fraction(mpmath.im(z)) if is_pair else Fraction(0)
-        box = newton_root(cboxes, dboxes, zr, zi, width, digits)
-        if box is None:
-            raise EnclosureError(failed)
-        if is_pair:
-            if box.im.lo_fraction() <= 0:
-                raise EnclosureError(failed)
-            boxes += [box, box.conjugate()]
-        else:
-            box = ComplexBox(box.re, zero)
-            boxes.append(box)
-        out.append((box, is_pair))
-    if not _pairwise_disjoint(boxes):
-        raise EnclosureError(failed)
-    return out
+    for prec, seeds in _seed_sets(q, digits, final):
+        split = _split_seeds(seeds, n_real)
+        if split is None:
+            continue
+        reals, uppers = (_polish(q, part, prec, final) for part in split)
+        if reals is None or uppers is None:
+            continue
+        disks = _gerschgorin_disks(q, reals, uppers, final)
+        if disks is None:
+            continue
+        out: List[Tuple[ComplexBox, bool]] = []
+        for k, (x, y, r) in enumerate(disks):
+            re = _disk_span(x, r, e - final, digits)
+            if k < len(reals):
+                out.append((ComplexBox(re, zero), False))
+            else:
+                out.append((ComplexBox(re, _disk_span(y, r, e - final, digits)), True))
+        if all(box.width_fraction() <= width for box, _ in out):
+            return out
+    raise EnclosureError("could not certify disjoint root enclosures at {} digits".format(digits))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ whose integer numerators also give the signs, or as containing integer
 balls at a chosen working precision, whose signs are certified.  Closed
 forms, at a rational gamma only, combine certified root enclosures of the
 integer characteristic polynomial, from the one engine
-``poly.enclose_roots``, with the coefficient of each root read off the
+``poly.enclose_roots`` (exact Gerschgorin disks about fixed-point Newton
+seeds), with the coefficient of each root read off the
 generating function as a residue, and the tail certificate turns a
 dominant positive real root into a proof of positivity beyond a computed
 index.

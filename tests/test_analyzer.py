@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -147,7 +148,7 @@ class TestAb3AtOptimum:
         cf = closed_form(m, g, 64)
         assert all(not r.is_pair for r in cf.roots)
         ordered = sorted(
-            zip(cf.roots, cf.coeffs), key=lambda rc: rc[0].box.re.mid_fraction()
+            zip(cf.roots, cf.coeffs), key=lambda rc: rc[0].box.re.lo_fraction()
         )
         r1, r2, r3 = (rc[0].box.re for rc in ordered)
         assert r1.hi_fraction() < 0 < r2.lo_fraction()
@@ -408,22 +409,35 @@ class TestGammaSup:
         rebind(analyzer.check_scb, "check_scb")
         rebind(recursion.closed_form, "closed_form")
         rebind(arith.precision_ladder, "rungs", per_item=True)
-        # seeds reach interval Newton at their full precision, so every root
-        # certifies at the first trial box: one newton_certify per root
-        rebind(poly.newton_root, "newton_root")
-        rebind(poly.newton_certify, "newton_certify")
+        # the double seeds certify at once: one disk test per enclosure, and
+        # mpmath's seeds are never needed
+        rebind(poly.enclose_roots, "enclose_roots")
+        rebind(poly._gerschgorin_disks, "disk_tests")
+        rebind(poly._approx_roots, "fallback_seeds")
         r = gamma_sup(catalog("bdf4"), F(1, 10**9))
         assert r.mechanism is Mechanism.CROSSOVER
         assert counts["rungs"] == counts["closed_form"]
-        assert counts["newton_certify"] == counts["newton_root"]
+        assert counts["disk_tests"] == counts["enclose_roots"]
         # guesses decide 26 of the 28 bisection steps: check_scb runs at the
         # two infeasible halving points 1 and 1/2 and at the two open steps,
         # which are the reported endpoints; the feasible bracket point 1/4 is
         # guessed
         assert (r.guessed_steps, r.certified_steps) == (26, 2)
         assert dict(counts) == {
-            "check_scb": 4, "closed_form": 3, "rungs": 3, "newton_root": 9, "newton_certify": 9,
+            "check_scb": 4, "closed_form": 3, "rungs": 3, "enclose_roots": 3, "disk_tests": 3,
         }
+
+    def test_catalog_needs_no_polyroots(self, monkeypatch):
+        # mpmath.polyroots only seeds the roots the double pass cannot
+        # separate; the catalog's optimum searches and tau runs never need it
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots reached")
+
+        monkeypatch.setattr(mpmath, "polyroots", refuse)
+        for name, mechanism in published.MECHANISM.items():
+            assert gamma_sup(catalog(name), F(1, 10**9)).mechanism.value == mechanism, name
+        for name in methods.catalog_names():
+            assert scb_exists(catalog(name)).status is not Existence.INCONCLUSIVE, name
 
 
 def _unguided(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from scbcert import analyzer, methods, poly
 from scbcert.poly import RootCondition
@@ -138,10 +139,10 @@ class TestEncloseAllRoots:
 
     def test_z2_minus_one(self):
         classes = all_root_classes([F(1), F(0), F(-1)], F(1, 100))
-        boxes = [box for box, _, _ in classes]
-        vals = sorted(box.re.mid_fraction() for box in boxes)
+        boxes = sorted((box for box, _, _ in classes), key=lambda box: box.re.lo_fraction())
         assert any(box.re.contains_fraction(-1) for box in boxes)
-        assert root_count(classes) == 2 and len(classes) == 2 and vals[0] < 0 < vals[1]
+        assert root_count(classes) == 2 and len(classes) == 2
+        assert boxes[0].re.hi_fraction() < 0 < boxes[1].re.lo_fraction()
 
     def test_conjugate_symmetry_and_count(self):
         rng = random.Random(42)
@@ -217,12 +218,16 @@ def _check_against_sturm(p, digits=64):
 
 class TestRootEngine:
     def test_seed_keeps_its_precision(self):
-        # a 200-digit seed must reach Newton whole, not rounded to a double
+        # a 200-digit seed must reach the Newton polish whole, not rounded to
+        # a double; a double seed is taken exactly
         with mpmath.workdps(200):
-            x, neg = mpmath.mpf(1) / 3, mpmath.mpf(-2) / 3
-        assert poly._mpf_fraction(x) == F(x.man, 2 ** -x.exp)
-        assert abs(poly._mpf_fraction(x) - F(1, 3)) < F(1, 10**199)
-        assert abs(poly._mpf_fraction(neg) + F(2, 3)) < F(1, 10**199)
+            z, x = mpmath.mpc(1, -2) / 3, mpmath.mpf(-2) / 3
+        prec = 700
+        (a, b), (c, d) = poly._fixed_seeds([z, x], prec)
+        for got, want in ((a, F(1, 3)), (b, F(-2, 3)), (c, F(-2, 3))):
+            assert abs(F(got, 2**prec) - want) < F(1, 10**199)
+        assert d == 0
+        assert poly._fixed_seeds([0.1 - 0.5j], 80) == [(int(F(0.1) * 2**80), -(2**79))]
 
     @settings(max_examples=150, deadline=None)
     @given(_layout)
@@ -248,7 +253,8 @@ class TestRootEngine:
 
     def test_huge_roots_are_scaled_before_seeding(self):
         # the double-precision pass overflows on these as they stand;
-        # _approx_roots seeds and polishes the roots scaled by 2^-e instead
+        # enclose_roots seeds, polishes and certifies the roots scaled by
+        # 2^-e instead
         big = 10**60
         p = poly.mul(poly.mul([1, -big], [1, -2 * big]), [1, -3 * big])
         for q, n_classes in ((p, 3), ([1, 0, 10**200], 1)):
@@ -295,9 +301,11 @@ class TestRootEngine:
     def test_scaling_leaves_small_bounds_alone(self, monkeypatch):
         # below HUGE_ROOT_BOUND the roots come from the unscaled polynomial
         monkeypatch.setattr(poly, "_root_scale_exponent", lambda p: 1 / 0)
-        p = [F(c) for c in poly.mul([1, -(2**60)], [1, 0, 1])]
+        p = poly.mul([1, -(2**60)], [1, 0, 1])
         assert poly.cauchy_bound(p) <= poly.HUGE_ROOT_BOUND
-        assert len(poly._approx_roots(p, 30)) == 3
+        classes = poly.enclose_roots(p, F(1, 10**30), 64)
+        assert [is_pair for _, is_pair in classes] == [False, True]
+        assert holds(classes[0][0], 2**60) and holds(classes[1][0], 0, 1)
 
     def test_cluster_beside_a_pair(self):
         # (7z - 3)(z - 3/7 - 10^-20)(z^2 + 1): two reals 10^-20 apart
@@ -315,6 +323,97 @@ class TestRootEngine:
                 g = F(rng.randint(1, 300), rng.randint(1, 100))
                 p = squarefree(poly.to_integer(methods.char_poly_mu(m, g)))
                 _check_against_sturm(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(methods.catalog_names()),
+        st.fractions(min_value=F(1, 1000), max_value=3, max_denominator=10**6),
+    )
+    def test_catalog_roots_against_polyroots(self, name, g):
+        # an independent path: mpmath.polyroots at 120 digits from its own
+        # start; every root lies in exactly one box and every box holds one
+        p = squarefree(poly.to_integer(methods.char_poly_mu(methods.catalog(name), g)))
+        classes = _check_against_sturm(p)
+        boxes = [box for box, _ in classes]
+        boxes += [box.conjugate() for box, is_pair in classes if is_pair]
+        with mpmath.workdps(120):
+            ref = mpmath.polyroots([mpmath.mpf(c) for c in p], maxsteps=500, extraprec=300)
+        assert len(ref) == len(boxes)
+        for z in ref:
+            re, im = (F(*to_rational(x._mpf_)) for x in (z.real, z.imag))
+            assert sum(holds(box, re, im) for box in boxes) == 1, (name, g, z)
+
+    def test_dyadic_roots_get_point_boxes(self):
+        # ab1 at gamma = 1/2 and bdf1 at 3/5 have the roots 1/2 and 5/8: the
+        # tail certificates keep them exact only through point boxes
+        for name, g, root in (("ab1", F(1, 2), F(1, 2)), ("bdf1", F(3, 5), F(5, 8))):
+            p = poly.to_integer(methods.char_poly_mu(methods.catalog(name), g))
+            [(box, is_pair)] = poly.enclose_roots(p, F(1, 10**32), 64)
+            assert not is_pair and on_real_line(box)
+            assert box.re.lo_fraction() == box.re.hi_fraction() == root
+        # Newton's rounded steps land on a dyadic root among others too
+        p = poly.mul(poly.mul([4, -3], [2, -1]), [1, 1, 1])
+        reals = [box for box, is_pair in poly.enclose_roots(p, F(1, 10**32), 64) if not is_pair]
+        assert [(box.re.lo_fraction(), box.re.hi_fraction()) for box in reals] == [
+            (F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))
+        ]
+
+    def test_disk_test_needs_distinct_centres(self):
+        one = 1 << 64
+        # z^2 - 1 at its roots: two point disks; the same centre twice, or an
+        # upper centre on the axis (its own mirror), is never certified
+        assert poly._gerschgorin_disks([1, 0, -1], [(-one, 0), (one, 0)], [], 64) == [
+            (-one, 0, 0), (one, 0, 0)
+        ]
+        assert poly._gerschgorin_disks([1, 0, -1], [(one, 0), (one, 0)], [], 64) is None
+        assert poly._gerschgorin_disks([1, 0, -1], [(3 * one, 0), (3 * one, 0)], [], 64) is None
+        assert poly._gerschgorin_disks([1, 0, 5, 0, 4], [], [(0, one), (0, one)], 64) is None
+        assert poly._gerschgorin_disks([1, 0, 1], [], [(one, 0)], 64) is None
+        # distinct centres 2^-64 apart: the point disk at 1 lies in the disk
+        # about the other centre, D(-1, 2 + 2^-64)
+        assert poly._gerschgorin_disks([1, 0, -1], [(one, 0), (one + 1, 0)], [], 64) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-18, 18), min_size=1, max_size=4, unique=True),
+        st.lists(st.integers(-24, 24), min_size=4, max_size=4),
+    )
+    @example([1], [0])  # 3z - 1: with n = 1 the rounding cover is the whole radius
+    def test_disks_hold_one_root_each(self, thirds, offsets):
+        # the roots k/3 are not dyadic, so the rounded disk centres miss
+        # them; centres are the roots at scale 2^-4, moved by offsets/16,
+        # so they can coincide, cross or stray; whatever is certified
+        # holds one root
+        q = functools.reduce(poly.mul, ([3, -k] for k in thirds), [1])
+        reals = [((k << 4) // 3 + o, 0) for k, o in zip(thirds, offsets)]
+        disks = poly._gerschgorin_disks(q, reals, [], 4)
+        if disks is None:
+            return
+        for x, y, rad in disks:
+            assert y == 0
+            assert sum((3 * x - (k << 4)) ** 2 <= 9 * rad**2 for k in thirds) == 1
+
+    def test_seeds_doubles_cannot_split_come_from_polyroots(self, monkeypatch):
+        # the close reals (z - 3/7)(z - 3/7 - 10^-20) and the thin pair beside
+        # 0 of the @example above: their double seeds do not certify, and
+        # mpmath's seeds go through the same polish and disk test
+        calls = []
+        approx = poly._approx_roots
+        monkeypatch.setattr(poly, "_approx_roots", lambda *a: calls.append(a[0]) or approx(*a))
+        a = F(3, 7)
+        close = poly.mul([7, -3], poly.to_integer([1, -a - _TINY]))
+        thin = poly.mul([1, 0], poly.to_integer([1, F(8, 5), F(16, 25) + _TINY * _TINY]))
+        for p, n_classes in ((close, 2), (thin, 2)):
+            calls.clear()
+            assert len(_check_against_sturm(p)) == n_classes
+            assert len(calls) == 1
+        # coincident double seeds, as if _float_seeds let them through, reach
+        # the disk test, which refuses them; the fallback still certifies
+        monkeypatch.setattr(poly, "_float_seeds", lambda p: [0.5 + 0j] * (len(p) - 1))
+        for p in (close, thin, [1, 0, -1]):
+            calls.clear()
+            _check_against_sturm(p)
+            assert len(calls) == 1
 
 
 class TestRootCondition:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
-from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, IntervalScalar, precision_ladder
+from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, precision_ladder
 from .methods import Method, char_poly_mu, generating_polys, n0, validate
 from .poly import EnclosureError
 from .recursion import (
@@ -219,8 +219,9 @@ def in_stability_interior(m: Method, lam: Fraction) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _interval_str(v: IntervalScalar) -> Tuple[str, str]:
-    return (str(v.lo_fraction()), str(v.hi_fraction()))
+def _interval_str(bounds: Tuple[Fraction, Fraction]) -> Tuple[str, str]:
+    lo, hi = bounds
+    return (str(lo), str(hi))
 
 
 def _first_negative(signs: Sequence[int]) -> Optional[int]:
@@ -252,20 +253,20 @@ def _closed_forms(
 
 
 def _complex_dominance(cf: ClosedForm, di: int) -> Optional[InfeasibleComplexDominance]:
-    """Evidence for the dominant pair di, or None while its coefficient box
-    still contains zero."""
-    c_box = cf.coeffs[di]
-    if c_box.abs_sq().lo_fraction() <= 0:
+    """Evidence for the dominant pair di, or None while the modulus of its
+    coefficient ball has no positive lower bound."""
+    c_mod = cf.coeffs[di].modulus_bounds()
+    if c_mod[0] <= 0:
         return None
     return InfeasibleComplexDominance(
-        pair_modulus=_interval_str(cf.roots[di].modulus()),
+        pair_modulus=_interval_str(cf.roots[di].ball.modulus_bounds()),
         others_modulus_max=str(
             max(
-                (rec.modulus().hi_fraction() for i, rec in enumerate(cf.roots) if i != di),
+                (rec.ball.modulus_bounds()[1] for i, rec in enumerate(cf.roots) if i != di),
                 default=Fraction(0),
             )
         ),
-        coeff_modulus=_interval_str(c_box.modulus()),
+        coeff_modulus=_interval_str(c_mod),
     )
 
 
@@ -351,9 +352,9 @@ def check_scb(
             if cf.roots[di].is_pair:
                 evidence = _complex_dominance(cf, di)
                 if evidence is None:
-                    continue  # coefficient box still contains zero: sharpen
+                    continue  # coefficient ball may still hold zero: sharpen
                 return scanned_witness() or verdict(Feasibility.INFEASIBLE, evidence)
-            if cf.roots[di].box.re.hi_fraction() < 0 or cf.coeffs[di].re.hi_fraction() < 0:
+            if cf.roots[di].ball.re_bounds()[1] < 0 or cf.coeffs[di].re_bounds()[1] < 0:
                 break  # dominant term eventually negative: witness scan below
             tc = tail_certificate(cf)
             if tc is None:
@@ -493,7 +494,9 @@ def scb_exists(
             return witness(n, None)
 
     circle_ok = _only_circle_root_is_one(list(generating_polys(m).rho))
-    digits_used = digits
+    # digits_used is the highest rung run so far, or the ladder's first
+    # before any runs
+    digits_used = min(digits, digits_cap)
     if circle_ok:
         try:
             for digits_used, cf in _closed_forms(m, Fraction(0), digits, digits_cap):
@@ -549,19 +552,19 @@ def _dominance_gap_sign(
     try:
         for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
             real_pos = [
-                rec.modulus()
+                rec.ball.modulus_bounds()
                 for rec in cf.roots
-                if not rec.is_pair and rec.box.re.lo_fraction() > 0
+                if not rec.is_pair and rec.ball.re_bounds()[0] > 0
             ]
-            pairs = [rec.modulus() for rec in cf.roots if rec.is_pair]
+            pairs = [rec.ball.modulus_bounds() for rec in cf.roots if rec.is_pair]
             if not pairs:
                 return 1 if real_pos else None
             if not real_pos:
                 return -1
-            rmax_lo = max(v.lo_fraction() for v in real_pos)
-            rmax_hi = max(v.hi_fraction() for v in real_pos)
-            pmax_lo = max(v.lo_fraction() for v in pairs)
-            pmax_hi = max(v.hi_fraction() for v in pairs)
+            rmax_lo = max(lo for lo, _ in real_pos)
+            rmax_hi = max(hi for _, hi in real_pos)
+            pmax_lo = max(lo for lo, _ in pairs)
+            pmax_hi = max(hi for _, hi in pairs)
             if rmax_lo > pmax_hi:
                 return 1
             if pmax_lo > rmax_hi:

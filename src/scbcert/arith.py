@@ -1,11 +1,16 @@
-"""Exact rationals and directed-rounding interval arithmetic.
+"""Exact rationals, Gaussian-integer balls, and the intervals that set up
+the sequence kernel.
 
-Every certified inequality in this package is ultimately decided either in
-exact rational arithmetic (``fractions.Fraction``) or in interval arithmetic
-with outward-rounded binary endpoints.  Interval endpoints are mpmath ``libmp``
-raw mpf tuples; each operation rounds the lower endpoint toward -inf and the
-upper endpoint toward +inf, so every result interval contains the exact result
-for any points of the input intervals.
+Every certified inequality in this package is decided in exact rational
+arithmetic (``fractions.Fraction``), on integer balls, or on the
+directed-rounding intervals that build the sequence kernel's coefficient
+balls.  A ball (``GaussBall``) is a disk with a Gaussian-integer centre and
+an integer radius at a power-of-two scale; every operation is exact on the
+integers and rounds once, into the radius, so the result holds every
+product, quotient or value of the points of its inputs.  Its readers return
+exact Fraction bounds.  Interval endpoints are mpmath ``libmp`` raw mpf
+tuples; each operation rounds the lower endpoint toward -inf and the upper
+endpoint toward +inf.
 
 Working precision is specified in decimal digits and converted to bits with
 ceil(digits * log2(10)); binary endpoints keep certificates bit-reproducible.
@@ -14,31 +19,22 @@ ceil(digits * log2(10)); binary endpoints keep certificates bit-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Union
+from math import isqrt
+from typing import Iterator, NamedTuple, Sequence, Tuple, Union
 
 from mpmath.libmp import (
-    finf,
-    fnan,
-    fninf,
-    fone,
     from_int,
     from_rational,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_cmp,
     mpf_div,
     mpf_mul,
-    mpf_neg,
-    mpf_pow_int,
-    mpf_sqrt,
     mpf_sub,
     round_ceiling,
     round_floor,
-    to_str,
 )
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 DEFAULT_DIGITS = 64
@@ -50,7 +46,7 @@ _LOG2_10_DEN = 10**7
 
 
 class ArithmeticDomainError(ZeroDivisionError):
-    """Raised for undefined interval operations (e.g. division through 0)."""
+    """Raised for undefined interval or ball operations (division through 0)."""
 
 
 def digits_to_bits(digits: int) -> int:
@@ -92,20 +88,6 @@ def ratio_str(num: int, den: int) -> str:
     return str(num) if den == 1 else "{}/{}".format(num, den)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if x == fzero:
-        return Fraction(0)
-    if x in (finf, fninf, fnan):
-        raise OverflowError("non-finite interval endpoint")
-    sign, man, exp, _bc = x
-    man = int(man)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man << exp)
-    return Fraction(man, 1 << (-exp))
-
-
 def _fraction_to_mpf(q: Fraction, bits: int, rnd: str):
     return from_rational(q.numerator, q.denominator, bits, rnd)
 
@@ -119,7 +101,8 @@ def _mpf_max(a, b):
 
 
 class IntervalScalar:
-    """Closed interval [lo, hi] with directed-rounded binary endpoints.
+    """Closed interval [lo, hi] with directed-rounded binary endpoints: the
+    coefficients of the sequence kernel at a working precision.
 
     Immutable; all operations return new intervals satisfying the containment
     invariant.  ``bits`` is the working precision used for rounding the
@@ -135,8 +118,6 @@ class IntervalScalar:
         self.hi = hi
         self.bits = bits
 
-    # -- construction -----------------------------------------------------
-
     @classmethod
     def from_fraction(cls, q: RationalLike, digits: int = DEFAULT_DIGITS) -> "IntervalScalar":
         q = Fraction(q)
@@ -148,57 +129,15 @@ class IntervalScalar:
         )
 
     @classmethod
-    def from_fractions(
-        cls, lo: RationalLike, hi: RationalLike, digits: int = DEFAULT_DIGITS
-    ) -> "IntervalScalar":
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        bits = digits_to_bits(digits)
-        return cls(
-            _fraction_to_mpf(lo, bits, round_floor),
-            _fraction_to_mpf(hi, bits, round_ceiling),
-            bits,
-        )
-
-    @classmethod
     def exact_int(cls, n: int, digits: int = DEFAULT_DIGITS) -> "IntervalScalar":
         v = from_int(n)
         return cls(v, v, digits_to_bits(digits))
 
-    # -- views ------------------------------------------------------------
-
-    @property
-    def digits(self) -> int:
-        return max(1, (self.bits * _LOG2_10_DEN) // _LOG2_10_NUM)
-
-    def lo_fraction(self) -> Fraction:
-        return _mpf_to_fraction(self.lo)
-
-    def hi_fraction(self) -> Fraction:
-        return _mpf_to_fraction(self.hi)
-
-    def width_fraction(self) -> Fraction:
-        return self.hi_fraction() - self.lo_fraction()
-
-    def contains_fraction(self, q: RationalLike) -> bool:
-        q = Fraction(q)
-        return self.lo_fraction() <= q <= self.hi_fraction()
-
     def contains_zero(self) -> bool:
         return mpf_cmp(self.lo, fzero) <= 0 and mpf_cmp(self.hi, fzero) >= 0
 
-    def __repr__(self) -> str:
-        d = min(self.digits, 17)
-        return "[{}, {}]".format(to_str(self.lo, d), to_str(self.hi, d))
-
-    # -- arithmetic -------------------------------------------------------
-
     def _bits_with(self, other: "IntervalScalar") -> int:
         return max(self.bits, other.bits)
-
-    def __neg__(self) -> "IntervalScalar":
-        return IntervalScalar(mpf_neg(self.hi), mpf_neg(self.lo), self.bits)
 
     def add(self, other: "IntervalScalar") -> "IntervalScalar":
         bits = self._bits_with(other)
@@ -208,8 +147,6 @@ class IntervalScalar:
             bits,
         )
 
-    __add__ = add
-
     def sub(self, other: "IntervalScalar") -> "IntervalScalar":
         bits = self._bits_with(other)
         return IntervalScalar(
@@ -217,8 +154,6 @@ class IntervalScalar:
             mpf_sub(self.hi, other.lo, bits, round_ceiling),
             bits,
         )
-
-    __sub__ = sub
 
     def _category(self) -> int:
         # 1: >= 0, -1: <= 0, 0: straddles
@@ -267,8 +202,6 @@ class IntervalScalar:
         hi2 = mpf_mul(ah, bh, bits, round_ceiling)
         return IntervalScalar(_mpf_min(lo1, lo2), _mpf_max(hi1, hi2), bits)
 
-    __mul__ = mul
-
     def div(self, other: "IntervalScalar") -> "IntervalScalar":
         bits = self._bits_with(other)
         cb = other._category()
@@ -296,148 +229,158 @@ class IntervalScalar:
             bits,
         )
 
-    __truediv__ = div
 
-    def abs(self) -> "IntervalScalar":
-        c = self._category()
-        if c == 1:
-            return self
-        if c == -1:
-            return -self
-        return IntervalScalar(fzero, _mpf_max(mpf_abs(self.lo), mpf_abs(self.hi)), self.bits)
+# bits an integer ball keeps below its radius: a centre is kept to about
+# (useful + BALL_GUARD) bits, useful = bitlen(centre) - bitlen(radius)
+BALL_GUARD = 96
 
-    def mag(self):
-        """Upper bound for |x| over the interval (raw mpf)."""
-        return _mpf_max(mpf_abs(self.lo), mpf_abs(self.hi))
 
-    def mig(self):
-        """Lower bound for |x| over the interval (raw mpf)."""
-        if self._category() == 0 or self.contains_zero():
-            return fzero
-        return _mpf_min(mpf_abs(self.lo), mpf_abs(self.hi))
+def _dyadic(v: int, s: int) -> Fraction:
+    """v * 2^-s exactly."""
+    return Fraction(v, 1 << s) if s >= 0 else Fraction(v << -s)
 
-    def sqrt(self) -> "IntervalScalar":
-        if mpf_cmp(self.hi, fzero) < 0:
-            raise ArithmeticDomainError("sqrt of negative interval")
-        lo = self.lo if mpf_cmp(self.lo, fzero) > 0 else fzero
-        return IntervalScalar(
-            mpf_sqrt(lo, self.bits, round_floor),
-            mpf_sqrt(self.hi, self.bits, round_ceiling),
-            self.bits,
+
+def _ceil_sqrt(n: int) -> int:
+    """The least integer at least sqrt(n), n >= 0."""
+    return isqrt(n - 1) + 1 if n else 0
+
+
+def _round_div(n: int, d: int) -> Tuple[int, bool]:
+    """n / d (d > 0) rounded to the nearest integer, and whether exactly."""
+    q, rem = divmod(n, d)
+    return q + (2 * rem >= d), rem == 0
+
+
+def _trimmed(x: int, y: int, r: int, s: int, prec: int) -> "GaussBall":
+    """The ball (x, y, r, s) with its centre cut to at most prec bits, and to
+    BALL_GUARD bits below the radius once the radius grows.  A shift right
+    by d bits rounds each coordinate to the nearest, off by 1/2 at most, so
+    the radius becomes r / 2^d rounded up, plus 1 unless no bit of the
+    centre was cut."""
+    d = max(max(abs(x), abs(y)).bit_length() - prec, r.bit_length() - BALL_GUARD)
+    if d <= 0:
+        return GaussBall(x, y, r, s)
+    h = 1 << (d - 1)
+    cut = (x | y) & ((1 << d) - 1)
+    return GaussBall((x + h) >> d, (y + h) >> d, -(-r >> d) + (cut != 0), s - d)
+
+
+class GaussBall(NamedTuple):
+    """The closed disk of radius r * 2^-s about (x + iy) * 2^-s, for integers
+    x, y, r >= 0 and s of either sign; y = 0 for a real ball.
+
+    Each operation is exact on the integers and then trimmed once
+    (``_trimmed``), so its result holds the result of every choice of
+    points of its operands (Johansson, "Arb", IEEE TC 2017, keeps
+    midpoints alike).  ``prec`` caps the bits of a result's centre.
+    """
+
+    x: int
+    y: int
+    r: int
+    s: int
+
+    def _mag(self) -> int:
+        """An integer at least |x + iy|."""
+        return _ceil_sqrt(self.x * self.x + self.y * self.y)
+
+    def add(self, other: "GaussBall") -> "GaussBall":
+        """The sum, exactly, at the finer of the two scales."""
+        a, b = (self, other) if self.s >= other.s else (other, self)
+        d = a.s - b.s
+        return GaussBall(a.x + (b.x << d), a.y + (b.y << d), a.r + (b.r << d), a.s)
+
+    def mul(self, other: "GaussBall", prec: int) -> "GaussBall":
+        """The product: (a + u)(b + v) - ab = av + bu + uv for |u| <= ra and
+        |v| <= rb, so the radius is |a| rb + |b| ra + ra rb."""
+        a, b = self, other
+        return _trimmed(
+            a.x * b.x - a.y * b.y,
+            a.x * b.y + a.y * b.x,
+            a._mag() * b.r + b._mag() * a.r + a.r * b.r,
+            a.s + b.s,
+            prec,
         )
 
-    def pow_int(self, n: int) -> "IntervalScalar":
-        if n < 0:
-            return IntervalScalar(fone, fone, self.bits).div(self.pow_int(-n))
-        if n == 0:
-            return IntervalScalar(fone, fone, self.bits)
-        if n == 1:
-            return self
-        bits = self.bits
-        if n % 2 == 1 or self._category() == 1:
-            return IntervalScalar(
-                mpf_pow_int(self.lo, n, bits, round_floor),
-                mpf_pow_int(self.hi, n, bits, round_ceiling),
-                bits,
-            )
-        if self._category() == -1:
-            return IntervalScalar(
-                mpf_pow_int(self.hi, n, bits, round_floor),
-                mpf_pow_int(self.lo, n, bits, round_ceiling),
-                bits,
-            )
-        return IntervalScalar(fzero, mpf_pow_int(self.mag(), n, bits, round_ceiling), bits)
+    def div(self, other: "GaussBall", prec: int) -> "GaussBall":
+        """The quotient; raises ArithmeticDomainError when the divisor's disk
+        may hold 0.  (a + u)/(b + v) - a/b = (bu - av) / (b (b + v)), so the
+        radius is (ra |b| + |a| rb) / (|b| (|b| - rb)), rounded up, plus 1
+        for the rounded centre a conj(b) / |b|^2 unless it is exact."""
+        a, b = self, other
+        nb = b.x * b.x + b.y * b.y
+        lb = isqrt(nb)  # |b| rounded down
+        if lb <= b.r:
+            raise ArithmeticDomainError("division by a ball that may hold zero")
+        # the quotient's centre gets about prec bits at the scale 2^-(k + sa - sb)
+        k = prec - max(abs(a.x), abs(a.y), a.r).bit_length() + lb.bit_length()
+        nx, ny = a.x * b.x + a.y * b.y, a.y * b.x - a.x * b.y
+        nr = a.r * _ceil_sqrt(nb) + a._mag() * b.r
+        dx, dr = nb, lb * (lb - b.r)
+        if k >= 0:
+            nx, ny, nr = nx << k, ny << k, nr << k
+        else:
+            dx, dr = dx << -k, dr << -k
+        qx, ex = _round_div(nx, dx)
+        qy, ey = _round_div(ny, dx)
+        return _trimmed(qx, qy, -(-nr // dr) + (not (ex and ey)), k + a.s - b.s, prec)
 
-
-
-class ComplexBox:
-    """Rectangular complex interval (real box x imaginary box)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: IntervalScalar, im: IntervalScalar):
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_fractions(
-        cls, re: RationalLike, im: RationalLike = 0, digits: int = DEFAULT_DIGITS
-    ) -> "ComplexBox":
-        return cls(
-            IntervalScalar.from_fraction(re, digits),
-            IntervalScalar.from_fraction(im, digits),
-        )
-
-    def __repr__(self) -> str:
-        return "({} + {}*i)".format(self.re, self.im)
-
-    def conjugate(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def add(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re.add(other.re), self.im.add(other.im))
-
-    __add__ = add
-
-    def sub(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re.sub(other.re), self.im.sub(other.im))
-
-    __sub__ = sub
-
-    def __neg__(self) -> "ComplexBox":
-        return ComplexBox(-self.re, -self.im)
-
-    def mul(self, other: "ComplexBox") -> "ComplexBox":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexBox(a.mul(c).sub(b.mul(d)), a.mul(d).add(b.mul(c)))
-
-    __mul__ = mul
-
-    def mul_real(self, r: IntervalScalar) -> "ComplexBox":
-        return ComplexBox(self.re.mul(r), self.im.mul(r))
-
-    def abs_sq(self) -> IntervalScalar:
-        return self.re.pow_int(2).add(self.im.pow_int(2))
-
-    def div_smith(self, other: "ComplexBox") -> "ComplexBox":
-        """Quotient by Smith's formula: the divisor's larger component is
-        divided out first, so the divisor's width enters the result about
-        once, where num*conj(other)/|other|^2 would count it three times."""
-        a, b, x, y = self.re, self.im, other.re, other.im
-        if mpf_cmp(x.mig(), y.mig()) >= 0:
-            r = y.div(x)
-            den = x.add(y.mul(r))
-            return ComplexBox(a.add(b.mul(r)).div(den), b.sub(a.mul(r)).div(den))
-        r = x.div(y)
-        den = y.add(x.mul(r))
-        return ComplexBox(a.mul(r).add(b).div(den), b.mul(r).sub(a).div(den))
-
-    def modulus(self) -> IntervalScalar:
-        """Outward-rounded enclosure of |z| over the box."""
-        bits = max(self.re.bits, self.im.bits)
-        lo_sq = IntervalScalar(self.re.mig(), self.re.mig(), bits).pow_int(2).add(
-            IntervalScalar(self.im.mig(), self.im.mig(), bits).pow_int(2)
-        )
-        hi_sq = IntervalScalar(self.re.mag(), self.re.mag(), bits).pow_int(2).add(
-            IntervalScalar(self.im.mag(), self.im.mag(), bits).pow_int(2)
-        )
-        return IntervalScalar(lo_sq.sqrt().lo, hi_sq.sqrt().hi, bits)
-
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
-
-    def width_fraction(self) -> Fraction:
-        return max(self.re.width_fraction(), self.im.width_fraction())
-
-    def pow_int(self, n: int) -> "ComplexBox":
-        if n < 0:
-            raise ValueError("negative power of a complex box")
-        digits = max(self.re.digits, self.im.digits)
-        acc = ComplexBox.from_fractions(1, 0, digits)
-        base = self
+    def pow(self, n: int, prec: int) -> "GaussBall":
+        """The n-th power (n >= 0), by squaring."""
+        out, base = GaussBall(1, 0, 0, 0), self
         while n:
             if n & 1:
-                acc = acc.mul(base)
-            base = base.mul(base) if n > 1 else base
+                out = out.mul(base, prec)
             n >>= 1
-        return acc
+            if n:
+                base = base.mul(base, prec)
+        return out
+
+    def poly_value(self, p: Sequence[int], prec: int) -> "GaussBall":
+        """p over the ball, for an integer polynomial p (descending): the
+        exact value at the centre c, and the radius P(|c| + r) - P(|c|),
+        where P has the coefficients |p_i|; each Taylor coefficient of p at
+        c is at most that of P at |c| in modulus, so the radius bounds
+        |p(c + u) - p(c)| for |u| <= r."""
+        x, y, r, s = self
+        if s < 0:
+            x, y, r, s = x << -s, y << -s, r << -s, 0
+        # p(c) 2^(deg p * s) by Horner's rule, exactly
+        fr, fi = p[0], 0
+        for i, c in enumerate(p[1:], 1):
+            fr, fi = fr * x - fi * y + (c << (i * s)), fr * y + fi * x
+        rad = 0
+        if r:
+            m = _ceil_sqrt(x * x + y * y)
+            lo = hi = abs(p[0])
+            for i, c in enumerate(p[1:], 1):
+                c = abs(c) << (i * s)
+                lo, hi = lo * m + c, hi * (m + r) + c
+            rad = hi - lo
+        return _trimmed(fr, fi, rad, (len(p) - 1) * s, prec)
+
+    def re_bounds(self) -> Tuple[Fraction, Fraction]:
+        """Exact bounds on the real part over the disk."""
+        return _dyadic(self.x - self.r, self.s), _dyadic(self.x + self.r, self.s)
+
+    def modulus_bounds(self) -> Tuple[Fraction, Fraction]:
+        """Exact bounds on the modulus over the disk: the integer square root
+        of |x + iy|^2 rounded outward, then -r and +r (the lower bound not
+        below 0)."""
+        n = self.x * self.x + self.y * self.y
+        return (
+            _dyadic(max(isqrt(n) - self.r, 0), self.s),
+            _dyadic(_ceil_sqrt(n) + self.r, self.s),
+        )
+
+    def contains(self, re: RationalLike, im: RationalLike = 0) -> bool:
+        """Whether the disk holds the point re + i im, decided exactly."""
+        re, im = Fraction(re), Fraction(im)
+        d = re.denominator * im.denominator
+        a, b = re.numerator * im.denominator, im.numerator * re.denominator
+        x, y, r = self.x * d, self.y * d, self.r * d
+        if self.s >= 0:
+            a, b = a << self.s, b << self.s
+        else:
+            x, y, r = x << -self.s, y << -self.s, r << -self.s
+        return (a - x) ** 2 + (b - y) ** 2 <= r * r

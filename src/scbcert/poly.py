@@ -8,6 +8,8 @@ one engine, ``enclose_roots``: double-precision Durand-Kerner seeds,
 polished by Newton's method in Gaussian fixed point, then certified all at
 once by one exact test, pairwise disjoint Gerschgorin inclusion disks;
 ``mpmath.polyroots`` seeds only the roots that doubles cannot separate.
+Each root comes back as its certified disk, a Gaussian-integer ball
+(``arith.GaussBall``), which the closed forms compute on as it stands.
 Root location relative to the unit circle is decided exactly by one
 mechanism, the Schur-Cohn reduction over the integers: membership of the open
 unit disk directly, and membership of the circle itself through the gcd with
@@ -27,7 +29,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import mpmath
 from mpmath.libmp import from_float, to_fixed
 
-from .arith import ArithmeticDomainError, ComplexBox, IntervalScalar, digits_to_bits
+from .arith import ArithmeticDomainError, GaussBall, digits_to_bits
 
 # ---------------------------------------------------------------------------
 # dense coefficient-list helpers (descending order)
@@ -641,23 +643,6 @@ class EnclosureError(ArithmeticDomainError):
     pass
 
 
-def horner_box(coeffs: Sequence[ComplexBox], z: ComplexBox, digits: int) -> ComplexBox:
-    acc = ComplexBox.from_fractions(0, 0, digits)
-    for c in coeffs:
-        acc = acc.mul(z).add(c)
-    return acc
-
-
-def coeff_boxes(p: Sequence[Fraction], digits: int) -> List[ComplexBox]:
-    return [ComplexBox.from_fractions(Fraction(c), 0, digits) for c in p]
-
-
-def derivative_boxes(coeffs: Sequence[ComplexBox], digits: int) -> List[ComplexBox]:
-    """Coefficients of the derivative of a polynomial with box coefficients."""
-    n = len(coeffs) - 1
-    return [c.mul_real(IntervalScalar.exact_int(n - i, digits)) for i, c in enumerate(coeffs[:-1])]
-
-
 # the double-precision seed pass stops here, converged or not
 FLOAT_SEED_STEPS = 100
 
@@ -888,49 +873,41 @@ def _seed_sets(
         yield final, _fixed_seeds(approx, final)
 
 
-def _disk_span(m: int, r: int, exp: int, digits: int) -> IntervalScalar:
-    """[(m - r) 2^exp, (m + r) 2^exp], rounded outward to the working precision."""
-
-    def at(v: int) -> Fraction:
-        return Fraction(v << exp) if exp >= 0 else Fraction(v, 1 << -exp)
-
-    return IntervalScalar.from_fractions(at(m - r), at(m + r), digits)
-
-
 def enclose_roots(
     p: Sequence[int], width: Fraction, digits: int
-) -> List[Tuple[ComplexBox, bool]]:
+) -> List[Tuple[GaussBall, bool]]:
     """Certified root classes of a squarefree real integer polynomial p
-    (descending), at the one working precision given: (box, False) for each
-    real root and (box, True) for the upper member of each conjugate pair.
+    (descending), at the one working precision given: (ball, False) for each
+    real root and (ball, True) for the upper member of each conjugate pair.
 
     Double-precision Durand-Kerner seeds, split into reals and pairs by an
     exact Sturm count of the real roots, are polished by Newton's method in
-    Gaussian fixed point, the scale doubling up to 2^-(bits + POLISH_GUARD);
-    a pair is polished once, by its upper member, and mirrored.  One exact
-    test, ``_gerschgorin_disks``, then certifies a disk about each.  Where
-    the double pass fails or its disks meet (roots closer than a double
-    separates), seeds from ``mpmath.polyroots`` at 10 digits above the
-    working precision go through the same polish and test.
+    Gaussian fixed point, the scale doubling up to 2^-final, final = bits +
+    POLISH_GUARD; a pair is polished once, by its upper member, and
+    mirrored.  One exact test, ``_gerschgorin_disks``, then certifies a disk
+    about each.  Where the double pass fails or its disks meet (roots closer
+    than a double separates), seeds from ``mpmath.polyroots`` at 10 digits
+    above the working precision go through the same polish and test.
 
-    Each box is the outward-rounded square about a disk: it has width <=
-    width and holds exactly one root of p, and a root that Newton's method
-    hits exactly (a dyadic one) gets a point box.  Past HUGE_ROOT_BOUND the
-    roots w = z / 2^e of p(2^e w), of modulus about 1, are enclosed instead
-    and scaled back exactly, and the width is relative: it is multiplied by
-    2^e, since an absolute width there can be finer than the working
-    precision reaches.  Raises EnclosureError when certification fails at
-    this precision.
+    Each ball is a certified disk as it stands, at the scale 2^(e - final):
+    its diameter is <= width and it holds exactly one root of p; a real
+    ball has y = 0, and a root that Newton's method hits exactly (a dyadic
+    one) gets radius 0.  Past HUGE_ROOT_BOUND the roots w = z / 2^e of
+    p(2^e w), of modulus about 1, are enclosed instead, which the scale
+    undoes exactly, and the width is relative: it is multiplied by 2^e,
+    since an absolute width there can be finer than the working precision
+    reaches.  Raises EnclosureError when certification fails at this
+    precision.
     """
     n = len(p) - 1
     if n < 1:
         return []
     e = _huge_root_exponent(p)
     q = [int(c) << (e * (n - i)) for i, c in enumerate(p)]
-    width *= 2**e
     final = digits_to_bits(digits) + POLISH_GUARD
+    # a disk's diameter 2r 2^(e - final) against width 2^e
+    limit = width * 2**final
     n_real = count_real_roots(p)
-    zero = IntervalScalar.exact_int(0, digits)
     for prec, seeds in _seed_sets(q, digits, final):
         split = _split_seeds(seeds, n_real)
         if split is None:
@@ -939,17 +916,11 @@ def enclose_roots(
         if reals is None or uppers is None:
             continue
         disks = _gerschgorin_disks(q, reals, uppers, final)
-        if disks is None:
+        if disks is None or any(2 * r > limit for _, _, r in disks):
             continue
-        out: List[Tuple[ComplexBox, bool]] = []
-        for k, (x, y, r) in enumerate(disks):
-            re = _disk_span(x, r, e - final, digits)
-            if k < len(reals):
-                out.append((ComplexBox(re, zero), False))
-            else:
-                out.append((ComplexBox(re, _disk_span(y, r, e - final, digits)), True))
-        if all(box.width_fraction() <= width for box, _ in out):
-            return out
+        return [
+            (GaussBall(x, y, r, final - e), k >= len(reals)) for k, (x, y, r) in enumerate(disks)
+        ]
     raise EnclosureError("could not certify disjoint root enclosures at {} digits".format(digits))
 
 

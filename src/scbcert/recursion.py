@@ -5,13 +5,15 @@ one-leg recursion; its gamma=0 specialization (tau) drives the existence
 test.  Both are evaluated exactly, through one integer-scaled recurrence
 whose integer numerators also give the signs, or as containing integer
 balls at a chosen working precision, whose signs are certified.  Closed
-forms, at a rational gamma only, combine certified root enclosures of the
-integer characteristic polynomial, from the one engine
-``poly.enclose_roots`` (exact Gerschgorin disks about fixed-point Newton
-seeds), with the coefficient of each root read off the
-generating function as a residue, and the tail certificate turns a
-dominant positive real root into a proof of positivity beyond a computed
-index.
+forms, at a rational gamma only, take the certified root disks of the
+integer characteristic polynomial from the one engine ``poly.enclose_roots``
+(exact Gerschgorin disks about fixed-point Newton seeds) as they stand, as
+Gaussian-integer balls, and compute on them in exact integer ball
+arithmetic: the coefficient of each root is read off the generating
+function as a residue, the reconstruction is checked against the exact
+sequence, and the tail certificate turns a dominant positive real root into
+a proof of positivity beyond a computed index.  Every bound these give is
+an exact Fraction read off a ball's centre and radius.
 """
 
 from __future__ import annotations
@@ -21,22 +23,22 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from mpmath.libmp import mpf_neg, to_fixed
 
 from . import poly
 from .arith import (
+    BALL_GUARD,
     DEFAULT_DIGITS,
     ArithmeticDomainError,
-    ComplexBox,
+    GaussBall,
     IntervalScalar,
+    digits_to_bits,
     fraction_str,
 )
 from .methods import Method, char_poly_mu
 from .poly import EnclosureError
-
-GammaLike = Union[Fraction, int, IntervalScalar]
 
 # tail_certificate gives up when the residual bound needs more terms than this
 TAIL_SEARCH_CAP = 1 << 14
@@ -246,23 +248,12 @@ def eval_tau(m: Method, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_interval(gamma: GammaLike, digits: int) -> IntervalScalar:
-    if isinstance(gamma, IntervalScalar):
-        return gamma
-    return IntervalScalar.from_fraction(Fraction(gamma), digits)
-
-
 def _integer_ball(iv: IntervalScalar, scale: int) -> Tuple[int, int]:
     """Integers (c, r), r >= 0, with iv inside [c - r, c + r] * 2^-scale."""
     lo = to_fixed(iv.lo, scale)  # floor
     hi = -to_fixed(mpf_neg(iv.hi), scale)  # ceiling
     c = (lo + hi) >> 1
     return c, hi - c
-
-
-# bits the ball kernel keeps below each radius: window midpoints are kept to
-# about (useful + BALL_GUARD) bits, coefficients to at least that many
-BALL_GUARD = 96
 
 
 def _cut_balls(
@@ -286,35 +277,32 @@ def _cut_balls(
 
 
 def _product_form(
-    C: List[int], exact: Optional[Tuple[int, List[int]]], Pc: int
+    C: List[int], exact: Tuple[int, List[int]], Pc: int
 ) -> Tuple[List[int], List[int], int, int]:
     """(U, V, s, E) with sum_j C_j*x_j = (2^s * sum_j U_j*x_j + sum_j V_j*x_j) / E
     exactly for every window x, where C holds the coefficient midpoints at
-    scale 2^-Pc.
+    scale 2^-Pc and exact = (E, N) the exact coefficients N_j / E.
 
-    At a rational gamma, exact = (E, N) with the exact coefficients N_j / E.
-    Then U = N, s = Pc and V_j = C_j*E - N_j*2^Pc: the ball around C_j holds
+    U = N, s = Pc and V_j = C_j*E - N_j*2^Pc: the ball around C_j holds
     N_j*2^Pc / E, so |V_j| <= rc_j*|E|, and every product is small by big.
-    At an interval gamma (exact is None) it is the plain sum: U = C, V = 0,
-    s = 0 and E = 1.
+    (The plain sum, U = C, V = 0, s = 0 and E = 1, gives the same T.)
     """
-    if exact is None:
-        return C, [0] * len(C), 0, 1
     E, N = exact
     return N, [c * E - (nj << Pc) for c, nj in zip(C, N)], Pc, E
 
 
 def _mu_balls(
-    m: Method, gamma: GammaLike, n_max: int, digits: int
+    m: Method, gamma: Fraction, n_max: int, digits: int
 ) -> Tuple[int, Iterator[Tuple[int, int, int, int]]]:
     """The integer ball kernel behind run_mu_signs.
 
     Returns the working precision P in bits and an iterator over (n, x, r,
-    S) for n = 1..n_max, with mu_n in [x - r, x + r] * 2^-S for every gamma
-    in the input enclosure.  The recurrence coefficients and inhomogeneous
-    terms are the outward-rounded intervals at ``digits`` (P bits); the
-    recurrence itself runs in midpoint-radius arithmetic on integers,
-    keeping each midpoint only to the bits its radius leaves (Arb's rule).
+    S) for n = 1..n_max, with mu_n in [x - r, x + r] * 2^-S at the rational
+    gamma.  The recurrence coefficients and inhomogeneous terms are the
+    outward-rounded intervals at ``digits`` (P bits); the recurrence itself
+    runs in midpoint-radius arithmetic on integers, keeping each midpoint
+    only to the bits its radius leaves (Arb's rule, with arith.BALL_GUARD
+    bits kept below each radius).
 
     The sliding window of k terms holds balls (X_i, R_i) at one shared
     scale 2^-S, with the invariant that mu_(n-i) lies in
@@ -324,10 +312,10 @@ def _mu_balls(
     |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
     by P - cut bits (which adds 1 to the radius).
 
-    At a rational gamma the exact coefficients are N_j / E, with the small
-    integers of the exact recurrence (see _scaled_numerators), and the ball
-    around C_j holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut)
-    is an integer with |d_j| <= rc_j*|E|, and
+    The exact coefficients are N_j / E, with the small integers of the
+    exact recurrence (see _scaled_numerators), and the ball around C_j
+    holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut) is an
+    integer with |d_j| <= rc_j*|E|, and
     E*T = 2^(P - cut) * sum_j N_j X_(n-j) + sum_j d_j X_(n-j)
     holds exactly.  T is computed that way: 2k small-by-big products, one
     shift and one exact division by E (of either sign), at linear cost in
@@ -350,7 +338,7 @@ def _mu_balls(
     radius, so each product costs about the useful length, not P, and a
     trim moves a radius by about 2^-64 of itself.
     """
-    g = _gamma_interval(gamma, digits)
+    g = IntervalScalar.from_fraction(gamma, digits)
     one = IntervalScalar.exact_int(1, digits)
     b0 = IntervalScalar.from_fraction(m.b0, digits)
     den = one.add(g.mul(b0))
@@ -367,10 +355,8 @@ def _mu_balls(
     # window entries run oldest first, so the coefficients run C_k..C_1
     full = [_integer_ball(iv, P) for iv in reversed(coeffs)]
     cb = max(abs(c).bit_length() for c, _ in full)
-    exact = None  # (E, N) at a rational gamma, N in the window's order
-    if isinstance(gamma, (Fraction, int)):
-        E, N, _F = _scaled_coefficients(_method_integers(m), gamma)
-        exact = E, N[::-1]
+    E, N, _F = _scaled_coefficients(_method_integers(m), gamma)
+    exact = E, N[::-1]  # N in the window's order
 
     def balls() -> Iterator[Tuple[int, int, int, int]]:
         cut = 0
@@ -444,7 +430,7 @@ class IntervalRun:
     first_negative: Optional[int] = None
 
 
-def run_mu_signs(m: Method, gamma: GammaLike, n_max: int, digits: int) -> IntervalRun:
+def run_mu_signs(m: Method, gamma: Fraction, n_max: int, digits: int) -> IntervalRun:
     """Signs of mu_1..mu_n_max read straight off the integer balls of
     _mu_balls: negative where x + r < 0, unknown where the ball holds 0."""
     run = IntervalRun(n_max=n_max, digits=digits)
@@ -493,21 +479,19 @@ def mu_gamma_numerators(m: Method, n_max: int) -> List[List[Fraction]]:
 @dataclass(frozen=True)
 class RootRecord:
     """One root class: a real root, or an upper-half representative of a
-    conjugate pair (counting twice)."""
+    conjugate pair (counting twice), as its certified disk."""
 
-    box: ComplexBox
+    ball: GaussBall
     is_pair: bool
-    exact: Optional[Fraction] = None
 
     @property
     def weight(self) -> int:
         return 2 if self.is_pair else 1
 
-    def modulus(self) -> IntervalScalar:
-        if self.exact is not None:
-            digits = self.box.re.digits
-            return IntervalScalar.from_fraction(abs(self.exact), digits)
-        return self.box.modulus()
+
+def _ball_prec(digits: int) -> int:
+    """Bits a closed form's balls keep: those of its root disks."""
+    return digits_to_bits(digits) + poly.POLISH_GUARD
 
 
 @dataclass
@@ -519,35 +503,37 @@ class ClosedForm:
     order: int
     window_start: int
     roots: List[RootRecord]
-    coeffs: List[ComplexBox]
+    coeffs: List[GaussBall]
     digits: int
 
-    def reconstruct_range(self, first: int, last: int) -> List[IntervalScalar]:
-        """Intervals containing the exact sequence values at n = first..last
+    def reconstruct_range(self, first: int, last: int) -> List[GaussBall]:
+        """Real balls holding the exact sequence values at n = first..last
         (first >= window_start): each root is raised to its power once, at
         first, and then advanced by one product per term.  Only real parts
-        are summed: a pair and its conjugate give twice the real part."""
-        powers = [rec.box.pow_int(first) for rec in self.roots]
-        out: List[IntervalScalar] = []
+        are summed, exactly, at the finest scale of the terms: a pair and
+        its conjugate give twice the real part."""
+        prec = _ball_prec(self.digits)
+        powers = [rec.ball.pow(first, prec) for rec in self.roots]
+        out: List[GaussBall] = []
         for n in range(first, last + 1):
             if n > first:
-                powers = [pw.mul(rec.box) for pw, rec in zip(powers, self.roots)]
-            acc = IntervalScalar.from_fraction(0, self.digits)
+                powers = [pw.mul(rec.ball, prec) for pw, rec in zip(powers, self.roots)]
+            acc = GaussBall(0, 0, 0, 0)
             for rec, c, pw in zip(self.roots, self.coeffs, powers):
-                re = c.re.mul(pw.re).sub(c.im.mul(pw.im))
-                acc = acc.add(re.add(re) if rec.is_pair else re)
+                t = c.mul(pw, prec)
+                acc = acc.add(GaussBall(rec.weight * t.x, 0, rec.weight * t.r, t.s))
             out.append(acc)
         return out
 
     def dominant_index(self) -> Optional[int]:
         """Index of the root class certified strictly dominant, if any."""
-        mods = [rec.modulus() for rec in self.roots]
+        mods = [rec.ball.modulus_bounds() for rec in self.roots]
         if not mods:
             return None
-        best = max(range(len(mods)), key=lambda i: mods[i].lo_fraction())
-        blo = mods[best].lo_fraction()
-        for i, mv in enumerate(mods):
-            if i != best and mv.hi_fraction() >= blo:
+        best = max(range(len(mods)), key=lambda i: mods[i][0])
+        blo = mods[best][0]
+        for i, (_lo, hi) in enumerate(mods):
+            if i != best and hi >= blo:
                 return None
         return best
 
@@ -569,11 +555,16 @@ def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> Clo
     D(x) = x^order chi(1/x), where chi is the characteristic polynomial with
     its zero roots stripped and order = deg chi.  So each simple root z has
     the residue coefficient c = z^(order-1) B(1/z) / chi'(z), valid for
-    n >= window_start; the reconstruction is then checked against the
-    exact sequence at n = window_start..window_start + 2k, values the
-    formula never used.  The check raises each root to its power once, at
-    window_start, and advances it by one product per term
-    (``ClosedForm.reconstruct_range``).
+    n >= window_start.  With shift = order - 1 - deg B, that is the quotient
+    of two integer polynomials at z, z^shift B(z) over chi'(z) (the
+    negative part of the shift moved to the divisor), each scaled alike to
+    integers; both are evaluated on the root's ball and divided as balls.
+    The reconstruction is then checked against the exact sequence at n =
+    window_start..window_start + 2k, values the formula never used.  The
+    check raises each root to its power once, at window_start, and advances
+    it by one product per term (``ClosedForm.reconstruct_range``).  A root
+    at 1 (gamma = 0, by consistency) is the exact ball 1, so its
+    coefficient sigma(1)/rho'(1) stays exact too.
 
     Raises MultipleRootError at parameter values where the characteristic
     polynomial has a multiple root; raises EnclosureError (or another
@@ -582,8 +573,7 @@ def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> Clo
     gamma = Fraction(gamma)
     n_b = _n_inhomogeneous(m)
     width = Fraction(1, 10) ** max(8, digits // 2)
-    records: List[RootRecord] = []
-    coeffs: List[ComplexBox] = []
+    prec = _ball_prec(digits)
     char = char_poly_mu(m, gamma)
     while len(char) > 1 and char[-1] == 0:
         char.pop()  # roots at zero do not enter the closed form
@@ -593,27 +583,22 @@ def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> Clo
             "closed form unavailable: multiple characteristic roots; "
             "use direct evaluation"
         )
-    # the integer chi, with B scaled alike, keeps binary-exact residues exact
+    # chi' and B times chi[0]/char[0], over their common denominator L
     chi = poly.to_integer(char)
-    scale = chi[0] / char[0]
-    chi_boxes = poly.coeff_boxes(chi, digits)
-    b_boxes = poly.coeff_boxes([scale * b for b in m.b[: n_b + 1]], digits)
+    b = [chi[0] / char[0] * v for v in m.b[: n_b + 1]]
+    L = math.lcm(*(v.denominator for v in b))
+    shift = order - 1 - n_b
+    num = [L // v.denominator * v.numerator for v in b] + [0] * max(shift, 0)
+    den = [L * c for c in poly.derivative(chi)] + [0] * max(-shift, 0)
+    roots: List[Tuple[GaussBall, bool]] = []
     if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
-        # 1 is a root (at gamma = 0 by consistency): keep it and its
-        # residue sigma(1)/rho'(1) exact
-        c_one = sum(m.b[: n_b + 1]) / poly.eval_at(poly.derivative(char), Fraction(1))
-        one_box = ComplexBox.from_fractions(1, 0, digits)
-        records.append(RootRecord(one_box, False, exact=Fraction(1)))
-        coeffs.append(ComplexBox.from_fractions(c_one, 0, digits))
+        # 1 is a root (at gamma = 0, by consistency): the exact ball 1
+        roots.append((GaussBall(1, 0, 0, 0), False))
         char = poly.divexact(char, [Fraction(1), Fraction(-1)])
     # the discriminant test above proved the roots simple
-    dchi_boxes = poly.derivative_boxes(chi_boxes, digits)
-    shift = order - 1 - n_b  # z^(order-1) B(1/z) = z^shift * (b_0 z^n_b + ... + b_n_b)
-    for box, is_pair in poly.enclose_roots(poly.to_integer(char), width, digits):
-        num = poly.horner_box(b_boxes, box, digits)
-        num = num.mul(box.pow_int(shift)) if shift >= 0 else num.div_smith(box.pow_int(-shift))
-        records.append(RootRecord(box, is_pair))
-        coeffs.append(num.div_smith(poly.horner_box(dchi_boxes, box, digits)))
+    roots += poly.enclose_roots(poly.to_integer(char), width, digits)
+    records = [RootRecord(z, is_pair) for z, is_pair in roots]
+    coeffs = [z.poly_value(num, prec).div(z.poly_value(den, prec), prec) for z, _ in roots]
     if sum(r.weight for r in records) != order:
         raise EnclosureError("root class weights do not sum to the order")
     s = max(0, n_b + 1 - order) if order > 0 else n_b + 1
@@ -632,7 +617,7 @@ def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> Clo
     upto_check = s + 2 * m.k
     vals = mu_prefix(m, gamma, upto_check)
     for n, rec_val in enumerate(cf.reconstruct_range(s, upto_check), s):
-        if not rec_val.contains_fraction(vals[n]):
+        if not rec_val.contains(vals[n]):
             raise EnclosureError(
                 "reconstruction does not contain the exact value at n={}".format(n)
             )
@@ -706,13 +691,10 @@ def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
     dom = cf.roots[di]
     if dom.is_pair:
         return None
-    rho_lb_raw = dom.box.re.lo_fraction()
-    rho_ub_raw = dom.box.re.hi_fraction()
-    if dom.exact is not None:
-        rho_lb_raw = rho_ub_raw = dom.exact
+    rho_lb_raw, rho_ub_raw = dom.ball.re_bounds()
     if rho_lb_raw <= 0:
         return None
-    c_lb_raw = cf.coeffs[di].re.lo_fraction()
+    c_lb_raw = cf.coeffs[di].re_bounds()[0]
     if c_lb_raw <= 0:
         return None
     places = 25
@@ -726,12 +708,12 @@ def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
             for i, (rec, c) in enumerate(zip(cf.roots, cf.coeffs)):
                 if i == di:
                     continue
-                r_ub = _ceil_decimal(rec.modulus().hi_fraction(), places)
+                r_ub = _ceil_decimal(rec.ball.modulus_bounds()[1], places)
                 ratio = _ceil_decimal(r_ub / rho_lb, places)
                 if ratio >= 1:
                     ok = False
                     break
-                m_ub = _ceil_decimal(c.modulus().hi_fraction(), places)
+                m_ub = _ceil_decimal(c.modulus_bounds()[1], places)
                 terms.append(TailTerm(rec.weight, m_ub, r_ub, ratio))
         if ok:
             break

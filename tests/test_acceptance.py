@@ -172,18 +172,23 @@ def test_criterion_7_closed_form_fixtures():
             ), name
 
 
-def _box_contains(box, re_s: str, im_s: str) -> bool:
+def _box_contains(ball, re_s: str, im_s: str) -> bool:
+    """The printed value lies, to its printed digits, in the box about the
+    ball: its real part within the ball's real bounds, its imaginary part
+    within those of the ball times -i."""
     v_re, v_im = F(re_s), F(im_s)
     u_re, u_im = ulp(re_s), ulp(im_s)
+    re_lo, re_hi = ball.re_bounds()
+    im_lo, im_hi = ball._replace(x=ball.y).re_bounds()
     return (
-        box.re.lo_fraction() - u_re <= v_re <= box.re.hi_fraction() + u_re
-        and box.im.lo_fraction() - u_im <= v_im <= box.im.hi_fraction() + u_im
+        re_lo - u_re <= v_re <= re_hi + u_re
+        and im_lo - u_im <= v_im <= im_hi + u_im
     )
 
 
 def _some_class_matches(cf, r_re, r_im, c_re, c_im) -> bool:
     for rec, c in zip(cf.roots, cf.coeffs):
-        if _box_contains(rec.box, r_re, r_im) and _box_contains(c, c_re, c_im):
+        if _box_contains(rec.ball, r_re, r_im) and _box_contains(c, c_re, c_im):
             return True
     return False
 

@@ -148,16 +148,16 @@ class TestAb3AtOptimum:
         cf = closed_form(m, g, 64)
         assert all(not r.is_pair for r in cf.roots)
         ordered = sorted(
-            zip(cf.roots, cf.coeffs), key=lambda rc: rc[0].box.re.lo_fraction()
+            zip(cf.roots, cf.coeffs), key=lambda rc: rc[0].ball.re_bounds()
         )
-        r1, r2, r3 = (rc[0].box.re for rc in ordered)
-        assert r1.hi_fraction() < 0 < r2.lo_fraction()
-        assert r2.hi_fraction() < r3.lo_fraction()
-        r1_abs_ub = max(abs(r1.lo_fraction()), abs(r1.hi_fraction()))
-        assert r1_abs_ub < r3.lo_fraction() / 2
-        assert r2.hi_fraction() < r3.lo_fraction() / 4
+        r1, r2, r3 = (rc[0].ball.re_bounds() for rc in ordered)
+        assert r1[1] < 0 < r2[0]
+        assert r2[1] < r3[0]
+        r1_abs_ub = max(abs(r1[0]), abs(r1[1]))
+        assert r1_abs_ub < r3[0] / 2
+        assert r2[1] < r3[0] / 4
         c3 = ordered[2][1]
-        assert c3.re.lo_fraction() > 1
+        assert c3.re_bounds()[0] > 1
         tc = tail_certificate(cf)
         assert tc is not None and tc.n_start <= 3
         # the second member vanishes exactly at the optimum
@@ -272,6 +272,15 @@ class TestScbExists:
         assert v.status is Existence.EXISTS
         assert v.only_circle_root_is_one is True
         assert v.evidence.tail is not None
+
+    def test_no_rung_run_reports_the_first(self):
+        # Milne-Simpson's circle-root check fails before any closed form is
+        # built: the evidence names the ladder's first rung, min(digits,
+        # digits_cap), as check_scb's does, not the digits asked for
+        ms = Method(k=2, a=(F(0), F(1)), b=(F(1, 3), F(4, 3), F(1, 3)), name="milne-simpson")
+        v = scb_exists(ms, digits=100, digits_cap=10)
+        assert v.status is Existence.INCONCLUSIVE and v.evidence.digits == 10
+        assert scb_exists(ms, digits=100).evidence.digits == 100
 
     def test_exhausted_ladder_reports_the_cap(self):
         v = scb_exists(near_unit_method(80), digits_cap=128)

@@ -1,18 +1,41 @@
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_ceiling, round_floor, to_rational
 
 from scbcert.arith import (
     ArithmeticDomainError,
-    ComplexBox,
+    GaussBall,
     IntervalScalar,
     digits_to_bits,
     parse_exact,
     precision_ladder,
 )
+
+
+def bounds(iv):
+    """The exact endpoints of an interval."""
+    return tuple(F(*to_rational(v)) for v in (iv.lo, iv.hi))
+
+
+def contains(iv, q):
+    lo, hi = bounds(iv)
+    return lo <= q <= hi
+
+
+def interval(lo, hi, digits):
+    """[lo, hi] rounded outward to the working precision."""
+    bits = digits_to_bits(digits)
+    lo, hi = F(lo), F(hi)
+    return IntervalScalar(
+        from_rational(lo.numerator, lo.denominator, bits, round_floor),
+        from_rational(hi.numerator, hi.denominator, bits, round_ceiling),
+        bits,
+    )
 
 
 class TestParseExact:
@@ -29,24 +52,26 @@ class TestParseExact:
 class TestIntervalBasics:
     def test_third_width(self):
         x = IntervalScalar.from_fraction(F(1, 3), 30)
-        assert x.contains_fraction(F(1, 3))
-        assert x.width_fraction() < F(1, 10**28)
+        lo, hi = bounds(x)
+        assert lo <= F(1, 3) <= hi
+        assert hi - lo < F(1, 10**28)
 
     def test_two_sqrt_two_elevenths(self):
-        # oracle: 60-digit evaluation of 2*sqrt(2/11)
+        # oracle: 60-digit evaluation of 2*sqrt(2/11), enclosed as the
+        # modulus of (7 + i sqrt(39))/11
         oracle = F("0.852802865422441737193750929735357505561496064256679482473764")
-        x = IntervalScalar.from_fraction(F(2, 11), 50).sqrt()
-        y = IntervalScalar.from_fraction(2, 50).mul(x)
-        assert F(85, 100) < y.lo_fraction() and y.hi_fraction() < F(86, 100)
-        assert y.lo_fraction() <= oracle <= y.hi_fraction() + F(1, 10**45)
+        z = ball(F(7, 11), SQRT39 / 11, F(1, 10**30), 200)
+        lo, hi = z.modulus_bounds()
+        assert F(85, 100) < lo and hi < F(86, 100)
+        assert lo <= oracle <= hi + F(1, 10**45)
 
     def test_x_minus_x_contains_zero(self):
         x = IntervalScalar.from_fraction(F(22, 7), 20)
-        assert x.sub(x).contains_fraction(0)
+        assert contains(x.sub(x), 0)
 
     def test_division_through_zero(self):
         a = IntervalScalar.from_fraction(1, 20)
-        b = IntervalScalar.from_fractions(-1, 1, 20)
+        b = interval(-1, 1, 20)
         with pytest.raises(ArithmeticDomainError):
             a.div(b)
 
@@ -54,8 +79,8 @@ class TestIntervalBasics:
         widths = []
         for digits in (15, 30, 60, 120):
             x = IntervalScalar.from_fraction(F(1, 3), digits)
-            y = x.mul(x).add(x).sqrt()
-            widths.append(y.width_fraction())
+            lo, hi = bounds(x.mul(x).add(x).div(x.sub(IntervalScalar.exact_int(1, digits))))
+            widths.append(hi - lo)
         assert all(w2 < w1 for w1, w2 in zip(widths, widths[1:]))
 
     def test_digits_to_bits(self):
@@ -78,8 +103,8 @@ def nested_intervals(draw):
     lo, hi = min(a, b), max(a, b)
     pad_lo = draw(rationals.map(abs))
     pad_hi = draw(rationals.map(abs))
-    inner = IntervalScalar.from_fractions(lo, hi, 30)
-    outer = IntervalScalar.from_fractions(lo - pad_lo, hi + pad_hi, 30)
+    inner = interval(lo, hi, 30)
+    outer = interval(lo - pad_lo, hi + pad_hi, 30)
     return inner, outer
 
 
@@ -90,10 +115,10 @@ def test_inclusion_monotonicity(xy, uv, op):
     y, Y = uv
     if op == "div" and Y.contains_zero():
         return
-    small = getattr(x, op)(y)
-    big = getattr(X, op)(Y)
-    assert big.lo_fraction() <= small.lo_fraction()
-    assert small.hi_fraction() <= big.hi_fraction()
+    small = bounds(getattr(x, op)(y))
+    big = bounds(getattr(X, op)(Y))
+    assert big[0] <= small[0]
+    assert small[1] <= big[1]
 
 
 def _random_expr(rng, depth):
@@ -146,7 +171,7 @@ def test_random_expression_containment():
                 # operation is undefined for intervals even if the exact
                 # division exists
                 continue
-            assert box.contains_fraction(exact)
+            assert contains(box, exact)
         checked += 1
 
 
@@ -156,83 +181,155 @@ def test_exact_rational_embedding_roundtrip():
         q = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
         x = IntervalScalar.from_fraction(q, 40)
         y = x.add(IntervalScalar.exact_int(0, 40)).mul(IntervalScalar.exact_int(1, 40))
-        assert y.contains_fraction(q)
+        assert contains(y, q)
+
+
+# Gaussian-integer balls, checked against exact Gaussian-rational arithmetic.
+
+
+def ball(re, im=0, rad=0, s=64):
+    """A ball at scale 2^-s holding re + i im and every point within rad of
+    it: the centre is rounded to the scale and the radius widened to match."""
+    unit = F(2) ** -s
+    x, y = (round(F(v) / unit) for v in (re, im))
+    cover = abs(x * unit - F(re)) + abs(y * unit - F(im))
+    return GaussBall(x, y, -(-(F(rad) + cover) // unit), s)
+
+
+def point(b, t):
+    """A point of the ball: its centre moved by the fraction t = (u, v),
+    |t| <= 1, of its radius."""
+    unit = F(2) ** -b.s
+    return (b.x + t[0] * b.r) * unit, (b.y + t[1] * b.r) * unit
+
+
+def holds(b, re, im=0):
+    return b.contains(re, im)
+
+
+def modulus_holds(b, sq):
+    """The modulus bounds of b enclose sqrt(sq)."""
+    lo, hi = b.modulus_bounds()
+    return lo * lo <= sq <= hi * hi
+
+
+small = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=50)
+radii = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=F(1, 8), max_denominator=64))
+# directions (u, v) with u^2 + v^2 <= 1: a point of the disk, its rim included
+directions = st.sampled_from(
+    [(F(0), F(0)), (F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1)),
+     (F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)), (F(1, 2), F(-1, 2))]
+)
+balls = st.builds(ball, small, small, radii, st.integers(-4, 80))
 
 
 class TestPowAndAbs:
+    # the interval cases of power, reciprocal and absolute value, on real balls
+
     def test_pow_even_straddle(self):
-        x = IntervalScalar.from_fractions(-2, 3, 30)
-        p = x.pow_int(2)
-        assert p.lo_fraction() <= 0 and p.contains_fraction(9) and p.contains_fraction(0)
+        # [-2, 3] as the ball 1/2 +- 5/2: its square holds 0 and 9
+        p = ball(F(1, 2), 0, F(5, 2), 30).pow(2, 100)
+        assert p.re_bounds()[0] <= 0 and holds(p, 9) and holds(p, 0)
 
     def test_pow_negative_exponent(self):
-        x = IntervalScalar.from_fractions(2, 3, 30)
-        p = x.pow_int(-1)
-        assert p.contains_fraction(F(1, 2)) and p.contains_fraction(F(1, 3))
+        # a negative power is a quotient: 1 over [2, 3] holds 1/2 and 1/3
+        p = GaussBall(1, 0, 0, 0).div(ball(F(5, 2), 0, F(1, 2), 30), 100)
+        assert holds(p, F(1, 2)) and holds(p, F(1, 3))
 
     def test_abs(self):
-        x = IntervalScalar.from_fractions(-3, -2, 30)
-        assert x.abs().contains_fraction(F(5, 2))
+        lo, hi = ball(F(-5, 2), 0, F(1, 2), 30).modulus_bounds()
+        assert (lo, hi) == (2, 3)
 
 
-def holds(box, re, im):
-    return box.re.contains_fraction(re) and box.im.contains_fraction(im)
+SQRT39 = F(isqrt(39 * 10**60), 10**30)  # within 10^-30 below sqrt(39)
 
 
 class TestComplexBox:
+    """Complex balls: the disks the closed forms compute on."""
+
     def test_mul(self):
-        z = ComplexBox.from_fractions(1, 2, 30)
-        w = ComplexBox.from_fractions(3, -1, 30)
-        p = z.mul(w)
-        assert p.re.contains_fraction(5) and p.im.contains_fraction(5)
+        p = ball(1, 2).mul(ball(3, -1), 100)
+        assert (p.x, p.y, p.r) == (5 << p.s, 5 << p.s, 0)
 
     def test_div_roundtrip(self):
-        z = ComplexBox.from_fractions(F(7, 22), F(3, 5), 40)
-        w = ComplexBox.from_fractions(F(-2, 3), F(1, 7), 40)
-        assert holds(z.mul(w).div_smith(w), F(7, 22), F(3, 5))
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(rationals, min_size=8, max_size=8),
-        st.lists(st.fractions(0, 1, max_denominator=7), min_size=4, max_size=4),
-    )
-    def test_div_smith_contains_every_quotient(self, ends, t):
-        # the quotient of any point of one box by any point of the other
-        # lies in the result (wide boxes may fail to divide instead)
-        lo = [min(ends[i], ends[i + 1]) for i in range(0, 8, 2)]
-        hi = [max(ends[i], ends[i + 1]) for i in range(0, 8, 2)]
-        Z, W = (
-            ComplexBox(
-                IntervalScalar.from_fractions(lo[i], hi[i], 30),
-                IntervalScalar.from_fractions(lo[i + 1], hi[i + 1], 30),
-            )
-            for i in (0, 2)
-        )
-        try:
-            Q = Z.div_smith(W)
-        except ArithmeticDomainError:
-            return
-        a, b, x, y = (lo[i] + ti * (hi[i] - lo[i]) for i, ti in enumerate(t))
-        d = x * x + y * y
-        assert holds(Q, (a * x + b * y) / d, (b * x - a * y) / d)
+        z, w = ball(F(7, 22), F(3, 5), s=140), ball(F(-2, 3), F(1, 7), s=140)
+        assert holds(z.mul(w, 140).div(w, 140), F(7, 22), F(3, 5))
 
     def test_modulus(self):
-        z = ComplexBox.from_fractions(3, 4, 40)
-        mod = z.modulus()
-        assert mod.contains_fraction(5)
-        assert mod.width_fraction() < F(1, 10**30)
+        lo, hi = ball(3, 4, s=140).modulus_bounds()
+        assert lo == hi == 5
 
     def test_modulus_of_unit_root(self):
-        # (7 + i sqrt(39))/22 has modulus sqrt(2/11)
-        s39 = IntervalScalar.from_fraction(39, 60).sqrt()
-        z = ComplexBox(
-            IntervalScalar.from_fraction(F(7, 22), 60),
-            s39.div(IntervalScalar.from_fraction(22, 60)),
-        )
-        msq = z.abs_sq()
-        assert msq.contains_fraction(F(2, 11))
+        # (7 + i sqrt(39))/22 has modulus sqrt(2/11); sqrt(39) to 30 digits
+        z = ball(F(7, 22), SQRT39 / 22, F(1, 10**30), 200)
+        assert modulus_holds(z, F(2, 11))
 
     def test_pow_int(self):
-        z = ComplexBox.from_fractions(0, 1, 30)
-        assert holds(z.pow_int(4), 1, 0)
-        assert holds(z.pow_int(2), -1, 0)
+        i = ball(0, 1, s=30)
+        i4 = i.pow(4, 60)
+        assert i4.r == 0 and i4.re_bounds() == (1, 1) and holds(i4, 1)
+        assert holds(i.pow(2, 60), -1) and i.pow(0, 60) == GaussBall(1, 0, 0, 0)
+
+
+class TestGaussBall:
+    def test_quotient_through_zero(self):
+        with pytest.raises(ArithmeticDomainError):
+            ball(1).div(ball(F(1, 2), 0, F(1, 2)), 64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(balls, balls, directions, directions, st.sampled_from([8, 30, 100]))
+    @example(ball(F(1, 3)), ball(F(-2, 7), F(1, 5)), (F(0), F(0)), (F(0), F(0)), 8)
+    # radius-0 operands whose results are rounded by nearly a unit in both
+    # coordinates: a trim that rounds down misses the product, a quotient
+    # rounded toward 0 misses the quotient
+    @example(
+        ball(F(-9, 4), F(131, 16), 0, 5), ball(F(7, 8), F(23, 4), 0, 40),
+        (F(0), F(0)), (F(0), F(0)), 8,
+    )
+    @example(
+        ball(1, F(5, 8), 0, 5), ball(F(23, 16), F(-79, 16), 0, 10),
+        (F(0), F(0)), (F(0), F(0)), 8,
+    )
+    def test_operations_against_exact(self, z, w, t, u, prec):
+        # every operation holds its exact result at every pair of points of
+        # its operands, radius-0 balls included, and its readers bound that
+        # point's real part and modulus
+        (a, b), (c, d) = point(z, t), point(w, u)
+        # product
+        assert holds(z.mul(w, prec), a * c - b * d, a * d + b * c)
+        # quotient, unless the divisor's disk may hold 0
+        n = c * c + d * d
+        try:
+            q = z.div(w, prec)
+        except ArithmeticDomainError:
+            lo, _hi = w.modulus_bounds()
+            assert lo == 0
+        else:
+            assert n and holds(q, (a * c + b * d) / n, (b * c - a * d) / n)
+        # integer power
+        k = (z.x + z.y) % 6
+        pr, pi = F(1), F(0)
+        for _ in range(k):
+            pr, pi = pr * a - pi * b, pr * b + pi * a
+        assert holds(z.pow(k, prec), pr, pi)
+        # real-part and modulus bounds
+        lo, hi = z.re_bounds()
+        assert lo <= a <= hi
+        assert modulus_holds(z, a * a + b * b)
+        # polynomial value: the residue's numerator and divisor
+        p = [3, -1, 0, 7, -2]
+        vr, vi = F(0), F(0)
+        for coeff in p:
+            vr, vi = vr * a - vi * b + coeff, vr * b + vi * a
+        assert holds(z.poly_value(p, prec), vr, vi)
+
+    def test_exact_results_keep_radius_zero(self):
+        # trimming widens the radius only when it cuts a bit of the centre,
+        # so the root 1 of tau's closed form and its coefficient 1 stay points
+        z = GaussBall(3 << 200, 0, 0, 200)
+        q = z.div(GaussBall(3, 0, 0, 0), 64)
+        assert q.r == 0 and q.re_bounds() == (1, 1)
+        assert z.mul(z, 64).r == 0 and z.mul(z, 64).re_bounds() == (9, 9)
+        # a cut bit costs one unit, at the scale after the cut
+        w = GaussBall((3 << 200) + 1, 0, 0, 200).mul(GaussBall(1, 0, 0, 0), 64)
+        assert w.r == 1 and holds(w, 3 + F(1, 2**200))

@@ -412,10 +412,13 @@ class TestExitCodes:
             "k": 2, "a": ["0", "1"], "b": ["1/3", "4/3", "1/3"],
             "name": "milne-simpson",
         }))
-        code, rep = run_json(capsys, "tau", "--method", str(path), "--n", "6")
-        assert code == EXIT_INCONCLUSIVE
+        code, rep = run_json(capsys, "tau", "--method", str(path), "--n", "6", "--precision", "100")
+        assert code == EXIT_INCONCLUSIVE == 2
         assert rep["existence"] == "inconclusive"
         assert rep["only_circle_root_is_one"] is False
+        # no rung ran: the evidence names the ladder's first rung, which
+        # the CLI's cap check keeps at --precision
+        assert rep["evidence"]["digits"] == 100
 
 
 class TestReproduceCommand:

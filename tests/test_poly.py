@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import mpmath
 from mpmath.libmp import to_rational
 
-from scbcert import analyzer, methods, poly
+from scbcert import analyzer, methods, poly, recursion
 from scbcert.poly import RootCondition
 
 BDF3_QUARTIC = [5184, -539352, 4277340, -7093698, 3248425]
@@ -94,21 +94,29 @@ def squarefree(p):
 
 
 def all_root_classes(p, width, digits=64):
-    """(box, is_pair, multiplicity) for every distinct root of p, a conjugate
-    pair once by its upper box: enclose_roots on each Yun factor."""
+    """(ball, is_pair, multiplicity) for every distinct root of p, a conjugate
+    pair once by its upper ball: enclose_roots on each Yun factor."""
     out = []
     for q, mult in poly.yun_squarefree(poly.to_integer(p)):
-        out += [(box, is_pair, mult) for box, is_pair in poly.enclose_roots(q, width, digits)]
+        out += [(ball, is_pair, mult) for ball, is_pair in poly.enclose_roots(q, width, digits)]
     return out
 
 
-def on_real_line(box):
-    """The box's imaginary part is the point 0."""
-    return box.im.lo_fraction() == box.im.hi_fraction() == 0
+def on_real_line(ball):
+    """The ball's centre is real."""
+    return ball.y == 0
 
 
-def holds(box, re, im=0):
-    return box.re.contains_fraction(re) and box.im.contains_fraction(im)
+def holds(ball, re, im=0):
+    return ball.contains(re, im)
+
+
+def diameter(ball):
+    return F(2 * ball.r) / F(2) ** ball.s
+
+
+def conjugate(ball):
+    return ball._replace(y=-ball.y)
 
 
 def root_count(classes):
@@ -121,28 +129,28 @@ class TestEncloseAllRoots:
         # 11 z^3 - 18 z^2 + 9 z - 2 = (z-1)(11 z^2 - 7 z + 2)
         classes = all_root_classes([F(11), F(-18), F(9), F(-2)], F(1, 10**7))
         assert root_count(classes) == 3
-        reals = [box for box, is_pair, _ in classes if not is_pair]
-        pairs = [box for box, is_pair, _ in classes if is_pair]
+        reals = [ball for ball, is_pair, _ in classes if not is_pair]
+        pairs = [ball for ball, is_pair, _ in classes if is_pair]
         assert len(reals) == 1 and len(pairs) == 1
-        assert reals[0].re.contains_fraction(1)
-        for box in pairs:
-            m = box.modulus()
+        assert holds(reals[0], 1)
+        for ball in pairs:
+            lo, hi = ball.modulus_bounds()
             # modulus enclosure within (sqrt(2/11) - 1e-6, sqrt(2/11) + 1e-6)
-            assert m.pow_int(2).contains_fraction(F(2, 11))
-            assert m.width_fraction() < F(2, 10**6)
+            assert lo * lo <= F(2, 11) <= hi * hi
+            assert hi - lo < F(2, 10**6)
 
     def test_ebdf5_quartic_moduli(self):
         classes = all_root_classes([F(137), F(-163), F(137), F(-63), F(12)], F(1, 10**7))
         assert root_count(classes) == 4
         assert all(is_pair for _, is_pair, _ in classes)
-        assert all(box.modulus().hi_fraction() <= F(71, 100) for box, _, _ in classes)
+        assert all(ball.modulus_bounds()[1] <= F(71, 100) for ball, _, _ in classes)
 
     def test_z2_minus_one(self):
         classes = all_root_classes([F(1), F(0), F(-1)], F(1, 100))
-        boxes = sorted((box for box, _, _ in classes), key=lambda box: box.re.lo_fraction())
-        assert any(box.re.contains_fraction(-1) for box in boxes)
+        balls = sorted((ball for ball, _, _ in classes), key=lambda ball: ball.re_bounds()[0])
+        assert any(holds(ball, -1) for ball in balls)
         assert root_count(classes) == 2 and len(classes) == 2
-        assert boxes[0].re.hi_fraction() < 0 < boxes[1].re.lo_fraction()
+        assert balls[0].re_bounds()[1] < 0 < balls[1].re_bounds()[0]
 
     def test_conjugate_symmetry_and_count(self):
         rng = random.Random(42)
@@ -152,12 +160,12 @@ class TestEncloseAllRoots:
             p[0] = F(rng.randint(1, 9))
             classes = all_root_classes(p, F(1, 10**4))
             assert root_count(classes) == deg
-            # a pair is listed once, by a box strictly above the real axis
-            for box, is_pair, _ in classes:
+            # a pair is listed once, by a disk strictly above the real axis
+            for ball, is_pair, _ in classes:
                 if is_pair:
-                    assert box.im.lo_fraction() > 0
+                    assert ball.y > ball.r
                 else:
-                    assert on_real_line(box)
+                    assert on_real_line(ball)
 
     def test_multiple_roots(self):
         # (z^2+1)^2 (z-1/2)
@@ -204,17 +212,46 @@ def _check_against_sturm(p, digits=64):
     counting; returns the root classes for further checks."""
     width = F(1, 10**30)
     classes = poly.enclose_roots(p, width, digits)
-    real = [box for box, is_pair in classes if not is_pair]
+    real = [ball for ball, is_pair in classes if not is_pair]
     assert len(real) == poly.count_real_roots(p)
-    for box in real:
-        assert on_real_line(box) and box.width_fraction() <= width
-        assert _real_roots_in(p, box.re.lo_fraction(), box.re.hi_fraction()) == 1
-    for box, is_pair in classes:
+    for ball in real:
+        assert on_real_line(ball) and diameter(ball) <= width
+        assert _real_roots_in(p, *ball.re_bounds()) == 1
+    for ball, is_pair in classes:
         if is_pair:
-            assert box.im.lo_fraction() > 0 and box.width_fraction() <= width
+            assert ball.y > ball.r and diameter(ball) <= width
     assert len(real) + 2 * (len(classes) - len(real)) == poly.degree(p)
     return classes
 
+
+def _check_residues(m, g):
+    """Every coefficient ball of closed_form at 64 digits holds the residue
+    z^(order-1) B(1/z) / chi'(z) at the root in its class, computed apart
+    with mpmath at 120 digits from polyroots' own roots."""
+    try:
+        cf = recursion.closed_form(m, g, 64)
+    except recursion.MultipleRootError:
+        return
+    char = methods.char_poly_mu(m, g)
+    while len(char) > 1 and char[-1] == 0:
+        char.pop()
+    n_b = recursion._n_inhomogeneous(m)
+    with mpmath.workdps(120):
+
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        ref = mpmath.polyroots([mp(c) for c in char], maxsteps=500, extraprec=300)
+        dchi = [mp(c) for c in poly.derivative(char)]
+        for rec, c in zip(cf.roots, cf.coeffs):
+            (z,) = [
+                z for z in ref
+                if rec.ball.contains(*(F(*to_rational(x._mpf_)) for x in (z.real, z.imag)))
+            ]
+            res = sum(mp(m.b[n]) * z ** (cf.order - 1 - n) for n in range(n_b + 1))
+            res /= mpmath.polyval(dchi, z)
+            re, im = (F(*to_rational(mpmath.mpf(x)._mpf_)) for x in (res.real, res.imag))
+            assert c.contains(re, im), (m.name, g, z)
 
 class TestRootEngine:
     def test_seed_keeps_its_precision(self):
@@ -247,7 +284,7 @@ class TestRootEngine:
         assert len(classes) == len(roots)
         for re, im in roots:
             holders = [
-                is_pair for box, is_pair in classes if holds(box, re, im)
+                is_pair for ball, is_pair in classes if holds(ball, re, im)
             ]
             assert holders == [im > 0], (re, im)
 
@@ -273,9 +310,9 @@ class TestRootEngine:
         for digits, width in ((64, F(1, 10**6)), (200, F(1, 10**30))):
             classes = poly.enclose_roots(p, width, digits)
             assert len(classes) == 6
-            for j, (box, is_pair) in enumerate(sorted(classes, key=lambda c: c[0].re.lo_fraction()), 1):
-                assert not is_pair and holds(box, j * 10**52)
-                assert box.width_fraction() <= width
+            for j, (ball, is_pair) in enumerate(sorted(classes, key=lambda c: c[0].re_bounds()), 1):
+                assert not is_pair and holds(ball, j * 10**52)
+                assert diameter(ball) <= width
 
     @pytest.mark.parametrize(
         "roots",
@@ -293,8 +330,8 @@ class TestRootEngine:
         classes = poly.enclose_roots(p, F(1, 10**30), 64)
         assert len(classes) == len(roots)
         for r in roots:
-            (box,) = [box for box, _ in classes if holds(box, r)]
-            assert on_real_line(box) and box.width_fraction() <= scaled
+            (ball,) = [ball for ball, _ in classes if holds(ball, r)]
+            assert on_real_line(ball) and diameter(ball) <= scaled
         # 2^e is Fujiwara's bound, within a few bits of the largest root
         assert max(roots) * F(1, 10**30) <= scaled < max(roots) * F(16, 10**30)
 
@@ -331,30 +368,41 @@ class TestRootEngine:
     )
     def test_catalog_roots_against_polyroots(self, name, g):
         # an independent path: mpmath.polyroots at 120 digits from its own
-        # start; every root lies in exactly one box and every box holds one
+        # start; every root lies in exactly one disk and every disk holds one
         p = squarefree(poly.to_integer(methods.char_poly_mu(methods.catalog(name), g)))
         classes = _check_against_sturm(p)
-        boxes = [box for box, _ in classes]
-        boxes += [box.conjugate() for box, is_pair in classes if is_pair]
+        balls = [ball for ball, _ in classes]
+        balls += [conjugate(ball) for ball, is_pair in classes if is_pair]
         with mpmath.workdps(120):
             ref = mpmath.polyroots([mpmath.mpf(c) for c in p], maxsteps=500, extraprec=300)
-        assert len(ref) == len(boxes)
+        assert len(ref) == len(balls)
         for z in ref:
             re, im = (F(*to_rational(x._mpf_)) for x in (z.real, z.imag))
-            assert sum(holds(box, re, im) for box in boxes) == 1, (name, g, z)
+            assert sum(holds(ball, re, im) for ball in balls) == 1, (name, g, z)
+        _check_residues(methods.catalog(name), g)
+
+
+    def test_width_bounds_the_diameter(self):
+        # the root 1/3 of 3z - 1 is not dyadic, so its disk has a radius
+        # r > 0: a width between r and 2r is refused, 2r itself accepted
+        [(ball, _)] = poly.enclose_roots([3, -1], F(1, 10**30), 64)
+        assert ball.r > 0 and holds(ball, F(1, 3))
+        with pytest.raises(poly.EnclosureError):
+            poly.enclose_roots([3, -1], diameter(ball) * 3 / 4, 64)
+        assert poly.enclose_roots([3, -1], diameter(ball), 64) == [(ball, False)]
 
     def test_dyadic_roots_get_point_boxes(self):
         # ab1 at gamma = 1/2 and bdf1 at 3/5 have the roots 1/2 and 5/8: the
-        # tail certificates keep them exact only through point boxes
+        # tail certificates keep them exact only through radius-0 disks
         for name, g, root in (("ab1", F(1, 2), F(1, 2)), ("bdf1", F(3, 5), F(5, 8))):
             p = poly.to_integer(methods.char_poly_mu(methods.catalog(name), g))
-            [(box, is_pair)] = poly.enclose_roots(p, F(1, 10**32), 64)
-            assert not is_pair and on_real_line(box)
-            assert box.re.lo_fraction() == box.re.hi_fraction() == root
+            [(ball, is_pair)] = poly.enclose_roots(p, F(1, 10**32), 64)
+            assert not is_pair and on_real_line(ball) and ball.r == 0
+            assert ball.re_bounds() == (root, root)
         # Newton's rounded steps land on a dyadic root among others too
         p = poly.mul(poly.mul([4, -3], [2, -1]), [1, 1, 1])
-        reals = [box for box, is_pair in poly.enclose_roots(p, F(1, 10**32), 64) if not is_pair]
-        assert [(box.re.lo_fraction(), box.re.hi_fraction()) for box in reals] == [
+        reals = [ball for ball, is_pair in poly.enclose_roots(p, F(1, 10**32), 64) if not is_pair]
+        assert [ball.re_bounds() for ball in reals] == [
             (F(1, 2), F(1, 2)), (F(3, 4), F(3, 4))
         ]
 

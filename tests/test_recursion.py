@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbcert import analyzer, cli, poly, published, recursion
-from scbcert.arith import ArithmeticDomainError, ComplexBox, IntervalScalar
+from scbcert.arith import ArithmeticDomainError, GaussBall
 from scbcert.methods import Method, catalog
 from scbcert.recursion import (
     MultipleRootError,
@@ -378,15 +378,6 @@ class TestIntervalEvaluation:
         run = run_mu_signs(catalog("ab4"), F(1, 7), 2, 64)
         assert run.first_negative == 2
 
-    def test_interval_gamma_enclosure(self):
-        # a fat gamma interval still yields containing enclosures for both ends
-        m = catalog("bdf2")
-        g = IntervalScalar.from_fractions(F(1, 4), F(1, 3), 64)
-        bounds = ball_bounds(m, g, 50, 64)
-        assert list(bounds) == list(range(1, 51))
-        for gexact in (F(1, 4), F(7, 24), F(1, 3)):
-            assert_contained(bounds, mu_prefix(m, gexact, 50))
-
     # The integer ball kernel rescales its window after every term toward
     # min(P + 32, useful + BALL_GUARD) bits: left when the midpoints fall 32
     # bits short, right when they grow 64 bits past it, never when they are
@@ -432,20 +423,6 @@ class TestIntervalEvaluation:
         lo, hi = bounds[200]
         assert hi - lo < F(1, 2**64)
 
-    @pytest.mark.parametrize("digits", [64, 200])
-    def test_containment_algebraic_gamma(self, digits):
-        # the bdf3 optimum is a root of a quartic; the enclosure's rational
-        # endpoints both lie in the gamma interval the kernel evaluates over
-        spec = published.GAMMA_SUP_POLYS["bdf3"]
-        enc = min(
-            (e for e in poly.isolate_real_roots(spec["poly"]) if e.lo >= 0),
-            key=lambda e: e.lo,
-        ).refined(F(1, 10 ** (digits + 10)))
-        m = catalog("bdf3")
-        bounds = ball_bounds(m, IntervalScalar.from_fractions(enc.lo, enc.hi, digits), 80, digits)
-        for end in (enc.lo, enc.hi):
-            assert_contained(bounds, mu_prefix(m, end, 80))
-
     @settings(max_examples=150, deadline=None)
     @given(
         _method_and_gamma(),
@@ -482,23 +459,32 @@ class TestIntervalEvaluation:
     @example((catalog("bdf4"), F(4866, 10000)), (1500, 600))  # the cut moves many times
     @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), (300, 30))
     def test_rational_products_match_the_generic_path(self, case, run):
-        # at a rational gamma the kernel forms each sum from the exact
-        # coefficients N_j / E; on the same gamma as an interval it takes the
-        # plain products.  Both build the same coefficient balls, so every
-        # (n, x, r, S) must agree bit for bit, with E < 0 (the second
-        # example: 1 + gamma*b0 = -1) as with E > 0.
+        # the kernel forms each sum from the exact coefficients N_j / E; the
+        # plain products of the coefficient balls, put in _product_form's
+        # place, give the same sums, so every (n, x, r, S) must agree bit
+        # for bit, with E < 0 (the second example: 1 + gamma*b0 = -1) as
+        # with E > 0.
         m, g = case
         n_max, digits = run
-        iv = IntervalScalar.from_fraction(g, digits)
-        try:
-            P, rational = recursion._mu_balls(m, g, n_max, digits)
-        except ArithmeticDomainError:
+
+        def run_kernel():
+            P, balls = recursion._mu_balls(m, g, n_max, digits)
+            return P, list(balls)
+
+        def plain_sum(C, exact, Pc):
+            return C, [0] * len(C), 0, 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(recursion, "_product_form", plain_sum)
+            try:
+                generic = run_kernel()
+            except ArithmeticDomainError:
+                generic = None
+        if generic is None:
             with pytest.raises(ArithmeticDomainError):
-                recursion._mu_balls(m, iv, n_max, digits)
+                run_kernel()
             return
-        P_generic, generic = recursion._mu_balls(m, iv, n_max, digits)
-        assert P == P_generic
-        assert list(rational) == list(generic)
+        assert run_kernel() == generic
 
     def test_ball_signs_match_exact_signs(self):
         # the remark's miniature: 3000 terms of bdf4 just above its optimum,
@@ -572,16 +558,18 @@ class TestClosedForm:
         assert cf.order == 3 and cf.window_start == 1
         reals = [r for r in cf.roots if not r.is_pair]
         pairs = [r for r in cf.roots if r.is_pair]
-        assert len(reals) == 1 and reals[0].exact == 1
+        assert len(reals) == 1 and reals[0].ball == GaussBall(1, 0, 0, 0)
         assert len(pairs) == 1
-        assert pairs[0].box.re.contains_fraction(F(7, 22))
-        assert pairs[0].box.modulus().pow_int(2).contains_fraction(F(2, 11))
+        lo, hi = pairs[0].ball.re_bounds()
+        assert lo <= F(7, 22) <= hi
+        lo, hi = pairs[0].ball.modulus_bounds()
+        assert lo * lo <= F(2, 11) <= hi * hi
         for c in cf.coeffs:
-            assert c.re.contains_fraction(1) and c.im.contains_fraction(0)
+            assert c.contains(1)
 
     def test_limit_coefficient_is_one(self):
         # the coefficient of the root at 1 is the residue sigma(1)/rho'(1) = 1,
-        # kept exact: the point box [1, 1]
+        # kept exact: a ball of radius 0 about 1
         for name in ALL_NAMES:
             m = catalog(name)
             try:
@@ -589,11 +577,10 @@ class TestClosedForm:
             except MultipleRootError:
                 continue
             one_idx = next(
-                i for i, r in enumerate(cf.roots) if not r.is_pair and r.exact == 1
+                i for i, r in enumerate(cf.roots) if r.ball == GaussBall(1, 0, 0, 0)
             )
             c = cf.coeffs[one_idx]
-            assert (c.re.lo_fraction(), c.re.hi_fraction()) == (1, 1), name
-            assert (c.im.lo_fraction(), c.im.hi_fraction()) == (0, 0), name
+            assert c.r == c.y == 0 and c.re_bounds() == (1, 1), name
 
     def test_reconstruction_contains_exact(self):
         rng = random.Random(31)
@@ -603,7 +590,7 @@ class TestClosedForm:
             cf = closed_form(m, g, 64)
             exact = mu_prefix(m, g, 300)
             for n in range(cf.window_start, 301):
-                assert cf.reconstruct_range(n, n)[0].contains_fraction(exact[n]), (name, n)
+                assert cf.reconstruct_range(n, n)[0].contains(exact[n]), (name, n)
         # custom methods whose closed form starts past n = 0 or drops zero
         # characteristic roots
         checked = Counter()
@@ -616,7 +603,7 @@ class TestClosedForm:
                 assert cf.window_start > 0 and cf.order < m.k, (kind, m, g)
             exact = mu_prefix(m, g, cf.window_start + 40)
             for n in range(cf.window_start, cf.window_start + 41):
-                assert cf.reconstruct_range(n, n)[0].contains_fraction(exact[n]), (kind, m, g, n)
+                assert cf.reconstruct_range(n, n)[0].contains(exact[n]), (kind, m, g, n)
             checked[kind] += 1
         assert min(checked.values()) >= 6 and len(checked) == 3, checked
 
@@ -630,19 +617,20 @@ class TestClosedForm:
         vals = cf.reconstruct_range(first, last)
         assert len(vals) == last - first + 1
         for n, v in enumerate(vals, first):
-            assert v.contains_fraction(exact[n]), n
+            assert v.contains(exact[n]) and v.y == 0, n
 
     def test_containment_check_raises_each_root_at_most_twice(self, monkeypatch):
-        # one power for the residue shift and one at the window start; the
-        # 2k + 1 terms of the check advance by products, not new powers
+        # the residue's shift is a factor of its polynomials, so the only
+        # power is the one at the window start; the 2k + 1 terms of the
+        # check advance by products, not new powers
         calls = []
-        pow_int = ComplexBox.pow_int
+        power = GaussBall.pow
 
-        def counting(self, n):
+        def counting(self, n, prec):
             calls.append(n)
-            return pow_int(self, n)
+            return power(self, n, prec)
 
-        monkeypatch.setattr(ComplexBox, "pow_int", counting)
+        monkeypatch.setattr(GaussBall, "pow", counting)
         cf = closed_form(catalog("bdf6"), F(1, 7), 64)
         assert 0 < len(calls) <= 2 * len(cf.roots)
 
@@ -666,10 +654,10 @@ class TestClosedForm:
         ]
         assert len(reals) == 1
         root, coeff = reals[0]
-        assert root.box.re.lo_fraction() <= F("0.500519")
-        assert root.box.re.hi_fraction() >= F("0.500518")
-        assert coeff.re.lo_fraction() <= F("0.50155510")
-        assert coeff.re.hi_fraction() >= F("0.50155509")
+        lo, hi = root.ball.re_bounds()
+        assert lo <= F("0.500519") and hi >= F("0.500518")
+        lo, hi = coeff.re_bounds()
+        assert lo <= F("0.50155510") and hi >= F("0.50155509")
 
 
 class TestTailCertificate:
@@ -720,19 +708,24 @@ class TestAtAlgebraicOptimum:
         assert poly.divmod_exact(
             [F(c) for c in num6], [F(c) for c in quartic]
         )[1] == []
-        # all other members up to 92 are strictly positive there; 92 is tiny
+        # at the two rational ends of a 1e-80 enclosure of the optimum,
+        # member 6 has opposite certified signs, every other member up to
+        # 92 is certified positive, and member 92 is tiny
         gi = gstar.refined(F(1, 10**80))
-        bounds = ball_bounds(m, IntervalScalar.from_fractions(gi.lo, gi.hi, 120), 92, 120)
-        for n in range(1, 93):
-            lo, hi = bounds[n]
-            if n == 6:
-                assert lo <= 0 <= hi
-            else:
-                assert lo > 0, n
-        lo, hi = bounds[92]
-        assert lo <= F("1.585176e-28") <= hi or (
-            lo < F("1.585177e-28") and hi > F("1.585176e-28")
-        )
+        six = []
+        for end in (gi.lo, gi.hi):
+            bounds = ball_bounds(m, end, 92, 120)
+            lo, hi = bounds[6]
+            assert lo > 0 or hi < 0, end
+            six.append(1 if lo > 0 else -1)
+            for n in range(1, 93):
+                if n != 6:
+                    assert bounds[n][0] > 0, (end, n)
+            lo, hi = bounds[92]
+            assert lo <= F("1.585176e-28") <= hi or (
+                lo < F("1.585177e-28") and hi > F("1.585176e-28")
+            )
+        assert sorted(six) == [-1, 1]
 
 
 class TestSequenceCsv:

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
 from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, precision_ladder
-from .methods import Method, char_poly_mu, generating_polys, n0, validate
+from .methods import Method, _method_integers, generating_polys, n0, validate
 from .poly import EnclosureError
 from .recursion import (
     ClosedForm,
@@ -194,24 +194,16 @@ class GammaSupResult:
 # ---------------------------------------------------------------------------
 
 
-def damped_root_poly(m: Method, lam: Fraction) -> List[Fraction]:
-    """rho - lambda*sigma as a rational coefficient list."""
-    gp = generating_polys(m)
-    rho = list(gp.rho)
-    sigma = [Fraction(0)] * (len(rho) - len(gp.sigma)) + list(gp.sigma)
-    return [r - Fraction(lam) * s for r, s in zip(rho, sigma)]
-
-
 def in_stability_interior(m: Method, lam: Fraction) -> bool:
-    """Exact interior test: nonzero leading coefficient and every root of
-    rho - lambda*sigma strictly inside the unit circle (Schur-Cohn)."""
-    lam = Fraction(lam)
-    if 1 - lam * m.b0 == 0:
-        return False
-    p = damped_root_poly(m, lam)
-    if poly.degree(poly.strip(p)) < 1:
-        return False
-    return poly.all_roots_strictly_inside(p)
+    """Exact interior test: nonzero leading coefficient 1 - lambda*b0 and
+    every root of rho - lambda*sigma strictly inside the unit circle, by
+    Schur-Cohn on the integer characteristic polynomial [E, -C_1, ..., -C_k]
+    at gamma = -lambda (either sign)."""
+    try:
+        E, C, _F = recursion._scaled_coefficients(_method_integers(m), -Fraction(lam))
+    except recursion.ArithmeticDomainError:
+        return False  # E = 0: the leading coefficient vanishes
+    return poly.all_roots_strictly_inside([E] + [-c for c in C])
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +406,9 @@ def _guess_feasible(m: Method, gamma: Fraction, horizon: Optional[int]) -> Optio
         return False
     if first_negative_mu(m, gamma, _scan_horizon(m, horizon)) is not None:
         return False
-    char = char_poly_mu(m, gamma)
-    while len(char) > 1 and char[-1] == 0:
-        char.pop()  # roots at zero do not enter the closed form
-    order = len(char) - 1
-    seeds = poly._float_seeds(char) if order > 0 else None
+    chi, F = recursion._characteristic(m, gamma)
+    order = len(chi) - 1
+    seeds = poly._float_seeds(chi) if order > 0 else None
     if seeds is None:
         return None
     seeds.sort(key=abs, reverse=True)
@@ -428,8 +418,9 @@ def _guess_feasible(m: Method, gamma: Fraction, horizon: Optional[int]) -> Optio
         return None
     ties = [w for w in others if abs(w) >= r * (1 - GUESS_MARGIN)]
     try:
-        terms = [float(b) * z ** (order - 1 - n) for n, b in enumerate(m.b)]
-        dchi = poly.eval_at([float(c) for c in poly.derivative(char)], z)
+        # F and chi carry the same factor, so c is the residue itself
+        terms = [float(f) * z ** (order - 1 - n) for n, f in enumerate(F)]
+        dchi = poly.eval_at([float(c) for c in poly.derivative(chi)], z)
         c = sum(terms) / dchi
         if not abs(c) > GUESS_MARGIN * sum(map(abs, terms)) / abs(dchi):
             return None
@@ -447,7 +438,7 @@ def _guess_feasible(m: Method, gamma: Fraction, horizon: Optional[int]) -> Optio
 # ---------------------------------------------------------------------------
 
 
-def _only_circle_root_is_one(rho: Sequence[Fraction]) -> bool:
+def _only_circle_root_is_one(rho: Sequence[int]) -> bool:
     """Exact test: the only root of rho with modulus 1 is 1 itself.
 
     Precondition: rho satisfies the root condition (``validate`` passed).
@@ -455,8 +446,7 @@ def _only_circle_root_is_one(rho: Sequence[Fraction]) -> bool:
     circle roots, each simple: off the circle they would come in pairs r, 1/r
     with one of them outside.
     """
-    ip = poly.to_integer(rho)
-    u = poly.gcd_int_poly(ip, poly.reverse(ip))
+    u = poly.gcd_int_poly(rho, poly.reverse(rho))
     return poly.degree(u) == 1 and poly.sign_at_fraction(u, Fraction(1)) == 0
 
 
@@ -493,7 +483,7 @@ def scb_exists(
         if signs[n] <= 0:
             return witness(n, None)
 
-    circle_ok = _only_circle_root_is_one(list(generating_polys(m).rho))
+    circle_ok = _only_circle_root_is_one(generating_polys(m).rho)
     # digits_used is the highest rung run so far, or the ladder's first
     # before any runs
     digits_used = min(digits, digits_cap)
@@ -649,8 +639,8 @@ def _certify_none_positive(m: Method, verdict: ScbVerdict) -> Optional[NonePosit
     if not isinstance(ev, InfeasibleWitness):
         return None
     n = ev.n
-    nums = mu_gamma_numerators(m, n)
-    num = poly.to_integer_signed(nums[n])
+    # M_n = L^(n+1) N_n, L > 0: the sign of the member function's numerator
+    num = mu_gamma_numerators(m, n)[n]
     g = verdict.gamma
     if poly.sign_at_fraction(num, g) >= 0:
         return None

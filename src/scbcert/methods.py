@@ -4,14 +4,20 @@ A k-step method is stored through its recurrence coefficients
 a_1..a_k (history weights) and b_0..b_k (derivative weights, b_0 implicit).
 The catalog generates the backward-differentiation (bdf1..bdf6),
 Adams-Bashforth (ab1..ab4) and extrapolated-BDF (ebdf3..ebdf5) families with
-exact rational coefficients.  Validation checks the four standing
-assumptions: consistency, zero-stability, irreducibility, and b_0 >= 0.
+exact rational coefficients.  Every polynomial of a method is built as an
+integer polynomial from the integers L, L*a_j and L*b_j (``_method_integers``,
+L the common denominator): the generating polynomials L*rho and L*sigma
+here, the characteristic polynomial and the member-function numerators in
+``recursion``.  Validation checks the four standing assumptions:
+consistency, zero-stability, irreducibility, and b_0 >= 0, exactly on
+L*rho and L*sigma.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,10 +58,12 @@ class Method:
 
 @dataclass(frozen=True)
 class GeneratingPolys:
-    """rho(z) = z^k - sum a_j z^(k-j), sigma(z) = sum b_j z^(k-j)."""
+    """L*rho and L*sigma as integer polynomials, L the common denominator of
+    the coefficients: rho(z) = z^k - sum a_j z^(k-j), sigma(z) = sum b_j
+    z^(k-j)."""
 
-    rho: Tuple[Fraction, ...]
-    sigma: Tuple[Fraction, ...]
+    rho: Tuple[int, ...]
+    sigma: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -196,10 +204,19 @@ def _validated_catalog_method(key: str) -> Method:
 # ---------------------------------------------------------------------------
 
 
+def _method_integers(m: Method) -> Tuple[int, List[int], List[int]]:
+    """L, the common denominator of the coefficients, and the integers L*a_j
+    (j = 1..k) and L*b_j (j = 0..k): every integer polynomial of the method
+    is built from these."""
+    L = math.lcm(*(c.denominator for c in m.a + m.b))
+    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
+    B = [L // c.denominator * c.numerator for c in m.b]
+    return L, A, B
+
+
 def generating_polys(m: Method) -> GeneratingPolys:
-    rho = [Fraction(1)] + [-aj for aj in m.a]
-    sigma = list(m.b)
-    return GeneratingPolys(rho=tuple(rho), sigma=tuple(poly.strip(sigma)) or (Fraction(0),))
+    L, A, B = _method_integers(m)
+    return GeneratingPolys(rho=(L, *(-a for a in A)), sigma=tuple(poly.strip(B)) or (0,))
 
 
 def validate(m: Method) -> ValidationReport:
@@ -219,7 +236,7 @@ def validate(m: Method) -> ValidationReport:
     )
 
     gp = generating_polys(m)
-    rc = poly.root_condition(list(gp.rho))
+    rc = poly.root_condition(gp.rho)
     checks.append(
         AssumptionCheck(
             "zero_stability",
@@ -228,23 +245,18 @@ def validate(m: Method) -> ValidationReport:
         )
     )
 
-    sigma = poly.strip(list(gp.sigma))
-    if poly.is_zero(sigma):
+    if gp.sigma == (0,):
         irr_ok = False
         detail = "sigma is identically zero"
     else:
-        g = poly.gcd_frac(list(gp.rho), sigma)
+        g = poly.gcd_int_poly(gp.rho, gp.sigma)
         irr_ok = poly.degree(g) == 0
         if irr_ok:
             detail = "gcd(rho, sigma) = 1"
         else:
-            gi = poly.to_integer(g)
             detail = "shared factor with roots near {}".format(
-                [
-                    (str(e.lo), str(e.hi))
-                    for e in poly.isolate_real_roots(gi)
-                ]
-                or "complex values; gcd coefficients {}".format(gi)
+                [(str(e.lo), str(e.hi)) for e in poly.isolate_real_roots(g)]
+                or "complex values; gcd coefficients {}".format(g)
             )
     checks.append(AssumptionCheck("irreducibility", irr_ok, detail))
 
@@ -252,21 +264,6 @@ def validate(m: Method) -> ValidationReport:
         AssumptionCheck("nonnegative_b0", m.b0 >= 0, "b_0 = {}".format(m.b0))
     )
     return ValidationReport(tuple(checks))
-
-
-def char_poly_mu(m: Method, gamma: Fraction) -> List[Fraction]:
-    """Degree-k characteristic polynomial of the damped recursion.
-
-    Equals (1 + gamma b_0) z^k - sum_j (a_j - gamma b_j) z^(k-j), a positive
-    multiple of rho + gamma sigma.
-    """
-    gamma = Fraction(gamma)
-    if gamma < 0:
-        raise MethodError("gamma must be nonnegative")
-    lead = 1 + gamma * m.b0
-    if lead == 0:
-        raise MethodError("degenerate leading coefficient")
-    return [lead] + [-(m.a[j - 1] - gamma * m.b[j]) for j in range(1, m.k + 1)]
 
 
 def n0(m: Method, taus: Optional[Sequence] = None) -> int:
@@ -291,19 +288,36 @@ def n0(m: Method, taus: Optional[Sequence] = None) -> int:
 
 
 def method_from_dict(data: Dict) -> Method:
+    """The method of a parsed method file: an object with the integer k and
+    the lists a and b, whose numbers are read exactly as Fractions."""
+    if not isinstance(data, dict):
+        raise MethodError("bad method file: expected a JSON object")
     try:
-        k = int(data["k"])
-        a = [Fraction(str(x)) for x in data["a"]]
-        b = [Fraction(str(x)) for x in data["b"]]
-    except (KeyError, ValueError) as exc:
+        k, a, b = data["k"], data["a"], data["b"]
+    except KeyError as exc:
+        raise MethodError("bad method file: missing {}".format(exc)) from exc
+    if not isinstance(a, list) or not isinstance(b, list):
+        raise MethodError("bad method file: a and b must be lists")
+    try:
+        k = Fraction(str(k))
+        a = [Fraction(str(x)) for x in a]
+        b = [Fraction(str(x)) for x in b]
+    except ValueError as exc:
         raise MethodError("bad method file: {}".format(exc)) from exc
+    if k.denominator != 1:
+        raise MethodError("bad method file: k must be an integer, not {}".format(k))
     name = str(data.get("name", "custom"))
-    return Method(k=k, a=tuple(a), b=tuple(b), name=name, family="Custom")
+    return Method(k=int(k), a=tuple(a), b=tuple(b), name=name, family="Custom")
 
 
 def load_method_file(path: str) -> Method:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise MethodError("cannot read method file: {}".format(exc)) from exc
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise MethodError("bad method file {}: {}".format(path, exc)) from exc
     return method_from_dict(data)
 
 

@@ -1,6 +1,11 @@
 """Exact polynomial algebra with certified root analysis.
 
-Coefficient lists are kept in descending degree order throughout.  Where an
+Coefficient lists are kept in descending degree order throughout.  Every
+decision routine takes integer coefficients only; the generic ring helpers
+(``add``, ``mul``, ``scale``, ``derivative``, ``eval_at``) work over any
+ring.  Rational numbers enter only as points: the argument of
+``sign_at_fraction``, the endpoints of ``count_real_roots`` and of the
+isolating intervals that ``refine`` shrinks.  Where an
 exact real root is the answer, it is isolated with signed subresultant
 (Sturm) chains over the integers and refined by exact rational bisection.
 All roots of an integer polynomial, real and complex alike, are enclosed by
@@ -123,32 +128,25 @@ def sign_at_fraction(a: Sequence[int], q: Fraction) -> int:
     return sign_of(acc)
 
 
-def divmod_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> Tuple[list, list]:
-    """Rational polynomial division: a = q*b + r with deg r < deg b."""
-    a = strip([Fraction(x) for x in a])
-    b = strip([Fraction(x) for x in b])
+def divexact(a: Sequence[int], b: Sequence[int]) -> list:
+    """The integer polynomial a / b; raises ValueError on a nonzero remainder."""
+    a, b = strip(a), strip(b)
     if is_zero(b):
         raise ZeroDivisionError("polynomial division by zero")
-    db, lb = degree(b), b[0]
-    if is_zero(a) or degree(a) < db:
-        return [], a
-    q = [Fraction(0)] * (degree(a) - db + 1)
+    lb = b[0]
+    q: list = []
     r = list(a)
-    while not is_zero(r) and degree(r) >= db:
-        shift = degree(r) - db
-        f = r[0] / lb
-        q[len(q) - 1 - shift] = f
-        for i in range(db + 1):
+    while len(r) >= len(b):
+        f, rem = divmod(r[0], lb)
+        if rem:
+            raise ValueError("polynomial division was not exact")
+        q.append(f)
+        for i in range(1, len(b)):
             r[i] -= f * b[i]
-        r = strip(r)
-    return strip(q), r
-
-
-def divexact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    q, r = divmod_exact(a, b)
-    if not is_zero(r):
+        del r[0]
+    if any(r):
         raise ValueError("polynomial division was not exact")
-    return q
+    return strip(q)
 
 
 def content(a: Sequence[int]) -> int:
@@ -170,30 +168,6 @@ def primitive(a: Sequence[int]) -> list:
     if a[0] < 0:
         a = neg(a)
     return a
-
-
-def to_integer(a: Sequence[Fraction]) -> list:
-    """Clear denominators: primitive integer polynomial with the same roots."""
-    a = strip([Fraction(x) for x in a])
-    if is_zero(a):
-        return []
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return primitive([int(c * den) for c in a])
-
-
-def to_integer_signed(a: Sequence[Fraction]) -> list:
-    """Clear denominators by a positive constant: same roots, same signs."""
-    a = strip([Fraction(x) for x in a])
-    if is_zero(a):
-        return []
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = [int(c * den) for c in a]
-    g = content(out)
-    return [c // g for c in out]
 
 
 def reverse(a: Sequence) -> list:
@@ -366,43 +340,30 @@ def gcd_int_poly(a: Sequence[int], b: Sequence[int]) -> list:
         a, b = b, primitive(r)
 
 
-def gcd_frac(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    """Monic gcd over the rationals."""
-    ia, ib = to_integer(a), to_integer(b)
-    if is_zero(ia):
-        g = ib
-    elif is_zero(ib):
-        g = ia
-    else:
-        g = gcd_int_poly(ia, ib)
-    if is_zero(g):
-        return []
-    lead = Fraction(g[0])
-    return [Fraction(c) / lead for c in g]
-
-
 def yun_squarefree(p: Sequence[int]) -> List[Tuple[list, int]]:
     """Yun decomposition: p ~ prod q_i^i, q_i squarefree and pairwise coprime.
 
     Returns [(q_i, i)] for non-constant q_i, with q_i primitive integer
-    polynomials (positive leading coefficient).
+    polynomials (positive leading coefficient).  Every gcd is primitive, so
+    by Gauss's lemma each quotient stays an integer polynomial; c and d are
+    always divided by the same factor, so they differ from the rational
+    algorithm's only by one common constant.
     """
     p = primitive(p)
     if degree(p) < 1:
         return []
-    pf = [Fraction(c) for c in p]
-    dpf = derivative(pf)
-    g = gcd_frac(pf, dpf)
+    dp = derivative(p)
+    g = gcd_int_poly(p, dp)
     if degree(g) == 0:
         return [(p, 1)]
     out: List[Tuple[list, int]] = []
-    c = divexact(pf, g)
-    d = sub(divexact(dpf, g), derivative(c))
+    c = divexact(p, g)
+    d = sub(divexact(dp, g), derivative(c))
     i = 1
     while True:
-        a = gcd_frac(c, d)
+        a = gcd_int_poly(c, d)
         if degree(a) > 0:
-            out.append((to_integer(a), i))
+            out.append((a, i))
         c = divexact(c, a)
         if degree(c) == 0:
             break
@@ -438,48 +399,38 @@ def _bareiss_det(M: List[List[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def resultant(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    """Resultant via fraction-free elimination on the Sylvester matrix."""
-    a = strip([Fraction(x) for x in a])
-    b = strip([Fraction(x) for x in b])
+def resultant(a: Sequence[int], b: Sequence[int]) -> int:
+    """Resultant of two integer polynomials: fraction-free elimination on
+    the Sylvester matrix."""
+    a, b = strip(a), strip(b)
     if is_zero(a) or is_zero(b):
-        return Fraction(0)
+        return 0
     m, n = degree(a), degree(b)
     if m == 0:
         return a[0] ** n
     if n == 0:
         return b[0] ** m
-    da = 1
-    for c in a:
-        da = da * c.denominator // gcd(da, c.denominator)
-    db = 1
-    for c in b:
-        db = db * c.denominator // gcd(db, c.denominator)
-    ia = [int(c * da) for c in a]
-    ib = [int(c * db) for c in b]
     size = m + n
     M = [[0] * size for _ in range(size)]
     for i in range(n):
-        for j, c in enumerate(ia):
-            M[i][i + j] = c
+        M[i][i : i + m + 1] = a
     for i in range(m):
-        for j, c in enumerate(ib):
-            M[n + i][i + j] = c
-    det = _bareiss_det(M)
-    return Fraction(det) / (Fraction(da) ** n * Fraction(db) ** m)
+        M[n + i][i : i + n + 1] = b
+    return _bareiss_det(M)
 
 
-def discriminant(p: Sequence[Fraction]) -> Fraction:
-    """Exact discriminant; zero iff p has a multiple root."""
-    p = strip([Fraction(x) for x in p])
+def discriminant(p: Sequence[int]) -> int:
+    """Exact discriminant of an integer polynomial; zero iff p has a
+    multiple root."""
+    p = strip(p)
     n = degree(p)
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
     if n == 1:
-        return Fraction(1)
-    r = resultant(p, derivative(p))
+        return 1
     s = -1 if (n * (n - 1) // 2) % 2 else 1
-    return s * r / p[0]
+    # Res(p, p') = (-1)^(n(n-1)/2) lc(p) disc(p), so the division is exact
+    return s * resultant(p, derivative(p)) // p[0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +598,7 @@ class EnclosureError(ArithmeticDomainError):
 FLOAT_SEED_STEPS = 100
 
 
-def _float_seeds(p: Sequence[Fraction]) -> Optional[List[complex]]:
+def _float_seeds(p: Sequence[int]) -> Optional[List[complex]]:
     """Durand-Kerner roots of p in double precision, from mpmath's own start
     (0.4 + 0.9i)^k; None when the pass overflows or its roots are not all
     finite and pairwise distinct."""
@@ -681,7 +632,7 @@ def _float_seeds(p: Sequence[Fraction]) -> Optional[List[complex]]:
 HUGE_ROOT_BOUND = 2**64
 
 
-def _root_scale_exponent(p: Sequence[Fraction]) -> int:
+def _root_scale_exponent(p: Sequence[int]) -> int:
     """e with 2^e about the largest root modulus of p: every root has
     modulus below 2 max_i |p_i/p_0|^(1/i) (Fujiwara), and this takes the
     exponent of that maximum."""
@@ -693,7 +644,7 @@ def _root_scale_exponent(p: Sequence[Fraction]) -> int:
     return e
 
 
-def _huge_root_exponent(p: Sequence[Fraction]) -> int:
+def _huge_root_exponent(p: Sequence[int]) -> int:
     """_root_scale_exponent(p) past HUGE_ROOT_BOUND, else 0."""
     return _root_scale_exponent(p) if cauchy_bound(p) > HUGE_ROOT_BOUND else 0
 
@@ -935,9 +886,9 @@ class RootCondition(enum.Enum):
     VIOLATED = "violated"
 
 
-def _schur_cohn_inside(a: Sequence[int]) -> bool:
-    """Exact Schur-Cohn test: every root of the integer polynomial a has
-    modulus < 1.
+def all_roots_strictly_inside(a: Sequence[int]) -> bool:
+    """Exact Schur-Cohn test: every root of the nonzero integer polynomial a
+    has modulus < 1 (vacuously so for a constant).
 
     With lead and const the extreme coefficients, the roots all lie strictly
     inside the unit disk iff |lead| > |const| and the same holds for
@@ -957,8 +908,9 @@ def _schur_cohn_inside(a: Sequence[int]) -> bool:
     return True
 
 
-def root_condition(p: Sequence[Fraction]) -> RootCondition:
-    """Exact root-condition test: all |root| <= 1, modulus-1 roots simple.
+def root_condition(p: Sequence[int]) -> RootCondition:
+    """Exact root-condition test on an integer polynomial: all |root| <= 1,
+    modulus-1 roots simple.
 
     Each squarefree Yun factor q splits as u * rest with u = gcd(q, q*): the roots
     of u are those z of q with 1/z a root too, so u is self-inversive, and
@@ -967,29 +919,18 @@ def root_condition(p: Sequence[Fraction]) -> RootCondition:
     the circle iff the roots of u' lie in the closed disk; u is squarefree,
     so by Gauss-Lucas they then lie strictly inside, which Schur-Cohn decides.
     """
-    ip = to_integer(p)
-    if degree(ip) < 1:
+    if degree(strip(p)) < 1:
         raise ValueError("root condition needs a non-constant polynomial")
     strict = True
-    for q, m in yun_squarefree(ip):
+    for q, m in yun_squarefree(p):
         # a root at zero has no inverse, so it stays in rest, strictly inside
         u = gcd_int_poly(q, reverse(q))
-        rest = to_integer(divexact([Fraction(c) for c in q], [Fraction(c) for c in u]))
-        if not _schur_cohn_inside(rest):
+        if not all_roots_strictly_inside(divexact(q, u)):
             return RootCondition.VIOLATED
         if degree(u) >= 1:
             # off the circle, the roots of u come in pairs r, 1/r, one of
             # which lies outside; on it, a multiple root violates the condition
-            if m >= 2 or not _schur_cohn_inside(derivative(u)):
+            if m >= 2 or not all_roots_strictly_inside(derivative(u)):
                 return RootCondition.VIOLATED
             strict = False
     return RootCondition.SATISFIED_STRICTLY if strict else RootCondition.SATISFIED
-
-
-def all_roots_strictly_inside(p: Sequence[Fraction]) -> bool:
-    """Exact test: every root has modulus < 1."""
-    ip = to_integer(p)
-    if degree(ip) < 1:
-        raise ValueError("needs a non-constant polynomial")
-    return _schur_cohn_inside(ip)
-

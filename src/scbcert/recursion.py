@@ -4,9 +4,12 @@ The damped sequence (called mu here) resolves the implicit term of the
 one-leg recursion; its gamma=0 specialization (tau) drives the existence
 test.  Both are evaluated exactly, through one integer-scaled recurrence
 whose integer numerators also give the signs, or as containing integer
-balls at a chosen working precision, whose signs are certified.  Closed
-forms, at a rational gamma only, take the certified root disks of the
-integer characteristic polynomial from the one engine ``poly.enclose_roots``
+balls at a chosen working precision, whose signs are certified.  The same
+integer setup (E, C_j, F_n) gives the characteristic polynomial
+chi = [E, -C_1, ..., -C_k] at a rational gamma and, with gamma left a
+variable, the member functions mu_n = M_n / E(gamma)^(n+1) with integer
+polynomials M_n.  Closed forms, at a rational gamma only, take the
+certified root disks of chi from the one engine ``poly.enclose_roots``
 (exact Gerschgorin disks about fixed-point Newton seeds) as they stand, as
 Gaussian-integer balls, and compute on them in exact integer ball
 arithmetic: the coefficient of each root is read off the generating
@@ -37,7 +40,7 @@ from .arith import (
     digits_to_bits,
     fraction_str,
 )
-from .methods import Method, char_poly_mu
+from .methods import Method, MethodError, _method_integers
 from .poly import EnclosureError
 
 # tail_certificate gives up when the residual bound needs more terms than this
@@ -51,16 +54,6 @@ class MultipleRootError(ArithmeticDomainError):
 # ---------------------------------------------------------------------------
 # exact evaluation
 # ---------------------------------------------------------------------------
-
-
-def _method_integers(m: Method) -> Tuple[int, List[int], List[int]]:
-    """L, the common denominator of the coefficients, and the integers L*a_j
-    (j = 1..k) and L*b_j (j = 0..k): the part of the integer setup that does
-    not depend on gamma."""
-    L = math.lcm(*(c.denominator for c in m.a + m.b))
-    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
-    B = [L // c.denominator * c.numerator for c in m.b]
-    return L, A, B
 
 
 def _scaled_coefficients(
@@ -111,6 +104,23 @@ def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
     """
     E, C, F = _scaled_coefficients(_method_integers(m), gamma)
     return E, _numerators(E, C, F)
+
+
+def _characteristic(m: Method, gamma: Fraction) -> Tuple[List[int], List[int]]:
+    """chi = [E, -C_1, ..., -C_k], the characteristic polynomial of the
+    damped recursion at gamma >= 0 as the integers of _scaled_coefficients
+    (a nonzero multiple of rho + gamma*sigma), with its roots at zero
+    stripped, and F_0..F_k on the same scale; both negated where E < 0, so
+    that chi leads with E > 0."""
+    gamma = Fraction(gamma)
+    if gamma < 0:
+        raise MethodError("gamma must be nonnegative")
+    E, C, F = _scaled_coefficients(_method_integers(m), gamma)
+    s = 1 if E > 0 else -1
+    chi = [s * E] + [-s * c for c in C]
+    while len(chi) > 1 and chi[-1] == 0:
+        chi.pop()  # roots at zero do not enter the closed forms
+    return chi, [s * f for f in F]
 
 
 def _sign(M: int, E: int, n: int) -> int:
@@ -450,23 +460,28 @@ def run_mu_signs(m: Method, gamma: Fraction, n_max: int, digits: int) -> Interva
 # ---------------------------------------------------------------------------
 
 
-def mu_gamma_numerators(m: Method, n_max: int) -> List[List[Fraction]]:
-    """Numerators N_n (polynomials in gamma, descending) with
-    mu_n = N_n / (1 + gamma b0)^(n+1)."""
-    D = [m.b0, Fraction(1)] if m.b0 != 0 else [Fraction(1)]
-    dpow: List[List[Fraction]] = [[Fraction(1)]]
-    for _ in range(n_max):
-        dpow.append(poly.mul(dpow[-1], D))
-    numerators: List[List[Fraction]] = []
+def mu_gamma_numerators(m: Method, n_max: int) -> List[List[int]]:
+    """Integer polynomials M_0..M_(n_max) in gamma (descending) with
+    mu_n = M_n / E(gamma)^(n+1).
+
+    This is the recurrence of _scaled_numerators with gamma left a variable
+    and no content taken out: E(gamma) = L + L*b0*gamma, C_j(gamma) = L*a_j
+    - L*b_j*gamma and F_n = L*b_n, so M_n = F_n*E^n + sum_j C_j*E^(j-1)*M_(n-j).
+    M_n is L^(n+1) times the numerator over (1 + gamma*b0)^(n+1), so the two
+    have the same sign at every gamma.
+    """
+    L, A, B = _method_integers(m)
+    E = poly.strip([B[0], L])
+    epow = [[1]]  # E^0..E^max(n_max, k)
+    while len(epow) <= max(n_max, m.k):
+        epow.append(poly.mul(epow[-1], E))
+    C = [poly.strip([-b, a]) for a, b in zip(A, B[1:])]
+    D = [poly.mul(c, epow[j - 1]) for j, c in enumerate(C, 1)]  # C_j*E^(j-1)
+    numerators: List[List[int]] = []
     for n in range(n_max + 1):
-        acc = poly.scale(dpow[n], m.b[n]) if n <= m.k and m.b[n] != 0 else []
+        acc = poly.scale(epow[n], B[n]) if n <= m.k else []
         for j in range(1, min(n, m.k) + 1):
-            term = [-m.b[j], m.a[j - 1]] if m.b[j] != 0 else [m.a[j - 1]]
-            if not numerators[n - j]:
-                continue
-            contrib = poly.mul(term, numerators[n - j])
-            contrib = poly.mul(contrib, dpow[j - 1])
-            acc = poly.add(acc, contrib)
+            acc = poly.add(acc, poly.mul(D[j - 1], numerators[n - j]))
         numerators.append(acc)
     return numerators
 
@@ -574,29 +589,27 @@ def closed_form(m: Method, gamma: Fraction, digits: int = DEFAULT_DIGITS) -> Clo
     n_b = _n_inhomogeneous(m)
     width = Fraction(1, 10) ** max(8, digits // 2)
     prec = _ball_prec(digits)
-    char = char_poly_mu(m, gamma)
-    while len(char) > 1 and char[-1] == 0:
-        char.pop()  # roots at zero do not enter the closed form
-    order = len(char) - 1
-    if order > 0 and poly.discriminant(char) == 0:
+    chi, F = _characteristic(m, gamma)
+    order = len(chi) - 1
+    # B and chi', scaled alike by 1/h to the smallest integers
+    g = poly.content(chi)
+    h = math.gcd(g, *F[: n_b + 1])
+    shift = order - 1 - n_b
+    num = [f // h for f in F[: n_b + 1]] + [0] * max(shift, 0)
+    den = [c // h for c in poly.derivative(chi)] + [0] * max(-shift, 0)
+    chi = [c // g for c in chi]
+    if order > 0 and poly.discriminant(chi) == 0:
         raise MultipleRootError(
             "closed form unavailable: multiple characteristic roots; "
             "use direct evaluation"
         )
-    # chi' and B times chi[0]/char[0], over their common denominator L
-    chi = poly.to_integer(char)
-    b = [chi[0] / char[0] * v for v in m.b[: n_b + 1]]
-    L = math.lcm(*(v.denominator for v in b))
-    shift = order - 1 - n_b
-    num = [L // v.denominator * v.numerator for v in b] + [0] * max(shift, 0)
-    den = [L * c for c in poly.derivative(chi)] + [0] * max(-shift, 0)
     roots: List[Tuple[GaussBall, bool]] = []
-    if order > 0 and poly.eval_at(char, Fraction(1)) == 0:
+    if order > 0 and poly.eval_at(chi, 1) == 0:
         # 1 is a root (at gamma = 0, by consistency): the exact ball 1
         roots.append((GaussBall(1, 0, 0, 0), False))
-        char = poly.divexact(char, [Fraction(1), Fraction(-1)])
+        chi = poly.divexact(chi, [1, -1])
     # the discriminant test above proved the roots simple
-    roots += poly.enclose_roots(poly.to_integer(char), width, digits)
+    roots += poly.enclose_roots(chi, width, digits)
     records = [RootRecord(z, is_pair) for z, is_pair in roots]
     coeffs = [z.poly_value(num, prec).div(z.poly_value(den, prec), prec) for z, _ in roots]
     if sum(r.weight for r in records) != order:
@@ -793,16 +806,16 @@ class RationalExponentialForm:
         return True
 
 
-def _rational_roots(char: Sequence[Fraction]) -> Optional[List[Tuple[Fraction, int]]]:
+def _rational_roots(chi: Sequence[int]) -> Optional[List[Tuple[Fraction, int]]]:
     """All roots with multiplicities in ascending order, provided every root
-    is rational.
+    of the integer polynomial chi is rational.
 
-    A rational root of the integer polynomial has a denominator dividing its
+    A rational root of the primitive polynomial has a denominator dividing its
     leading coefficient, and two fractions with denominators <= lead lie at
     least 1/lead^2 apart, so an enclosure narrower than 1/(2 lead^2) holds at
     most one candidate: the nearest such fraction to its midpoint.
     """
-    ip = poly.to_integer(char)
+    ip = poly.primitive(chi)
     encs = poly.isolate_real_roots(ip)
     if sum(e.multiplicity for e in encs) != poly.degree(ip):
         return None  # some root is not real
@@ -821,13 +834,9 @@ def rational_closed_form(m: Method, gamma: Fraction) -> Optional[RationalExponen
     """Exact exponential-polynomial form of mu at parameter values where all
     characteristic roots are rational (covers multiple-root cases)."""
     gamma = Fraction(gamma)
-    char = char_poly_mu(m, gamma)
-    zero_mult = 0
-    while poly.degree(char) >= 1 and char[-1] == 0:
-        char.pop()
-        zero_mult += 1
-    order = poly.degree(char)
-    roots = _rational_roots(char) if order >= 1 else []
+    chi, _F = _characteristic(m, gamma)
+    order = poly.degree(chi)
+    roots = _rational_roots(chi) if order >= 1 else []
     if roots is None:
         return None
     n_b = _n_inhomogeneous(m)

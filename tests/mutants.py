@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 BALLS = "tests/test_arith.py::TestGaussBall"
 CLOSED_FORMS = "tests/test_recursion.py::TestClosedForm"
+KERNEL = "tests/test_recursion.py::TestIntegerScaledKernel"
 
 MUTANTS = (
     Mutant(
@@ -126,6 +127,76 @@ MUTANTS = (
         "if disks is None or any(2 * r > limit for _, _, r in disks):",
         "if disks is None or any(r > limit for _, _, r in disks):",
         "tests/test_poly.py::TestRootEngine",
+    ),
+    Mutant(
+        "sign(E) correction dropped",
+        "src/scbcert/recursion.py",
+        "return -s if E < 0 and n % 2 == 0 else s",
+        "return s",
+        KERNEL,
+    ),
+    Mutant(
+        "recurrence coefficient scaled by E^j, not E^(j-1)",
+        "src/scbcert/recursion.py",
+        "D = [C[j - 1] * E ** (j - 1) for j in range(k, 0, -1)]",
+        "D = [C[j - 1] * E ** j for j in range(k, 0, -1)]",
+        KERNEL,
+    ),
+    Mutant(
+        "inhomogeneous term scaled by E^(n+1), not E^n",
+        "src/scbcert/recursion.py",
+        "inhom = [F[n] * E**n for n in range(k + 1)]",
+        "inhom = [F[n] * E**(n + 1) for n in range(k + 1)]",
+        KERNEL,
+    ),
+    Mutant(
+        "E == 0 check dropped",
+        "src/scbcert/recursion.py",
+        'if E == 0:\n        raise ArithmeticDomainError("1 + gamma*b0 vanishes")\n',
+        "",
+        KERNEL,
+    ),
+    Mutant(
+        "F left out of the content gcd",
+        "src/scbcert/recursion.py",
+        "c = math.gcd(E, *C, *F)",
+        "c = math.gcd(E, *C)",
+        KERNEL,
+    ),
+    Mutant(
+        "exact division's remainder check dropped",
+        "src/scbcert/poly.py",
+        'if any(r):\n        raise ValueError("polynomial division was not exact")\n',
+        "",
+        "tests/test_poly.py::TestDivisionAndGcd",
+    ),
+    Mutant(
+        "exact division's leading-term check dropped",
+        "src/scbcert/poly.py",
+        'if rem:\n            raise ValueError("polynomial division was not exact")\n',
+        "",
+        "tests/test_poly.py::TestDivisionAndGcd",
+    ),
+    Mutant(
+        "numerators over Z[gamma] scaled by E(gamma)^j, not E(gamma)^(j-1)",
+        "src/scbcert/recursion.py",
+        "D = [poly.mul(c, epow[j - 1]) for j, c in enumerate(C, 1)]",
+        "D = [poly.mul(c, epow[j]) for j, c in enumerate(C, 1)]",
+        "tests/test_recursion.py::TestMemberFunctions",
+    ),
+    Mutant(
+        "stability test ignores E = 0",
+        "src/scbcert/analyzer.py",
+        "return False  # E = 0: the leading coefficient vanishes",
+        "return True",
+        "tests/test_analyzer.py::TestStabilityInterior",
+    ),
+    Mutant(
+        "residue scale leaves F out of its gcd",
+        "src/scbcert/recursion.py",
+        "h = math.gcd(g, *F[: n_b + 1])",
+        "h = g",
+        CLOSED_FORMS,
     ),
     Mutant(
         "quotient worked one bit finer",

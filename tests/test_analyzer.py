@@ -55,6 +55,37 @@ class TestStabilityInterior:
         m = catalog("bdf1")
         assert in_stability_interior(m, F(1)) is False
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(methods.catalog_names()),
+        st.fractions(min_value=-3, max_value=10, max_denominator=1000),
+    )
+    @example("ab1", F(3))  # the root -2
+    @example("bdf3", F(2))
+    @example("bdf1", F(-1))  # E = 0
+    @example("ab3", F(1, 3))  # a root at zero
+    def test_agrees_with_root_enclosures(self, name, g):
+        # where the certified root disks of chi_g decide the question (every
+        # modulus upper bound below 1, or some lower bound above 1), the
+        # exact Schur-Cohn answer must agree
+        m = catalog(name)
+        stable = in_stability_interior(m, -g)
+        try:
+            E, C, _F = recursion._scaled_coefficients(methods._method_integers(m), g)
+        except arith.ArithmeticDomainError:
+            assert stable is False
+            return
+        chi = [E] + [-c for c in C]
+        moduli = [
+            ball.modulus_bounds()
+            for q, _mult in poly.yun_squarefree(chi)
+            for ball, _is_pair in poly.enclose_roots(q, F(1, 10**12), 64)
+        ]
+        if all(hi < 1 for _lo, hi in moduli):
+            assert stable is True, (name, g)
+        elif any(lo > 1 for lo, _hi in moduli):
+            assert stable is False, (name, g)
+
 
 class TestCheckScb:
     def test_bdf2_at_half(self):
@@ -126,7 +157,8 @@ class TestCheckScb:
         # term alternates in sign, and the first negative term (n = 21) lies
         # past the 16-term exact prefix but inside the default horizon 32
         m = methods.Method(2, (F(11, 20), F(401, 200)), (F(0), F(3, 5), F(23, 20)))
-        assert methods.char_poly_mu(m, F(1)) == [F(1), F(1, 20), F(-171, 200)]
+        # L = 200: chi = 200 z^2 + 10 z - 171 = 200 (z^2 + z/20 - 171/200)
+        assert recursion._characteristic(m, F(1))[0] == [200, 10, -171]
         v = check_scb(m, F(1))
         assert v.status is Feasibility.INFEASIBLE
         assert v.evidence == InfeasibleWitness(21, "negative integer-scaled numerator", True)

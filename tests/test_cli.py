@@ -397,6 +397,37 @@ class TestCustomMethodFile:
         code = main(["check", "--method", str(path), "--gamma", "1/2"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,  # no such file
+            '{"k": 1,',
+            '[1, ["1"], ["1", "0"]]',
+            '{"k": 1, "a": 5, "b": ["1", "0"]}',
+            '{"k": 1, "a": ["1"], "b": "10"}',
+            '{"k": 1.7, "a": ["1"], "b": ["1", "0"]}',
+            '{"k": "3/2", "a": ["1"], "b": ["1", "0"]}',
+            '{"k": true, "a": ["1"], "b": ["1", "0"]}',
+            '{"a": ["1"], "b": ["1", "0"]}',
+            '{"k": 1, "a": ["x"], "b": ["1", "0"]}',
+            b'{"k": 1, "name": "\xff"}',
+        ],
+        ids=[
+            "missing", "truncated", "list", "a-not-list", "b-not-list", "k-float",
+            "k-fraction", "k-bool", "no-k", "bad-fraction", "not-utf8",
+        ],
+    )
+    def test_bad_method_file_is_a_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        code = main(["check", "--method", str(path), "--gamma", "1/2"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+
 
 class TestExitCodes:
     def test_bdf1_large_gamma_feasible(self, capsys):

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,19 @@ from mpmath.libmp import to_rational
 
 from scbcert import analyzer, methods, poly, recursion
 from scbcert.poly import RootCondition
+
+def to_integer(a):
+    """Clear denominators: the primitive integer polynomial with the roots
+    of the rational polynomial a."""
+    a = [F(x) for x in a]
+    den = math.lcm(*(c.denominator for c in a))
+    return poly.primitive([int(c * den) for c in a])
+
+
+def char_poly(m, g):
+    """The integer characteristic polynomial chi_g, roots at zero stripped."""
+    return recursion._characteristic(m, g)[0]
+
 
 BDF3_QUARTIC = [5184, -539352, 4277340, -7093698, 3248425]
 BDF4_QUINTIC = [147456, -4065024, 97751296, -178921248, 146499984, -39945535]
@@ -97,7 +111,7 @@ def all_root_classes(p, width, digits=64):
     """(ball, is_pair, multiplicity) for every distinct root of p, a conjugate
     pair once by its upper ball: enclose_roots on each Yun factor."""
     out = []
-    for q, mult in poly.yun_squarefree(poly.to_integer(p)):
+    for q, mult in poly.yun_squarefree(to_integer(p)):
         out += [(ball, is_pair, mult) for ball, is_pair in poly.enclose_roots(q, width, digits)]
     return out
 
@@ -185,13 +199,13 @@ _simple_real = _point.map(lambda a: ([a.denominator, -a.numerator], [(a, 0)]))
 # (z - a)(z - a - 10^-20)
 _close_reals = _point.map(
     lambda a: (
-        poly.mul([a.denominator, -a.numerator], poly.to_integer([1, -a - _TINY])),
+        poly.mul([a.denominator, -a.numerator], to_integer([1, -a - _TINY])),
         [(a, 0), (a + _TINY, 0)],
     )
 )
 # (z - a)^2 + 10^-40: the pair a +- i 10^-20
 _thin_pair = _point.map(
-    lambda a: (poly.to_integer([1, -2 * a, a * a + _TINY * _TINY]), [(a, _TINY)])
+    lambda a: (to_integer([1, -2 * a, a * a + _TINY * _TINY]), [(a, _TINY)])
 )
 _zero_root = st.just(([1, 0], [(F(0), 0)]))
 _layout = st.lists(
@@ -232,7 +246,9 @@ def _check_residues(m, g):
         cf = recursion.closed_form(m, g, 64)
     except recursion.MultipleRootError:
         return
-    char = methods.char_poly_mu(m, g)
+    # (1 + g b0) z^k - sum_j (a_j - g b_j) z^(k-j), built apart from the
+    # package, on the scale of B(x) = sum_n b_n x^n
+    char = [1 + g * m.b0] + [-(a - g * b) for a, b in zip(m.a, m.b[1:])]
     while len(char) > 1 and char[-1] == 0:
         char.pop()
     n_b = recursion._n_inhomogeneous(m)
@@ -272,7 +288,7 @@ class TestRootEngine:
     # does not converge; mpmath's own start does
     @example([
         ([1, 0], [(F(0), 0)]),
-        (poly.to_integer([1, F(8, 5), F(16, 25) + _TINY * _TINY]), [(F(-4, 5), _TINY)]),
+        (to_integer([1, F(8, 5), F(16, 25) + _TINY * _TINY]), [(F(-4, 5), _TINY)]),
     ])
     def test_known_roots_against_sturm(self, layout):
         p = [1]
@@ -295,7 +311,7 @@ class TestRootEngine:
         big = 10**60
         p = poly.mul(poly.mul([1, -big], [1, -2 * big]), [1, -3 * big])
         for q, n_classes in ((p, 3), ([1, 0, 10**200], 1)):
-            assert poly._float_seeds([F(c) for c in q]) is None
+            assert poly._float_seeds(q) is None
             assert len(poly.enclose_roots(q, F(1, 10**30), 256)) == n_classes
 
     def test_coefficient_overflow_is_scaled_away(self):
@@ -305,7 +321,7 @@ class TestRootEngine:
         p = [1]
         for j in range(1, 7):
             p = poly.mul(p, [1, -j * 10**52])
-        assert poly._float_seeds([F(c) for c in p]) is None
+        assert poly._float_seeds(p) is None
         # 10^-6 is about 10^-58 of the roots: as fine as 64 digits go
         for digits, width in ((64, F(1, 10**6)), (200, F(1, 10**30))):
             classes = poly.enclose_roots(p, width, digits)
@@ -326,7 +342,7 @@ class TestRootEngine:
         for r in roots:
             p = poly.mul(p, [1, -r])
         assert poly.cauchy_bound(p) > poly.HUGE_ROOT_BOUND
-        scaled = F(1, 10**30) * 2 ** poly._root_scale_exponent([F(c) for c in p])
+        scaled = F(1, 10**30) * 2 ** poly._root_scale_exponent(p)
         classes = poly.enclose_roots(p, F(1, 10**30), 64)
         assert len(classes) == len(roots)
         for r in roots:
@@ -347,8 +363,8 @@ class TestRootEngine:
     def test_cluster_beside_a_pair(self):
         # (7z - 3)(z - 3/7 - 10^-20)(z^2 + 1): two reals 10^-20 apart
         a = F(3, 7)
-        p = poly.mul(poly.mul([7, -3], poly.to_integer([1, -a - _TINY])), [1, 0, 1])
-        assert poly._float_seeds([F(c) for c in p]) is not None
+        p = poly.mul(poly.mul([7, -3], to_integer([1, -a - _TINY])), [1, 0, 1])
+        assert poly._float_seeds(p) is not None
         classes = _check_against_sturm(poly.primitive(p))
         assert len(classes) == 3
 
@@ -358,7 +374,7 @@ class TestRootEngine:
             m = methods.catalog(name)
             for _ in range(6):
                 g = F(rng.randint(1, 300), rng.randint(1, 100))
-                p = squarefree(poly.to_integer(methods.char_poly_mu(m, g)))
+                p = squarefree(char_poly(m, g))
                 _check_against_sturm(p)
 
     @settings(max_examples=60, deadline=None)
@@ -369,7 +385,7 @@ class TestRootEngine:
     def test_catalog_roots_against_polyroots(self, name, g):
         # an independent path: mpmath.polyroots at 120 digits from its own
         # start; every root lies in exactly one disk and every disk holds one
-        p = squarefree(poly.to_integer(methods.char_poly_mu(methods.catalog(name), g)))
+        p = squarefree(char_poly(methods.catalog(name), g))
         classes = _check_against_sturm(p)
         balls = [ball for ball, _ in classes]
         balls += [conjugate(ball) for ball, is_pair in classes if is_pair]
@@ -395,7 +411,7 @@ class TestRootEngine:
         # ab1 at gamma = 1/2 and bdf1 at 3/5 have the roots 1/2 and 5/8: the
         # tail certificates keep them exact only through radius-0 disks
         for name, g, root in (("ab1", F(1, 2), F(1, 2)), ("bdf1", F(3, 5), F(5, 8))):
-            p = poly.to_integer(methods.char_poly_mu(methods.catalog(name), g))
+            p = char_poly(methods.catalog(name), g)
             [(ball, is_pair)] = poly.enclose_roots(p, F(1, 10**32), 64)
             assert not is_pair and on_real_line(ball) and ball.r == 0
             assert ball.re_bounds() == (root, root)
@@ -449,8 +465,8 @@ class TestRootEngine:
         approx = poly._approx_roots
         monkeypatch.setattr(poly, "_approx_roots", lambda *a: calls.append(a[0]) or approx(*a))
         a = F(3, 7)
-        close = poly.mul([7, -3], poly.to_integer([1, -a - _TINY]))
-        thin = poly.mul([1, 0], poly.to_integer([1, F(8, 5), F(16, 25) + _TINY * _TINY]))
+        close = poly.mul([7, -3], to_integer([1, -a - _TINY]))
+        thin = poly.mul([1, 0], to_integer([1, F(8, 5), F(16, 25) + _TINY * _TINY]))
         for p, n_classes in ((close, 2), (thin, 2)):
             calls.clear()
             assert len(_check_against_sturm(p)) == n_classes
@@ -467,27 +483,27 @@ class TestRootEngine:
 class TestRootCondition:
     def test_bdf2_rho(self):
         # oracle: exact factorization (z-1)(z-1/3)
-        rho = poly.mul([F(1), F(-1)], [F(1), F(-1, 3)])
-        assert rho == [F(1), F(-4, 3), F(1, 3)]
+        rho = poly.mul([1, -1], [3, -1])
+        assert rho == [3, -4, 1]
         assert poly.root_condition(rho) is RootCondition.SATISFIED
 
     def test_double_root_on_circle(self):
-        assert poly.root_condition([F(1), F(-2), F(1)]) is RootCondition.VIOLATED
+        assert poly.root_condition([1, -2, 1]) is RootCondition.VIOLATED
 
     def test_strict(self):
-        assert poly.root_condition([F(1), F(0), F(-1, 4)]) is RootCondition.SATISFIED_STRICTLY
+        assert poly.root_condition([4, 0, -1]) is RootCondition.SATISFIED_STRICTLY
 
     def test_outside(self):
-        assert poly.root_condition([F(1), F(0), F(-4)]) is RootCondition.VIOLATED
+        assert poly.root_condition([1, 0, -4]) is RootCondition.VIOLATED
         # (z - 2)(2z - 1): inversion-related roots off the circle
-        p = poly.mul([F(1), F(-2)], [F(2), F(-1)])
+        p = poly.mul([1, -2], [2, -1])
         assert poly.root_condition(p) is RootCondition.VIOLATED
 
     def test_simple_circle_pair(self):
         # z^2 - z + 1: roots exp(+-i pi/3), simple, on the circle
-        assert poly.root_condition([F(1), F(-1), F(1)]) is RootCondition.SATISFIED
+        assert poly.root_condition([1, -1, 1]) is RootCondition.SATISFIED
         # (z^2 - 1)(2z - 1): circle roots 1 and -1 beside 1/2
-        p = poly.mul([F(1), F(0), F(-1)], [F(2), F(-1)])
+        p = poly.mul([1, 0, -1], [2, -1])
         assert poly.root_condition(p) is RootCondition.SATISFIED
 
     def test_constructed_oracle(self):
@@ -501,20 +517,20 @@ class TestRootCondition:
                 kind = rng.choice(["inside", "on_real", "on_pair", "outside"])
                 if kind == "inside":
                     r = F(rng.randint(-9, 9), 10)
-                    factors.append([F(1), -r])
+                    factors.append(to_integer([1, -r]))
                 elif kind == "on_real":
-                    r = rng.choice([F(1), F(-1)])
-                    factors.append([F(1), -r])
+                    r = rng.choice([1, -1])
+                    factors.append([1, -r])
                     worst = max(worst, 1)
                 elif kind == "on_pair":
                     c = F(rng.randint(-9, 9), 10)  # cos in (-1, 1)
-                    factors.append([F(1), -2 * c, F(1)])
+                    factors.append(to_integer([1, -2 * c, 1]))
                     worst = max(worst, 1)
                 else:
                     r = F(rng.randint(11, 30), 10)
-                    factors.append([F(1), -r])
+                    factors.append(to_integer([1, -r]))
                     worst = 2
-            p = [F(1)]
+            p = [1]
             for f in factors:
                 p = poly.mul(p, f)
             # repeated on-circle factors are violations
@@ -535,7 +551,7 @@ class TestRootCondition:
 
 def _linear(p, q):
     """q z - p: the single root p/q."""
-    return [F(q), F(-p)]
+    return [q, -p]
 
 
 # Factors with known root moduli, drawn as (layout, integer factor).  A layout
@@ -566,17 +582,17 @@ _reciprocal_pair = st.one_of(
     .map(lambda t: poly.mul(_linear(t[2] * t[0], t[1]), _linear(t[2] * t[1], t[0]))),
     st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(-60, 60))
     .filter(lambda t: t[0] != t[1] and t[2] * t[2] < 4 * t[0] * t[1])
-    .map(lambda t: poly.mul([F(t[0]), F(t[2]), F(t[1])], [F(t[1]), F(t[2]), F(t[0])])),
+    .map(lambda t: poly.mul([t[0], t[2], t[1]], [t[1], t[2], t[0]])),
 )
 # d z^2 + b z + c with b^2 < 4dc: a conjugate pair of modulus^2 c/d < 1
 _inside_pair = (
     st.tuples(st.integers(1, 30), st.integers(1, 30), st.integers(-60, 60))
     .filter(lambda t: t[0] < t[1] and t[2] * t[2] < 4 * t[0] * t[1])
-    .map(lambda t: [F(t[1]), F(t[2]), F(t[0])])
+    .map(lambda t: [t[1], t[2], t[0]])
 )
 _factor = st.one_of(
-    st.tuples(st.just("inside"), st.one_of(_inside_real, _inside_pair, st.just([F(1), F(0)]))),
-    st.tuples(st.just("circle"), st.sampled_from(CIRCLE_FACTORS).map(lambda f: [F(c) for c in f])),
+    st.tuples(st.just("inside"), st.one_of(_inside_real, _inside_pair, st.just([1, 0]))),
+    st.tuples(st.just("circle"), st.sampled_from(CIRCLE_FACTORS)),
     st.tuples(st.just("outside"), st.one_of(_outside_real, _reciprocal_pair)),
 )
 
@@ -585,7 +601,7 @@ class TestSchurCohn:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_factor, min_size=1, max_size=5))
     def test_known_root_layout(self, factors):
-        p = [F(1)]
+        p = [1]
         for _layout, f in factors:
             p = poly.mul(p, f)
         layouts = [layout for layout, _f in factors]
@@ -601,9 +617,9 @@ class TestSchurCohn:
 
     def test_zero_constant_term_keeps_alignment(self):
         # z (z^2 - 4): the reversed polynomial has a leading zero
-        assert not poly.all_roots_strictly_inside([F(1), F(0), F(-4), F(0)])
+        assert not poly.all_roots_strictly_inside([1, 0, -4, 0])
         # z^2 (2z - 1)
-        assert poly.all_roots_strictly_inside([F(2), F(-1), F(0), F(0)])
+        assert poly.all_roots_strictly_inside([2, -1, 0, 0])
 
     def test_decisions_use_no_enclosures(self, monkeypatch):
         def no_enclosures(*args, **kwargs):
@@ -638,19 +654,22 @@ class TestSchurCohn:
 
 class TestDiscriminant:
     def test_quadratic(self):
-        # x^2 + bx + c -> b^2 - 4c
-        assert poly.discriminant([F(1), F(3), F(5)]) == 9 - 20
-        assert poly.discriminant([F(1), F(-7), F(2)]) == 49 - 8
+        # x^2 + bx + c -> b^2 - 4c, and a x^2 + bx + c -> b^2 - 4ac
+        assert poly.discriminant([1, 3, 5]) == 9 - 20
+        assert poly.discriminant([1, -7, 2]) == 49 - 8
+        assert poly.discriminant([3, -7, 2]) == 49 - 24
+        # a^(2n-2) prod (r_i - r_j)^2 for 2(z - 1)(z - 2)(z + 1): 2^4 * 36
+        assert poly.discriminant(poly.mul([2, -4], [1, 0, -1])) == 576
 
     def test_double_root(self):
-        assert poly.discriminant([F(1), F(-2), F(1)]) == 0
+        assert poly.discriminant([1, -2, 1]) == 0
 
     def test_resultant_vs_common_root(self):
-        p = poly.mul([F(1), F(-2)], [F(1), F(5)])
-        q = poly.mul([F(1), F(-2)], [F(1), F(1)])
+        p = poly.mul([1, -2], [1, 5])
+        q = poly.mul([1, -2], [1, 1])
         assert poly.resultant(p, q) == 0
-        q2 = [F(1), F(1)]
-        assert poly.resultant(p, q2) != 0
+        # prod over the roots 2, -5 of p of q2 = 3z + 1: 7 * (-14)
+        assert poly.resultant(p, [3, 1]) == -98
 
 
 class TestSturmConsistency:
@@ -680,7 +699,7 @@ class TestUnitCircleRoots:
     @staticmethod
     def _circle_part(p):
         u = poly.gcd_int_poly(p, poly.reverse(p))
-        if poly.degree(u) < 1 or not poly._schur_cohn_inside(poly.derivative(u)):
+        if poly.degree(u) < 1 or not poly.all_roots_strictly_inside(poly.derivative(u)):
             return [1]
         return u
 
@@ -707,9 +726,15 @@ class TestUnitCircleRoots:
 
 class TestDivisionAndGcd:
     def test_divmod(self):
-        a = [F(1), F(0), F(-1)]
-        q, r = poly.divmod_exact(a, [F(1), F(-1)])
-        assert q == [F(1), F(1)] and r == []
+        assert poly.divexact([1, 0, -1], [1, -1]) == [1, 1]
+        assert poly.divexact([6, 1, -1], [3, -1]) == [2, 1]
+        assert poly.divexact([], [2, 1]) == []
+        # z^2 + 1 = (z - 1)(z + 1) + 2; 2z + 1 over 3z - 1 and 3z over 2z
+        # have no integer quotient; z - 1 over z^2 leaves z - 1
+        cases = (([1, 0, 1], [1, -1]), ([2, 1], [3, -1]), ([3, 0], [2, 0]), ([1, -1], [1, 0, 0]))
+        for a, b in cases:
+            with pytest.raises(ValueError):
+                poly.divexact(a, b)
 
     def test_gcd(self):
         a = poly.mul([1, -1], [1, 2])

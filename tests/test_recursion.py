@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scbcert import analyzer, cli, poly, published, recursion
+from scbcert import analyzer, cli, methods, poly, published, recursion
 from scbcert.arith import ArithmeticDomainError, GaussBall
 from scbcert.methods import Method, catalog
 from scbcert.recursion import (
@@ -532,24 +532,81 @@ class TestIntervalEvaluation:
 class TestMemberFunctions:
     def test_ab2_numerators(self):
         nums = mu_gamma_numerators(catalog("ab2"), 2)
-        # mu_2(g) = 1 - 9g/4 (explicit method: denominator is 1)
-        assert nums[2] == [F(-9, 4), F(1)]
+        # mu_2(g) = 1 - 9g/4; the method is explicit, so E(g) = L = 2 and
+        # M_2 = 2^3 mu_2
+        assert nums[2] == [-18, 8]
 
     def test_bdf3_numerator_denominator_structure(self):
-        m = catalog("bdf3")
-        nums = mu_gamma_numerators(m, 6)
+        # every catalog method: mu_n = M_n(g) / E(g)^(n+1) with
+        # E(g) = L + L*b0*g, at random rationals g of either sign
         rng = random.Random(23)
-        for _ in range(20):
-            g = F(rng.randint(0, 50), rng.randint(1, 50))
-            den = (1 + g * m.b0) ** 7
-            assert eval_mu(m, g, 6) == poly.eval_at(nums[6], g) / den
+        for name in ALL_NAMES:
+            m = catalog(name)
+            nums = mu_gamma_numerators(m, 8)
+            assert all(type(c) is int for num in nums for c in num)
+            L = math.lcm(*(c.denominator for c in m.a + m.b))
+            for _ in range(6):
+                g = F(rng.randint(-50, 50), rng.randint(1, 50))
+                E = L + L * m.b0 * g
+                if E == 0:
+                    continue
+                for n in range(9):
+                    assert eval_mu(m, g, n) == poly.eval_at(nums[n], g) / E ** (n + 1), (name, g, n)
 
     def test_bdf3_member_six_vanishes_at_quartic_root(self):
         # the numerator of member 6 is a positive multiple of the published
-        # quartic (up to the sign-preserving normalization)
+        # quartic
         nums = mu_gamma_numerators(catalog("bdf3"), 6)
-        num6 = poly.to_integer_signed(nums[6])
+        num6 = poly.primitive_signed(nums[6])
         assert num6 == published.GAMMA_SUP_POLYS["bdf3"]["poly"]
+
+
+_B0_NEGATIVE = Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7)), name="b0<0")
+
+
+class TestIntegerPolynomials:
+    """The integer characteristic polynomial chi_g = [E, -C_1, ..., -C_k]
+    against rho + g*sigma, built here from the method's Fractions and from
+    its integer generating polynomials."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(ALL_NAMES + ("b0<0",)),
+        st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+    )
+    @example("b0<0", F(0))
+    @example("b0<0", F(6))  # E < 0
+    @example("b0<0", F(3))  # E = 0
+    @example("bdf2", F(-3, 2))  # E = 0
+    @example("ab3", F(1, 3))  # a root at zero
+    def test_chi_is_a_multiple_of_rho_plus_gamma_sigma(self, name, g):
+        m = _B0_NEGATIVE if name == "b0<0" else catalog(name)
+        oracle = [1 + g * m.b0] + [-a + g * b for a, b in zip(m.a, m.b[1:])]
+        ints = methods._method_integers(m)
+        if oracle[0] == 0:
+            with pytest.raises(ArithmeticDomainError):
+                recursion._scaled_coefficients(ints, g)
+            return
+        E, C, F_ = recursion._scaled_coefficients(ints, g)
+        chi = [E] + [-c for c in C]
+        assert all(type(c) is int for c in chi + F_) and E != 0
+        assert all(c * oracle[0] == o * E for c, o in zip(chi, oracle))
+        # F_n / E = b_n / (1 + g*b0): the inhomogeneous terms on chi's scale
+        assert all(f * oracle[0] == b * E for f, b in zip(F_, m.b))
+        gp = methods.generating_polys(m)
+        sigma = [0] * (len(gp.rho) - len(gp.sigma)) + list(gp.sigma)
+        # and against L*rho + g*L*sigma from the integer generating polynomials
+        assert all(c * (gp.rho[0] + g * sigma[0]) == (r + g * s) * E
+                   for c, r, s in zip(chi, gp.rho, sigma))
+        if g < 0:
+            with pytest.raises(methods.MethodError):
+                recursion._characteristic(m, g)
+            return
+        stripped, scaled_F = recursion._characteristic(m, g)
+        sign = 1 if E > 0 else -1
+        assert stripped[0] > 0 and stripped[-1] != 0
+        assert stripped + [0] * (len(chi) - len(stripped)) == [sign * c for c in chi]
+        assert scaled_F == [sign * f for f in F_]
 
 
 class TestClosedForm:
@@ -704,10 +761,7 @@ class TestAtAlgebraicOptimum:
         # member 6 vanishes exactly at the optimum: its numerator is a
         # multiple of the defining quartic
         nums = mu_gamma_numerators(m, 6)
-        num6 = poly.to_integer(nums[6])
-        assert poly.divmod_exact(
-            [F(c) for c in num6], [F(c) for c in quartic]
-        )[1] == []
+        assert poly.degree(poly.divexact(nums[6], quartic)) == 0
         # at the two rational ends of a 1e-80 enclosure of the optimum,
         # member 6 has opposite certified signs, every other member up to
         # 92 is certified positive, and member 92 is tiny

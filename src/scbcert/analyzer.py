@@ -24,7 +24,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
 from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, precision_ladder
-from .methods import Method, _method_integers, generating_polys, n0, validate
+from .methods import Method, generating_polys, n0, validate
 from .poly import EnclosureError
 from .recursion import (
     ClosedForm,
@@ -200,7 +200,7 @@ def in_stability_interior(m: Method, lam: Fraction) -> bool:
     Schur-Cohn on the integer characteristic polynomial [E, -C_1, ..., -C_k]
     at gamma = -lambda (either sign)."""
     try:
-        E, C, _F = recursion._scaled_coefficients(_method_integers(m), -Fraction(lam))
+        E, C, _F = recursion._scaled_coefficients(m.integers, -Fraction(lam))
     except recursion.ArithmeticDomainError:
         return False  # E = 0: the leading coefficient vanishes
     return poly.all_roots_strictly_inside([E] + [-c for c in C])

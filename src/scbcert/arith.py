@@ -85,7 +85,7 @@ def fraction_str(q: Fraction) -> str:
 
 def ratio_str(num: int, den: int) -> str:
     """fraction_str of num/den, given in lowest terms with den > 0."""
-    return str(num) if den == 1 else "{}/{}".format(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _fraction_to_mpf(q: Fraction, bits: int, rnd: str):

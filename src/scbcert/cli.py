@@ -10,13 +10,15 @@ strings paired with decimal renderings.  Exit codes: 0 feasible/success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import is_dataclass, asdict
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import analyzer, methods, published, recursion
 from .analyzer import Existence, Feasibility, GammaSupOptions, Mechanism
@@ -133,11 +135,17 @@ def emit(report: dict, args, timings: Optional[dict] = None) -> None:
 
 
 def write_text(text: str, args) -> None:
+    write_pieces((text, "\n"), args)
+
+
+def write_pieces(pieces: Iterable[str], args) -> None:
+    """Write the pieces, each as soon as it is made, to --output or else
+    to standard output, so a long report is never held whole."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
     else:
-        print(text)
+        sys.stdout.writelines(pieces)
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
@@ -305,14 +313,11 @@ def _parse_gamma_grid(text: str) -> List[Fraction]:
         raise UsageError("gamma grid must start at 0 or above")
     if step <= 0 or end < start:
         raise UsageError("empty gamma grid")
-    out = []
-    g = start
-    while g <= end:
-        out.append(g)
-        g += step
-    if not out:
-        raise UsageError("empty gamma grid")
-    return out
+    # start + i*step over the one denominator of start and step
+    den = math.lcm(start.denominator, step.denominator)
+    first = start.numerator * (den // start.denominator)
+    stride = step.numerator * (den // step.denominator)
+    return [Fraction(first + i * stride, den) for i in range((end - start) // step + 1)]
 
 
 def cmd_mu_curve(args) -> int:
@@ -324,14 +329,16 @@ def cmd_mu_curve(args) -> int:
     mark = _parse_fraction(args.mark_gamma, "marker gamma") if args.mark_gamma else None
     if mark is not None and mark < 0:
         raise UsageError("marker gamma must be 0 or above")
-    lines = ["gamma,n,value,marker"]
     gammas = grid + ([mark] if mark is not None else [])
-    for i, (g, mus) in enumerate(recursion.mu_sweep(m, gammas, n_hi)):
-        g_text = fraction_str(g)
-        tag = "mark" if i == len(grid) else ""
-        for n in range(n_lo, n_hi + 1):
-            lines.append(f"{g_text},{n},{ratio_str(*mus[n])},{tag}")
-    write_text("\n".join(lines), args)
+
+    def rows() -> Iterator[str]:
+        yield "gamma,n,value,marker\n"
+        for i, (g, mus) in enumerate(recursion.mu_sweep(m, gammas, n_hi)):
+            g_text = fraction_str(g)
+            tag = "mark" if i == len(grid) else ""
+            yield "".join([f"{g_text},{n},{ratio_str(*mus[n])},{tag}\n" for n in range(n_lo, n_hi + 1)])
+
+    write_pieces(rows(), args)
     return EXIT_FEASIBLE
 
 
@@ -479,7 +486,10 @@ def cmd_reproduce(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first call and then reused: every
+    parse_args call fills a new namespace, so no parse sees another's."""
     ap = argparse.ArgumentParser(
         prog="scbcert",
         description=(
@@ -516,22 +526,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list built-in methods")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("check", help="decide whether gamma is a boundedness coefficient")
     common(p, gamma=True)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gamma-sup", help="certified enclosure of the optimal coefficient")
     common(p, tol=True)
     p.add_argument("--with-crossover", action="store_true",
                    help="also bracket the dominance crossover above the optimum")
-    p.set_defaults(func=cmd_gamma_sup)
 
     p = sub.add_parser("tau", help="tau prefix and existence verdict")
     common(p, formats=("json", "text", "csv"))
     p.add_argument("--n", type=int, default=10, help="how many terms to print")
-    p.set_defaults(func=cmd_tau)
 
     p = sub.add_parser("reproduce", help="re-derive published reference tables")
     p.add_argument("--target", required=True,
@@ -540,14 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="for remark-bdf4: also run at the published insufficient precision")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("mu-curve", help="CSV samples of the member functions")
     common(p, formats=("csv",), certify=False)
     p.add_argument("--n", required=True, help="index range, e.g. 1..21")
     p.add_argument("--gamma", required=True, help="grid start:end:step (exact rationals)")
     p.add_argument("--mark-gamma", default=None, help="emit marker rows at this gamma")
-    p.set_defaults(func=cmd_mu_curve)
     return ap
 
 
@@ -562,7 +566,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        # looked up per call, not stored in the cached parser, so that a
+        # rebinding of a command function (a tracer's wrapper) takes effect
+        command = {
+            "catalog": cmd_catalog,
+            "check": cmd_check,
+            "gamma-sup": cmd_gamma_sup,
+            "tau": cmd_tau,
+            "reproduce": cmd_reproduce,
+            "mu-curve": cmd_mu_curve,
+        }[args.command]
+        return command(args)
     except UsageError as exc:
         print("error: {}".format(exc), file=sys.stderr)
         return EXIT_USAGE

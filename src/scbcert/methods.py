@@ -5,7 +5,7 @@ a_1..a_k (history weights) and b_0..b_k (derivative weights, b_0 implicit).
 The catalog generates the backward-differentiation (bdf1..bdf6),
 Adams-Bashforth (ab1..ab4) and extrapolated-BDF (ebdf3..ebdf5) families with
 exact rational coefficients.  Every polynomial of a method is built as an
-integer polynomial from the integers L, L*a_j and L*b_j (``_method_integers``,
+integer polynomial from the integers L, L*a_j and L*b_j (``Method.integers``,
 L the common denominator): the generating polynomials L*rho and L*sigma
 here, the characteristic polynomial and the member-function numerators in
 ``recursion``.  Validation checks the four standing assumptions:
@@ -47,6 +47,18 @@ class Method:
             raise MethodError("need exactly k+1 derivative coefficients")
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+
+    @functools.cached_property
+    def integers(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """L, the common denominator of the coefficients, and the integers
+        L*a_j (j = 1..k) and L*b_j (j = 0..k): every integer polynomial of
+        the method is built from these.  Computed once per method; being a
+        cached property, it is no field, so equality, hashing, repr and
+        asdict do not see it."""
+        L = math.lcm(*(c.denominator for c in self.a + self.b))
+        A = tuple(L // c.denominator * c.numerator for c in self.a)  # L*a_j, exactly
+        B = tuple(L // c.denominator * c.numerator for c in self.b)
+        return L, A, B
 
     @property
     def b0(self) -> Fraction:
@@ -204,18 +216,8 @@ def _validated_catalog_method(key: str) -> Method:
 # ---------------------------------------------------------------------------
 
 
-def _method_integers(m: Method) -> Tuple[int, List[int], List[int]]:
-    """L, the common denominator of the coefficients, and the integers L*a_j
-    (j = 1..k) and L*b_j (j = 0..k): every integer polynomial of the method
-    is built from these."""
-    L = math.lcm(*(c.denominator for c in m.a + m.b))
-    A = [L // c.denominator * c.numerator for c in m.a]  # L*a_j, exactly
-    B = [L // c.denominator * c.numerator for c in m.b]
-    return L, A, B
-
-
 def generating_polys(m: Method) -> GeneratingPolys:
-    L, A, B = _method_integers(m)
+    L, A, B = m.integers
     return GeneratingPolys(rho=(L, *(-a for a in A)), sigma=tuple(poly.strip(B)) or (0,))
 
 

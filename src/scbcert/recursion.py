@@ -40,7 +40,7 @@ from .arith import (
     digits_to_bits,
     fraction_str,
 )
-from .methods import Method, MethodError, _method_integers
+from .methods import Method, MethodError
 from .poly import EnclosureError
 
 # tail_certificate gives up when the residual bound needs more terms than this
@@ -102,7 +102,7 @@ def _scaled_numerators(m: Method, gamma: Fraction) -> Tuple[int, Iterator[int]]:
 
     Returns E and an endless iterator over M_0, M_1, ...
     """
-    E, C, F = _scaled_coefficients(_method_integers(m), gamma)
+    E, C, F = _scaled_coefficients(m.integers, gamma)
     return E, _numerators(E, C, F)
 
 
@@ -115,7 +115,7 @@ def _characteristic(m: Method, gamma: Fraction) -> Tuple[List[int], List[int]]:
     gamma = Fraction(gamma)
     if gamma < 0:
         raise MethodError("gamma must be nonnegative")
-    E, C, F = _scaled_coefficients(_method_integers(m), gamma)
+    E, C, F = _scaled_coefficients(m.integers, gamma)
     s = 1 if E > 0 else -1
     chi = [s * E] + [-s * c for c in C]
     while len(chi) > 1 and chi[-1] == 0:
@@ -208,16 +208,50 @@ def mu_prefix(m: Method, gamma: Fraction, n_max: int) -> List[Fraction]:
     return [_coprime_fraction(num, den) for num, den in _reduced_values(E, nums, n_max)]
 
 
+# grid points per block of mu_sweep
+_SWEEP_BLOCK = 64
+
+
+def _sweep_block(
+    ints: Tuple[int, Tuple[int, ...], Tuple[int, ...]], gammas: Sequence[Fraction], n_max: int
+) -> List[List[Tuple[int, int]]]:
+    """Lowest-terms pairs of mu_0..mu_{n_max} at each gamma of a block.
+
+    The recurrence of _scaled_numerators runs one step n at a time across
+    the whole block: every list below is a column with one entry per gamma
+    (a lane).  Each lane's numerators then go through _reduced_values.
+    """
+    k = len(ints[1])
+    E, C, F = zip(*(_scaled_coefficients(ints, g) for g in gammas))
+    power = [1] * len(E)  # E^n, lane by lane
+    inhom = []  # F_n*E^n for n = 0..k
+    D = []  # C_(j+1)*E^j for j = 0..k-1
+    for n in range(k + 1):
+        inhom.append(list(map(operator.mul, [f[n] for f in F], power)))
+        if n < k:
+            D.append(list(map(operator.mul, [c[n] for c in C], power)))
+        power = list(map(operator.mul, power, E))
+    cols: List[List[int]] = []  # M_0..M_n
+    for n in range(n_max + 1):
+        acc = inhom[n] if n <= k else itertools.repeat(0)
+        for j in range(min(k, n)):
+            acc = map(operator.add, acc, map(operator.mul, D[j], cols[n - 1 - j]))
+        cols.append(list(acc))
+    return [list(_reduced_values(e, iter(nums), n_max)) for e, nums in zip(E, zip(*cols))]
+
+
 def mu_sweep(
     m: Method, gammas: Sequence[Fraction], n_max: int
 ) -> Iterator[Tuple[Fraction, List[Tuple[int, int]]]]:
     """(gamma, lowest-terms pairs (num, den) of mu_0..mu_{n_max}) for each
     gamma in turn: mu_prefix over a grid, with the method's integers built
-    once and no Fraction built per value."""
-    ints = _method_integers(m)
-    for g in gammas:
-        E, C, F = _scaled_coefficients(ints, g)
-        yield g, list(_reduced_values(E, _numerators(E, C, F), n_max))
+    once, no Fraction built per value, and each recurrence step run across
+    a block of _SWEEP_BLOCK grid points (see _sweep_block), computed only
+    as the iteration reaches it."""
+    ints = m.integers
+    for i in range(0, len(gammas), _SWEEP_BLOCK):
+        block = gammas[i:i + _SWEEP_BLOCK]
+        yield from zip(block, _sweep_block(ints, block, n_max))
 
 
 def mu_signs(m: Method, gamma: Fraction, n_max: int) -> List[int]:
@@ -365,7 +399,7 @@ def _mu_balls(
     # window entries run oldest first, so the coefficients run C_k..C_1
     full = [_integer_ball(iv, P) for iv in reversed(coeffs)]
     cb = max(abs(c).bit_length() for c, _ in full)
-    E, N, _F = _scaled_coefficients(_method_integers(m), gamma)
+    E, N, _F = _scaled_coefficients(m.integers, gamma)
     exact = E, N[::-1]  # N in the window's order
 
     def balls() -> Iterator[Tuple[int, int, int, int]]:
@@ -470,7 +504,7 @@ def mu_gamma_numerators(m: Method, n_max: int) -> List[List[int]]:
     M_n is L^(n+1) times the numerator over (1 + gamma*b0)^(n+1), so the two
     have the same sign at every gamma.
     """
-    L, A, B = _method_integers(m)
+    L, A, B = m.integers
     E = poly.strip([B[0], L])
     epow = [[1]]  # E^0..E^max(n_max, k)
     while len(epow) <= max(n_max, m.k):

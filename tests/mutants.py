@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 BALLS = "tests/test_arith.py::TestGaussBall"
 CLOSED_FORMS = "tests/test_recursion.py::TestClosedForm"
 KERNEL = "tests/test_recursion.py::TestIntegerScaledKernel"
+SWEEP = "tests/test_recursion.py::TestMuSweep"
 
 MUTANTS = (
     Mutant(
@@ -197,6 +198,27 @@ MUTANTS = (
         "h = math.gcd(g, *F[: n_b + 1])",
         "h = g",
         CLOSED_FORMS,
+    ),
+    Mutant(
+        "sweep step reads M one index too far back",
+        "src/scbcert/recursion.py",
+        "map(operator.mul, D[j], cols[n - 1 - j])",
+        "map(operator.mul, D[j], cols[n - 2 - j])",
+        SWEEP,
+    ),
+    Mutant(
+        "reduced values' denominators one power of E short",
+        "src/scbcert/recursion.py",
+        "    den = E\n    coprime = False",
+        "    den = 1\n    coprime = False",
+        SWEEP,
+    ),
+    Mutant(
+        "coprime lanes keep a negative denominator",
+        "src/scbcert/recursion.py",
+        "yield (M, den) if den > 0 else (-M, -den)",
+        "yield M, den",
+        SWEEP,
     ),
     Mutant(
         "quotient worked one bit finer",

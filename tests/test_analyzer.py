@@ -71,7 +71,7 @@ class TestStabilityInterior:
         m = catalog(name)
         stable = in_stability_interior(m, -g)
         try:
-            E, C, _F = recursion._scaled_coefficients(methods._method_integers(m), g)
+            E, C, _F = recursion._scaled_coefficients(m.integers, g)
         except arith.ArithmeticDomainError:
             assert stable is False
             return

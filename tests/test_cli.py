@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -140,6 +142,14 @@ class TestTauCommand:
         assert code == EXIT_INFEASIBLE
         assert rep["existence"] == "not_exists"
 
+    def test_parses_share_no_state(self, capsys):
+        # the parser is built once per process; each run parses afresh
+        code, rep = run_json(capsys, "tau", "--method", "bdf3", "--n", "3")
+        assert sorted(rep["values"], key=int) == ["1", "2", "3"]
+        code, rep = run_json(capsys, "tau", "--method", "bdf3")
+        assert sorted(rep["values"], key=int) == [str(n) for n in range(1, 11)]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, "tau", "--method", "ebdf3", "--n", "2",
                             "--format", "csv")
@@ -192,6 +202,32 @@ class TestMuCurveCommand:
         code = main(["mu-curve", "--method", "bdf1", "--n", "1..3",
                      "--gamma", "2:1:1/2"])
         assert code == EXIT_USAGE
+
+    def test_output_file_equals_stdout_across_blocks(self, capsys, tmp_path):
+        # 2B + 11 grid points and a marker: two full blocks and a partial one
+        B = recursion._SWEEP_BLOCK
+        argv = ["mu-curve", "--method", "bdf3", "--n", "0..9",
+                "--gamma", "1/9:{}/9:1/9".format(2 * B + 11), "--mark-gamma", "5/6"]
+        code, out = run_cli(capsys, *argv)
+        assert code == EXIT_FEASIBLE
+        assert len(out.splitlines()) == 1 + (2 * B + 12) * 10
+        path = tmp_path / "curve.csv"
+        assert main(argv + ["--output", str(path)]) == EXIT_FEASIBLE
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_streams_without_holding_the_csv(self, capsys):
+        # about 2000 grid points by 21 indices give about 3 MB of CSV; rows
+        # are written one block at a time, so far less is ever held
+        argv = ["mu-curve", "--method", "bdf5", "--n", "1..21",
+                "--gamma", "0:2:1/1000", "--output", os.devnull]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_FEASIBLE
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @settings(max_examples=80, deadline=None)
     @given(_curve_args())

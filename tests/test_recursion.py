@@ -320,6 +320,49 @@ class TestMuSweep:
                 return
         assert list(recursion.mu_sweep(m, grid, n_max)) == expected
 
+    B = recursion._SWEEP_BLOCK
+    # lanes of each kind: E < 0 (bdf2 past gamma = -3/2), gcd(M_1, E) > 1
+    # (bdf2 at 1/2, ab2 at 1), gamma = 0; ab2 has b0 = 0, so M_0 = 0 there
+    SPECIAL = (F(-2), F(1, 2), F(1), F(0), F(-7, 3))
+
+    @pytest.mark.parametrize("name", ["bdf2", "ab2"])
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 12])
+    @pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_block_edges_equal_fraction_recursion(self, name, n_max, size):
+        m = catalog(name)
+        # special lanes at every fifth point and at both ends of every
+        # block, the last, partial one included
+        B = self.B
+        grid = [
+            self.SPECIAL[i % len(self.SPECIAL)]
+            if i % 5 == 0 or i % B in (0, B - 1) or i == size - 1
+            else F(i, 13)
+            for i in range(size)
+        ]
+        expected = [
+            (x, [(v.numerator, v.denominator) for v in fraction_mu_prefix(m, x, n_max)])
+            for x in grid
+        ]
+        assert list(recursion.mu_sweep(m, grid, n_max)) == expected
+
+    def test_lane_kinds_are_met(self):
+        """The special lanes of the block-edge test are of the kinds named."""
+        for name, g, E_sign, coprime in [
+            ("bdf2", F(-2), -1, True),
+            ("bdf2", F(1, 2), 1, False),
+            ("ab2", F(1), 1, False),
+            ("bdf2", F(1, 3), 1, True),
+        ]:
+            E, nums = recursion._scaled_numerators(catalog(name), g)
+            M0, M1 = next(nums), next(nums)
+            assert (E > 0) - (E < 0) == E_sign
+            assert (math.gcd(M1, E) == 1) == coprime
+            if name == "ab2":
+                assert M0 == 0
+
+    def test_empty_grid(self):
+        assert list(recursion.mu_sweep(catalog("bdf3"), [], 5)) == []
+
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_reports.json")
 
@@ -582,7 +625,7 @@ class TestIntegerPolynomials:
     def test_chi_is_a_multiple_of_rho_plus_gamma_sigma(self, name, g):
         m = _B0_NEGATIVE if name == "b0<0" else catalog(name)
         oracle = [1 + g * m.b0] + [-a + g * b for a, b in zip(m.a, m.b[1:])]
-        ints = methods._method_integers(m)
+        ints = m.integers
         if oracle[0] == 0:
             with pytest.raises(ArithmeticDomainError):
                 recursion._scaled_coefficients(ints, g)

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import poly, published, recursion
 from .arith import DEFAULT_DIGITS, DEFAULT_DIGITS_CAP, precision_ladder
-from .methods import Method, generating_polys, n0, validate
+from .methods import Method, generating_polys, n0
 from .poly import EnclosureError
 from .recursion import (
     ClosedForm,
@@ -457,7 +457,7 @@ def scb_exists(
     digits_cap: int = DEFAULT_DIGITS_CAP,
 ) -> ExistenceVerdict:
     """Existence test for a positive boundedness step-size coefficient."""
-    report = validate(m)
+    report = m.validation
     if not report.ok:
         raise AnalyzerError(
             "method fails the standing assumptions: "
@@ -536,29 +536,18 @@ def _dominance_gap_sign(
     digits: int,
     digits_cap: int,
 ) -> Optional[int]:
-    """+1 when the largest positive real root strictly dominates every complex
-    pair, -1 when some pair strictly dominates every real root; None when the
-    ordering cannot be certified (e.g. at the crossover itself)."""
+    """+1 when a positive real root is certified strictly dominant, -1 when a
+    complex pair is; None when neither is certified (e.g. at the crossover
+    itself, or past the cap) or a negative real root dominates."""
     try:
         for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
-            real_pos = [
-                rec.ball.modulus_bounds()
-                for rec in cf.roots
-                if not rec.is_pair and rec.ball.re_bounds()[0] > 0
-            ]
-            pairs = [rec.ball.modulus_bounds() for rec in cf.roots if rec.is_pair]
-            if not pairs:
-                return 1 if real_pos else None
-            if not real_pos:
+            i = cf.dominant_index()
+            if i is None:
+                continue  # sharpen the enclosures at the next rung
+            rec = cf.roots[i]
+            if rec.is_pair:
                 return -1
-            rmax_lo = max(lo for lo, _ in real_pos)
-            rmax_hi = max(hi for _, hi in real_pos)
-            pmax_lo = max(lo for lo, _ in pairs)
-            pmax_hi = max(hi for _, hi in pairs)
-            if rmax_lo > pmax_hi:
-                return 1
-            if pmax_lo > rmax_hi:
-                return -1
+            return 1 if rec.ball.re_bounds()[0] > 0 else None
     except MultipleRootError:
         pass
     return None

@@ -60,6 +60,12 @@ class Method:
         B = tuple(L // c.denominator * c.numerator for c in self.b)
         return L, A, B
 
+    @functools.cached_property
+    def validation(self) -> "ValidationReport":
+        """validate's report on this method, run once per method and, like
+        integers, seen by neither equality, hashing, repr nor asdict."""
+        return validate(self)
+
     @property
     def b0(self) -> Fraction:
         return self.b[0]
@@ -201,7 +207,7 @@ def _validated_catalog_method(key: str) -> Method:
     family, k, builder = _CATALOG_BUILDERS[key]
     a, b = builder(k)
     m = Method(k=k, a=tuple(a), b=tuple(b), name=key, family=family)
-    report = validate(m)
+    report = m.validation
     if not report.ok:
         raise MethodError(
             "catalog method {} failed validation: {}".format(
@@ -330,7 +336,7 @@ def resolve_method(name_or_path: str) -> Method:
         return catalog(key)
     if name_or_path.endswith(".json"):
         m = load_method_file(name_or_path)
-        report = validate(m)
+        report = m.validation
         if not report.ok:
             raise MethodError(
                 "custom method failed validation: "

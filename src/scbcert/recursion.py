@@ -300,41 +300,6 @@ def _integer_ball(iv: IntervalScalar, scale: int) -> Tuple[int, int]:
     return c, hi - c
 
 
-def _cut_balls(
-    balls: Sequence[Tuple[int, int]], cut: int
-) -> Tuple[List[int], List[int], List[int], List[int]]:
-    """The balls (c, r) rounded from scale 2^-P to 2^-(P - cut), as lists
-    C, rc and the 64 leading bits of each |C|, rounded up: |C| <= top << sh."""
-    C: List[int] = []
-    rc: List[int] = []
-    top: List[int] = []
-    sh: List[int] = []
-    for c, r in balls:
-        if cut:
-            c, r = (c + (1 << (cut - 1))) >> cut, (r >> cut) + 2
-        s = max(0, abs(c).bit_length() - 64)
-        C.append(c)
-        rc.append(r)
-        top.append(-(-abs(c) >> s))
-        sh.append(s)
-    return C, rc, top, sh
-
-
-def _product_form(
-    C: List[int], exact: Tuple[int, List[int]], Pc: int
-) -> Tuple[List[int], List[int], int, int]:
-    """(U, V, s, E) with sum_j C_j*x_j = (2^s * sum_j U_j*x_j + sum_j V_j*x_j) / E
-    exactly for every window x, where C holds the coefficient midpoints at
-    scale 2^-Pc and exact = (E, N) the exact coefficients N_j / E.
-
-    U = N, s = Pc and V_j = C_j*E - N_j*2^Pc: the ball around C_j holds
-    N_j*2^Pc / E, so |V_j| <= rc_j*|E|, and every product is small by big.
-    (The plain sum, U = C, V = 0, s = 0 and E = 1, gives the same T.)
-    """
-    E, N = exact
-    return N, [c * E - (nj << Pc) for c, nj in zip(C, N)], Pc, E
-
-
 def _mu_balls(
     m: Method, gamma: Fraction, n_max: int, digits: int
 ) -> Tuple[int, Iterator[Tuple[int, int, int, int]]]:
@@ -342,30 +307,24 @@ def _mu_balls(
 
     Returns the working precision P in bits and an iterator over (n, x, r,
     S) for n = 1..n_max, with mu_n in [x - r, x + r] * 2^-S at the rational
-    gamma.  The recurrence coefficients and inhomogeneous terms are the
-    outward-rounded intervals at ``digits`` (P bits); the recurrence itself
-    runs in midpoint-radius arithmetic on integers, keeping each midpoint
-    only to the bits its radius leaves (Arb's rule, with arith.BALL_GUARD
-    bits kept below each radius).
+    gamma.  Each midpoint comes from the exact recurrence; each radius is
+    that of the scheme whose recurrence coefficients and inhomogeneous terms
+    are the outward-rounded intervals at ``digits`` (P bits).
 
     The sliding window of k terms holds balls (X_i, R_i) at one shared
     scale 2^-S, with the invariant that mu_(n-i) lies in
-    [X_i - R_i, X_i + R_i] * 2^-S.  Each coefficient is a ball (C_j, rc_j)
-    at scale 2^-(P - cut).  A term is the exact sum T = sum_j C_j X_(n-j),
-    with radius sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))), where
-    |C_j|* is |C_j| rounded up to 64 leading bits, then one rounding shift
-    by P - cut bits (which adds 1 to the radius).
-
-    The exact coefficients are N_j / E, with the small integers of the
-    exact recurrence (see _scaled_numerators), and the ball around C_j
-    holds N_j*2^(P - cut) / E.  So d_j = C_j*E - N_j*2^(P - cut) is an
-    integer with |d_j| <= rc_j*|E|, and
-    E*T = 2^(P - cut) * sum_j N_j X_(n-j) + sum_j d_j X_(n-j)
-    holds exactly.  T is computed that way: 2k small-by-big products, one
-    shift and one exact division by E (of either sign), at linear cost in
-    the length of the window instead of k full products.  T is the same
-    integer either way, so every midpoint, radius and scale, and every
-    sign read off them, is unchanged; only the cost differs.
+    [X_i - R_i, X_i + R_i] * 2^-S.  With the exact coefficients N_j / E and
+    inhomogeneous terms F_n / E of _scaled_numerators (E > 0, negating all
+    three where it is not), the midpoint is
+    x = round((sum_j N_j X_(n-j) + F_n 2^S) / E): small-by-big products and
+    one division by a small integer.  Each coefficient is also a ball
+    (C_j, rc_j) at scale 2^-P, which holds N_j / E; the radius is
+    sum_j (|C_j|* R_(n-j) + rc_j (|X_(n-j)| + R_(n-j))) plus the radius of
+    the inhomogeneous ball, summed at scale 2^-(S + P) and rounded up once,
+    plus 1 for the rounded midpoint, where |C_j|* is |C_j| rounded up to 64
+    leading bits.  It covers the error of the exact sum, and its rc_j terms
+    grow it as the rounded coefficients would, so the signs left unresolved
+    are those of the rounded-coefficient scheme.
 
     After each term the window is rescaled.  Its useful bits are
     bitlen(max |X_i|) - bitlen(max R_i), and its target length is
@@ -374,13 +333,8 @@ def _mu_balls(
     bits.  The window is shifted left exactly when it is more than 32 bits
     short of the target, and right, with rounding and 2 added to each
     radius, when it is more than 64 bits over; an all-zero window is left
-    alone.  The coefficients are rounded from their full P-bit balls to
-    about (useful + BALL_GUARD) bits of their own length: the cut is
-    bitlen(max |C_j|) - useful - BALL_GUARD, clamped to [0, P] and rounded
-    down to a multiple of 32, and a ball (c, rc) becomes
-    (round(c / 2^cut), (rc >> cut) + 2).  Every rounding goes into a
-    radius, so each product costs about the useful length, not P, and a
-    trim moves a radius by about 2^-64 of itself.
+    alone.  Every rounding goes into a radius, so each product costs about
+    the useful length, and a trim moves a radius by about 2^-64 of itself.
     """
     g = IntervalScalar.from_fraction(gamma, digits)
     one = IntervalScalar.exact_int(1, digits)
@@ -396,33 +350,40 @@ def _mu_balls(
     inhom = [IntervalScalar.from_fraction(m.b[n], digits).div(den) for n in range(m.k + 1)]
     P = den.bits
     k = m.k
-    # window entries run oldest first, so the coefficients run C_k..C_1
-    full = [_integer_ball(iv, P) for iv in reversed(coeffs)]
-    cb = max(abs(c).bit_length() for c, _ in full)
-    E, N, _F = _scaled_coefficients(m.integers, gamma)
-    exact = E, N[::-1]  # N in the window's order
+    E, N, F = _scaled_coefficients(m.integers, gamma)
+    if E < 0:
+        E, N, F = -E, [-v for v in N], [-v for v in F]
+    N = N[::-1]  # window entries run oldest first, so N_k..N_1
+    # the radius terms of the coefficient balls at scale 2^-P, in the same
+    # order: |C_j| <= top_j << sh_j, and rc_j
+    top: List[int] = []
+    sh: List[int] = []
+    rc: List[int] = []
+    for iv in reversed(coeffs):
+        c, r = _integer_ball(iv, P)
+        s = max(0, abs(c).bit_length() - 64)
+        top.append(-(-abs(c) >> s))
+        sh.append(s)
+        rc.append(r)
 
     def balls() -> Iterator[Tuple[int, int, int, int]]:
-        cut = 0
-        C, rc, top, sh = _cut_balls(full, cut)
-        U, V, su, E = _product_form(C, exact, P)
         X = [0] * k  # mu_n = 0 for n < 0
         R = [0] * k
         S = P
         for n in range(n_max + 1):
-            Pc = P - cut  # the coefficients' scale is 2^-Pc
-            if n <= k:
-                T, rad = _integer_ball(inhom[n], Pc + S)
-            else:
-                T = rad = 0
-            tu = tv = 0
-            for u, v, rcj, t, s, xi, ri in zip(U, V, rc, top, sh, X, R):
-                tu += u * xi
-                tv += v * xi
+            num = rad = 0
+            for nj, t, s, rcj, xi, ri in zip(N, top, sh, rc, X, R):
+                num += nj * xi
                 rad += ((t * ri) << s) + rcj * (abs(xi) + ri)
-            T += ((tu << su) + tv) // E  # sum_j C_j*x_j, exactly
-            x = (T + (1 << Pc >> 1)) >> Pc
-            r = -(-rad >> Pc) + 1
+            div = E
+            if n <= k:
+                rad += _integer_ball(inhom[n], P + S)[1]
+                if S >= 0:
+                    num += F[n] << S
+                else:  # mu outgrew 2^P early: F_n 2^S is no integer
+                    num, div = (num << -S) + F[n], E << -S
+            x = (num + (div >> 1)) // div  # num / div to nearest, halves up (div > 0)
+            r = -(-rad >> P) + 1
             if n:
                 yield n, x, r, S
             del X[0], R[0]
@@ -442,13 +403,6 @@ def _mu_balls(
                 X = [(v + h) >> d for v in X]
                 R = [(v >> d) + 2 for v in R]
                 S -= d
-            # multiples of 32 bits, so the coefficients are cut anew only
-            # every few dozen terms; never below 0 or past the scale P
-            want = min(P, max(0, cb - useful - BALL_GUARD)) >> 5 << 5
-            if want != cut:
-                cut = want
-                C, rc, top, sh = _cut_balls(full, cut)
-                U, V, su, E = _product_form(C, exact, P - cut)
 
     return P, balls()
 

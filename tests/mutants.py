@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 BALLS = "tests/test_arith.py::TestGaussBall"
+BALL_KERNEL = "tests/test_recursion.py::TestIntervalEvaluation"
 CLOSED_FORMS = "tests/test_recursion.py::TestClosedForm"
 KERNEL = "tests/test_recursion.py::TestIntegerScaledKernel"
 SWEEP = "tests/test_recursion.py::TestMuSweep"
@@ -219,6 +220,27 @@ MUTANTS = (
         "yield (M, den) if den > 0 else (-M, -den)",
         "yield M, den",
         SWEEP,
+    ),
+    Mutant(
+        "ball kernel's radius drops |C_j|* R_j",
+        "src/scbcert/recursion.py",
+        "rad += ((t * ri) << s) + rcj * (abs(xi) + ri)",
+        "rad += rcj * (abs(xi) + ri)",
+        BALL_KERNEL,
+    ),
+    Mutant(
+        "ball kernel's radius drops rc_j (|X_j| + R_j)",
+        "src/scbcert/recursion.py",
+        "rad += ((t * ri) << s) + rcj * (abs(xi) + ri)",
+        "rad += (t * ri) << s",
+        BALL_KERNEL,
+    ),
+    Mutant(
+        "ball kernel keeps E < 0",
+        "src/scbcert/recursion.py",
+        "E, N, F = -E, [-v for v in N], [-v for v in F]",
+        "pass",
+        BALL_KERNEL,
     ),
     Mutant(
         "quotient worked one bit finer",

@@ -291,6 +291,26 @@ class TestScbExists:
         assert v.status is Existence.EXISTS and v.n0 == 1
         assert len(passes) == 2
 
+    def test_validation_runs_once_per_method(self, monkeypatch):
+        # a custom method is validated before its first use and never again;
+        # the report is no field, so equality and hashing do not see it
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return validate(m)
+
+        bdf2 = catalog("bdf2")
+        m = Method(bdf2.k, bdf2.a, bdf2.b, name="bdf2", family=bdf2.family)
+        bad = Method(2, (F(1, 2), F(1, 2)), (F(1, 3), F(1, 5), F(1, 7)))  # inconsistent
+        monkeypatch.setattr(methods, "validate", counting)
+        assert scb_exists(m).status is scb_exists(m).status is Existence.EXISTS
+        for _ in range(2):
+            with pytest.raises(analyzer.AnalyzerError, match="consistency"):
+                scb_exists(bad)
+        assert len(calls) == 2 and calls[0] is m and calls[1] is bad
+        assert m == bdf2 and hash(m) == hash(bdf2) and repr(m) == repr(bdf2)
+
     @pytest.mark.parametrize("e", [40, 60])
     def test_near_unit_root_climbs_the_ladder(self, e):
         m = near_unit_method(e)
@@ -349,6 +369,23 @@ class TestCrossover:
         # ab2 has two real characteristic roots for every positive gamma:
         # no complex pair ever dominates, so no crossover exists
         assert crossover(catalog("ab2"), F(1, 100), F(3, 2)) is None
+
+    def test_perturbation_past_an_uncertified_midpoint(self, monkeypatch):
+        # the search runs from 1/4 and 3/4, so its first midpoint is bdf2's
+        # double root 1/2, where no side is certified; the bisection steps
+        # a sixteenth of the bracket aside, to 17/32, and goes on from there
+        seen = []
+        sign = analyzer._dominance_gap_sign
+
+        def traced(m, g, *args):
+            seen.append((g, sign(m, g, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(analyzer, "_dominance_gap_sign", traced)
+        cb = crossover(catalog("bdf2"), F(1, 4), F(3071, 4092))
+        assert seen[:4] == [(F(1, 4), 1), (F(3, 4), -1), (F(1, 2), None), (F(17, 32), -1)]
+        assert (cb.lo, cb.hi) == (F(33554431, 67108864), F(67108871, 134217728))
+        assert cb.lo < F(1, 2) < cb.hi and cb.hi - cb.lo <= analyzer.CROSSOVER_TOL
 
     def test_side_ordering_certified(self):
         # on each side of the bracket the dominance ordering is certified

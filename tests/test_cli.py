@@ -76,6 +76,59 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
 
 
+def parse_text(text):
+    """The --format text report read back into nested dicts of strings:
+    "key:" opens a section one indent deeper, "key: value" is a leaf."""
+    root = {}
+    stack = [(-1, root)]
+    for line in text.splitlines():
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        key, _sep, value = line.strip().partition(": ")
+        while stack[-1][0] >= depth:
+            stack.pop()
+        if key.endswith(":") and not value:
+            stack[-1][1][key[:-1]] = section = {}
+            stack.append((depth, section))
+        else:
+            stack[-1][1][key] = value
+    return root
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--method", "ab4", "--gamma", "1/100"),
+            ("check", "--method", "bdf2", "--gamma", "1/2"),
+            ("check", "--method", "bdf4", "--gamma", "4863/10000", "--horizon", "40"),
+        ],
+    )
+    def test_check_report(self, capsys, argv):
+        code, rep = run_json(capsys, *argv)
+        text_code, out = run_cli(capsys, *argv, "--format", "text")
+        txt = parse_text(out)
+        assert text_code == code
+        assert txt["status"] == rep["status"]
+        assert txt["evidence"]["kind"] == rep["evidence"]["kind"]
+        assert txt["gamma"] == rep["gamma"]
+
+    @pytest.mark.parametrize("name", ["ab2", "bdf4", "ab4"])
+    def test_gamma_sup_report(self, capsys, name):
+        argv = ("gamma-sup", "--method", name)
+        code, rep = run_json(capsys, *argv)
+        text_code, out = run_cli(capsys, *argv, "--format", "text")
+        txt = parse_text(out)
+        assert text_code == code
+        assert txt["mechanism"] == rep["mechanism"]
+        if rep["enclosure"] is None:
+            assert txt["enclosure"] == "None"
+            return
+        assert txt["enclosure"] == rep["enclosure"]
+        for side in ("feasible_at_lo", "infeasible_at_hi"):
+            assert txt[side]["status"] == rep[side]["status"]
+            assert txt[side]["evidence"]["kind"] == rep[side]["evidence"]["kind"]
+
+
 class TestDeterminism:
     def test_identical_reports_modulo_timings(self, capsys):
         _, rep1 = run_json(capsys, "check", "--method", "ab3", "--gamma", "1/10")

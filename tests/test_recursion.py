@@ -421,11 +421,12 @@ class TestIntervalEvaluation:
         run = run_mu_signs(catalog("ab4"), F(1, 7), 2, 64)
         assert run.first_negative == 2
 
-    # The integer ball kernel rescales its window after every term toward
-    # min(P + 32, useful + BALL_GUARD) bits: left when the midpoints fall 32
-    # bits short, right when they grow 64 bits past it, never when they are
-    # all zero; and it rounds its coefficients to the useful length.  Each
-    # path must keep every yielded ball around the exact value.
+    # The integer ball kernel takes its midpoints from the exact recurrence
+    # and its radii from the rounded coefficient balls, and rescales its
+    # window after every term toward min(P + 32, useful + BALL_GUARD) bits:
+    # left when the midpoints fall 32 bits short, right when they grow 64
+    # bits past it, never when they are all zero.  Each path must keep every
+    # yielded ball around the exact value.
 
     @pytest.mark.parametrize("digits", [64, 200])
     def test_containment_decaying(self, digits):
@@ -473,10 +474,11 @@ class TestIntervalEvaluation:
             st.tuples(st.integers(1, 80), st.sampled_from([5, 30, 64, 200])),
             # long runs at low precision, where the radius eats the useful
             # bits: about a third of them trim the window (at 5 digits too)
-            # and cut the coefficients (from 30 digits)
             st.tuples(st.integers(1, 400), st.sampled_from([5, 30, 64])),
         ),
     )
+    @example((catalog("bdf4"), F(4866, 10000)), (1500, 600))  # trimmed many times
+    @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), (300, 30))  # E < 0
     def test_containment_random_methods(self, case, run):
         # the catalog and custom methods of the exact kernel's test, with
         # 1 + gamma*b0 of either sign, against the Fraction recursion
@@ -491,43 +493,45 @@ class TestIntervalEvaluation:
             return
         assert_contained(bounds, fraction_mu_prefix(m, g, n_max))
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        _method_and_gamma(),
-        st.one_of(
-            st.tuples(st.integers(1, 80), st.sampled_from([5, 30, 64, 200])),
-            st.tuples(st.integers(1, 400), st.sampled_from([5, 30, 64])),
-        ),
+    @pytest.mark.parametrize(
+        "m, g",
+        [
+            (catalog("bdf4"), F(4866, 10000)),
+            (Method(1, (F(1),), (F(-1), F(2))), F(2)),  # E = -1
+            (Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)),  # E < 0
+        ],
     )
-    @example((catalog("bdf4"), F(4866, 10000)), (1500, 600))  # the cut moves many times
-    @example((Method(2, (F(1, 2), F(1, 2)), (F(-1, 3), F(1, 5), F(1, 7))), F(6)), (300, 30))
-    def test_rational_products_match_the_generic_path(self, case, run):
-        # the kernel forms each sum from the exact coefficients N_j / E; the
-        # plain products of the coefficient balls, put in _product_form's
-        # place, give the same sums, so every (n, x, r, S) must agree bit
-        # for bit, with E < 0 (the second example: 1 + gamma*b0 = -1) as
-        # with E > 0.
-        m, g = case
-        n_max, digits = run
+    def test_midpoints_follow_the_exact_recurrence(self, m, g):
+        # each midpoint is the exact recurrence on the window's midpoints,
+        # rounded half up, whatever the sign of E:
+        # x_n = floor((sum_j N_j x_(n-j) + F_n 2^S) / E + 1/2).  Checked up
+        # to the first right shift, since a left shift keeps the window exact
+        E, N, Fn = recursion._scaled_coefficients(m.integers, g)
+        P, balls = recursion._mu_balls(m, g, 40, 64)
 
-        def run_kernel():
-            P, balls = recursion._mu_balls(m, g, n_max, digits)
-            return P, list(balls)
+        def nearest(num):
+            return math.floor(F(num, E) + F(1, 2))
 
-        def plain_sum(C, exact, Pc):
-            return C, [0] * len(C), 0, 1
+        xs, prev = [nearest(Fn[0] << P)], P
+        for n, x, _r, S in balls:
+            if S < prev:
+                break
+            xs, prev = [v << (S - prev) for v in xs], S
+            num = sum(N[j - 1] * xs[n - j] for j in range(1, min(n, m.k) + 1))
+            assert x == nearest(num + (Fn[n] << S if n <= m.k else 0)), n
+            xs.append(x)
+        assert len(xs) > 20
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(recursion, "_product_form", plain_sum)
-            try:
-                generic = run_kernel()
-            except ArithmeticDomainError:
-                generic = None
-        if generic is None:
-            with pytest.raises(ArithmeticDomainError):
-                run_kernel()
-            return
-        assert run_kernel() == generic
+    def test_midpoint_scale_past_one_within_the_first_k_terms(self):
+        # 1 + gamma*b0 = -2^-20 / 3 makes mu outgrow 2^(P + 32) by n = 3,
+        # so the shared scale 2^-S goes past 1 while the inhomogeneous term
+        # F_4 still enters: it is added exactly, at scale 2^-S
+        m = Method(4, (F(9), F(-9), F(9), F(1)), (F(-1, 3), F(9), F(9), F(9), F(9)))
+        g = 3 + F(1, 2**20)
+        _P, balls = recursion._mu_balls(m, g, 8, 10)
+        scales = {n: S for n, _x, _r, S in balls}
+        assert scales[4] < 0
+        assert_contained(ball_bounds(m, g, 8, 10), mu_prefix(m, g, 8))
 
     def test_ball_signs_match_exact_signs(self):
         # the remark's miniature: 3000 terms of bdf4 just above its optimum,
@@ -565,7 +569,7 @@ class TestIntervalEvaluation:
 
     def test_radius_swallowing_every_bit(self):
         # at 50 digits the radius outgrows the midpoints early: the useful
-        # length goes negative and the coefficient cut is clamped
+        # length goes negative, and the window keeps BALL_GUARD bits of radius
         m, g = catalog("bdf4"), F(4866, 10000)
         run = run_mu_signs(m, g, 3000, 50)
         assert (run.negative, len(run.unknown)) == ([], 2912)

@@ -244,12 +244,28 @@ def _closed_forms(
         yield dig, cf
 
 
-def _complex_dominance(cf: ClosedForm, di: int) -> Optional[InfeasibleComplexDominance]:
-    """Evidence for the dominant pair di, or None while the modulus of its
-    coefficient ball has no positive lower bound."""
+def _dominant_term(
+    m: Method, gamma: Fraction, digits: int, digits_cap: int
+) -> Tuple[int, Optional[ClosedForm], Optional[TailCertificate]]:
+    """The one positive-tail certifier: (rung, closed form, tail
+    certificate) at the first rung whose closed form has order 0, or a
+    decided dominant sign (``ClosedForm.dominant_sign``) that is not positive
+    or carries a tail certificate; (digits_cap, None, None) when no rung
+    decides.  MultipleRootError propagates."""
+    for dig, cf in _closed_forms(m, gamma, digits, digits_cap):
+        if cf.order == 0 or cf.dominant_sign() in (-1, 0):
+            return dig, cf, None
+        tc = tail_certificate(cf)  # None unless the sign is 1
+        if tc is not None:
+            return dig, cf, tc
+    return digits_cap, None, None
+
+
+def _complex_dominance(cf: ClosedForm) -> InfeasibleComplexDominance:
+    """Evidence for the dominant pair of a closed form whose dominant sign
+    is 0: a pair with a coefficient certified nonzero."""
+    di = cf.dominant_index()
     c_mod = cf.coeffs[di].modulus_bounds()
-    if c_mod[0] <= 0:
-        return None
     return InfeasibleComplexDominance(
         pair_modulus=_interval_str(cf.roots[di].ball.modulus_bounds()),
         others_modulus_max=str(
@@ -334,57 +350,44 @@ def check_scb(
     if neg is not None:
         return exact_witness(neg)
 
+    cf = tc = None
     try:
-        for digits_used, cf in _closed_forms(m, gamma, start, digits_cap):
-            if cf.order == 0:
-                return exact_feasible(cf.window_start)
-            di = cf.dominant_index()
-            if di is None:
-                continue
-            if cf.roots[di].is_pair:
-                evidence = _complex_dominance(cf, di)
-                if evidence is None:
-                    continue  # coefficient ball may still hold zero: sharpen
-                return scanned_witness() or verdict(Feasibility.INFEASIBLE, evidence)
-            if cf.roots[di].ball.re_bounds()[1] < 0 or cf.coeffs[di].re_bounds()[1] < 0:
-                break  # dominant term eventually negative: witness scan below
-            tc = tail_certificate(cf)
-            if tc is None:
-                continue
-            n_check = max(tc.n_start - 1, 0)
-            if n_check > prefix_n:
-                if n_check > EXACT_SCAN_CAP:
-                    break  # unreasonable finite range; fall back to scanning
-                signs = mu_signs(m, gamma, n_check)
-                neg = _first_negative(signs)
-                if neg is not None:
-                    return exact_witness(neg)
-            # interval consistency pass over the requested horizon
-            if horizon > tc.n_start:
-                run = run_mu_signs(m, gamma, horizon, digits_used)
-                if run.negative:
-                    raise AnalyzerError(
-                        "soundness violation: certified tail contradicts a "
-                        "certified negative term at n={}".format(run.negative[0])
-                    )
-            zeros = _zero_indices(signs)
-            if any(n >= tc.n_start for n in zeros):
-                raise AnalyzerError(
-                    "soundness violation: exact zero inside the certified tail"
-                )
-            return verdict(
-                Feasibility.FEASIBLE, FeasibleCert(max(n_check, horizon), zeros, tc, None)
-            )
-        else:
-            digits_used = digits_cap  # the last rung is the cap
+        digits_used, cf, tc = _dominant_term(m, gamma, start, digits_cap)
     except MultipleRootError:
         # raised at the first rung, since the test is exact: no closed form
         # at any precision, but all roots may be rational
         form = rational_closed_form(m, gamma)
         if form is not None and form.all_terms_nonnegative():
             return exact_feasible(form.window_start, form)
+    if cf is not None and cf.order == 0:
+        return exact_feasible(cf.window_start)
+    if cf is not None and cf.dominant_sign() == 0:
+        return scanned_witness() or verdict(Feasibility.INFEASIBLE, _complex_dominance(cf))
+    # past EXACT_SCAN_CAP the finite range is unreasonable: scan below
+    if tc is not None and tc.n_start - 1 <= EXACT_SCAN_CAP:
+        n_check = max(tc.n_start - 1, 0)
+        if n_check > prefix_n:
+            signs = mu_signs(m, gamma, n_check)
+            neg = _first_negative(signs)
+            if neg is not None:
+                return exact_witness(neg)
+        # interval consistency pass over the requested horizon
+        if horizon > tc.n_start:
+            run = run_mu_signs(m, gamma, horizon, digits_used)
+            if run.negative:
+                raise AnalyzerError(
+                    "soundness violation: certified tail contradicts a "
+                    "certified negative term at n={}".format(run.negative[0])
+                )
+        zeros = _zero_indices(signs)
+        if any(n >= tc.n_start for n in zeros):
+            raise AnalyzerError("soundness violation: exact zero inside the certified tail")
+        return verdict(
+            Feasibility.FEASIBLE, FeasibleCert(max(n_check, horizon), zeros, tc, None)
+        )
 
-    # fallback: exact witness scan over the horizon
+    # fallback, also for an eventually negative dominant term: exact witness
+    # scan over the horizon
     return scanned_witness() or verdict(
         Feasibility.INCONCLUSIVE, InconclusiveHorizon(horizon, digits_used)
     )
@@ -484,37 +487,29 @@ def scb_exists(
             return witness(n, None)
 
     circle_ok = _only_circle_root_is_one(generating_polys(m).rho)
-    # digits_used is the highest rung run so far, or the ladder's first
-    # before any runs
-    digits_used = min(digits, digits_cap)
+    digits_used = min(digits, digits_cap)  # the ladder's first rung
+    tc = None
     if circle_ok:
         try:
-            for digits_used, cf in _closed_forms(m, Fraction(0), digits, digits_cap):
-                tc = tail_certificate(cf)
-                if tc is None:
-                    continue  # sharpen the enclosures at the next rung
-                n_check = tc.n_start - 1
-                if n_check >= len(signs):
-                    signs = mu_signs(m, Fraction(0), n_check)
-                bad = next(
-                    (n for n in range(n_zero, n_check + 1) if signs[n] <= 0), None
-                )
-                if bad is None:
-                    return ExistenceVerdict(
-                        Existence.EXISTS,
-                        m.name,
-                        n_zero,
-                        FeasibleCert(max(n_check, horizon), (), tc, None),
-                        True,
-                        horizon,
-                    )
-                if bad % n_zero == 0:
-                    return witness(bad, True)
-                break  # an exact term decided this; no rung can change it
-            else:
-                digits_used = digits_cap  # the last rung is the cap
+            digits_used, _cf, tc = _dominant_term(m, Fraction(0), digits, digits_cap)
         except MultipleRootError:
             pass
+    if tc is not None:
+        n_check = tc.n_start - 1
+        if n_check >= len(signs):
+            signs = mu_signs(m, Fraction(0), n_check)
+        bad = next((n for n in range(n_zero, n_check + 1) if signs[n] <= 0), None)
+        if bad is None:
+            return ExistenceVerdict(
+                Existence.EXISTS,
+                m.name,
+                n_zero,
+                FeasibleCert(max(n_check, horizon), (), tc, None),
+                True,
+                horizon,
+            )
+        if bad % n_zero == 0:
+            return witness(bad, True)
     return ExistenceVerdict(
         Existence.INCONCLUSIVE,
         m.name,
@@ -542,12 +537,9 @@ def _dominance_gap_sign(
     try:
         for _dig, cf in _closed_forms(m, gamma, digits, digits_cap):
             i = cf.dominant_index()
-            if i is None:
-                continue  # sharpen the enclosures at the next rung
-            rec = cf.roots[i]
-            if rec.is_pair:
-                return -1
-            return 1 if rec.ball.re_bounds()[0] > 0 else None
+            if i is not None:  # else sharpen the enclosures at the next rung
+                rec = cf.roots[i]
+                return -1 if rec.is_pair else (1 if rec.ball.re_bounds()[0] > 0 else None)
     except MultipleRootError:
         pass
     return None

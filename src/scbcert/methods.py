@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import poly, published
+from . import poly
 from .poly import RootCondition
 
 
@@ -118,19 +118,10 @@ def _bdf_coefficients(k: int) -> Tuple[List[Fraction], List[Fraction]]:
     for m in range(1, k + 1):
         # nabla^m u_n = sum_i (-1)^i C(m, i) u_{n-i}
         for i in range(0, m + 1):
-            A[i] += Fraction((-1) ** i * _binom(m, i), m)
+            A[i] += Fraction((-1) ** i * math.comb(m, i), m)
     a = [-A[i] / A[0] for i in range(1, k + 1)]
     b = [Fraction(1) / A[0]] + [Fraction(0)] * k
     return a, b
-
-
-def _binom(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    out = 1
-    for i in range(r):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def _ab_coefficients(k: int) -> Tuple[List[Fraction], List[Fraction]]:
@@ -158,23 +149,12 @@ def _ab_coefficients(k: int) -> Tuple[List[Fraction], List[Fraction]]:
 
 
 def _ebdf_coefficients(k: int) -> Tuple[List[Fraction], List[Fraction]]:
-    """Explicit extrapolated-BDF coefficients.
-
-    Shares the history weights with bdf-k; the derivative weights are
-    recovered from the published starting values of its tau recursion
-    (b_0 = 0 and tau_n = b_n + sum_j a_j tau_{n-j} for n = 1..k).
-    """
-    if k not in published.EBDF_TAU:
-        raise MethodError("no published starting values for a %d-step ebdf" % k)
-    a, _ = _bdf_coefficients(k)
-    tau = [Fraction(0)] + list(published.EBDF_TAU[k])
-    b = [Fraction(0)] * (k + 1)
-    for n in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(1, n + 1):
-            acc += a[j - 1] * tau[n - j]
-        b[n] = tau[n] - acc
-    return a, b
+    """Explicit extrapolated-BDF coefficients: bdf-k with f(u_n) replaced by
+    its degree k-1 extrapolation sum_j (-1)^(j+1) C(k, j) f(u_(n-j)), so it
+    shares the history weights, b_0 = 0 and b_j = b0 (-1)^(j+1) C(k, j) with
+    b0 the BDF's."""
+    a, (b0, *_rest) = _bdf_coefficients(k)
+    return a, [Fraction(0)] + [b0 * (-1) ** (j + 1) * math.comb(k, j) for j in range(1, k + 1)]
 
 
 _CATALOG_BUILDERS = {}

@@ -100,8 +100,9 @@ NO_SCB = ("ab4",)
 # methods feasible at every tested step-size coefficient (doubling ladder)
 UNBOUNDED = ("bdf1",)
 
-# starting values tau_1..tau_k of the explicit extrapolated methods; these
-# determine the b-coefficients uniquely given the shared a-coefficients
+# starting values tau_1..tau_k of the explicit extrapolated methods; given
+# the shared a-coefficients they determine the b-coefficients uniquely, so
+# they check the weights the catalog derives from the BDF's
 EBDF_TAU = {
     3: [Fraction(18, 11), Fraction(126, 121), Fraction(1212, 1331)],
     4: [

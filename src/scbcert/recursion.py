@@ -540,6 +540,22 @@ class ClosedForm:
                 return None
         return best
 
+    def dominant_sign(self) -> Optional[int]:
+        """Eventual sign of the strictly dominant term: 1 for a positive real
+        root with a positive coefficient, -1 when the root or the coefficient
+        is certified negative, 0 for a conjugate pair whose coefficient is
+        certified nonzero; None while the balls leave it open."""
+        di = self.dominant_index()
+        if di is None:
+            return None
+        root, c = self.roots[di], self.coeffs[di]
+        if root.is_pair:
+            return 0 if c.modulus_bounds()[0] > 0 else None
+        (z_lo, z_hi), (c_lo, c_hi) = root.ball.re_bounds(), c.re_bounds()
+        if z_hi < 0 or c_hi < 0:
+            return -1
+        return 1 if z_lo > 0 and c_lo > 0 else None
+
 
 def _n_inhomogeneous(m: Method) -> int:
     """Largest n in 1..k with b_n != 0 (0 if the recursion is homogeneous
@@ -673,8 +689,9 @@ def _floor_decimal(x: Fraction, places: int) -> Fraction:
 
 
 def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
-    """Positivity-from-N certificate for a closed form with a strictly
-    dominant positive real simple root and positive leading coefficient.
+    """Positivity-from-N certificate for a closed form of order > 0 whose
+    dominant sign is 1: a strictly dominant positive real simple root with
+    a positive coefficient (order 0 is identically zero past the window).
 
     Certificate constants are rounded outward to compact decimal fractions
     so the stored data stays small and independently checkable.  Returns
@@ -682,22 +699,11 @@ def tail_certificate(cf: ClosedForm) -> Optional[TailCertificate]:
     form's enclosures (the caller escalates precision or concludes through
     another mechanism).
     """
-    if cf.order == 0:
-        # the sequence is identically zero beyond the window; not a
-        # positivity certificate
+    if cf.order == 0 or cf.dominant_sign() != 1:
         return None
     di = cf.dominant_index()
-    if di is None:
-        return None
-    dom = cf.roots[di]
-    if dom.is_pair:
-        return None
-    rho_lb_raw, rho_ub_raw = dom.ball.re_bounds()
-    if rho_lb_raw <= 0:
-        return None
+    rho_lb_raw, rho_ub_raw = cf.roots[di].ball.re_bounds()
     c_lb_raw = cf.coeffs[di].re_bounds()[0]
-    if c_lb_raw <= 0:
-        return None
     places = 25
     while True:
         rho_lb = _floor_decimal(rho_lb_raw, places)

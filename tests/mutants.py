@@ -44,6 +44,7 @@ BALL_KERNEL = "tests/test_recursion.py::TestIntervalEvaluation"
 CLOSED_FORMS = "tests/test_recursion.py::TestClosedForm"
 KERNEL = "tests/test_recursion.py::TestIntegerScaledKernel"
 SWEEP = "tests/test_recursion.py::TestMuSweep"
+DOMINANT_SIGN = "tests/test_recursion.py::TestDominantSign"
 
 MUTANTS = (
     Mutant(
@@ -241,6 +242,27 @@ MUTANTS = (
         "E, N, F = -E, [-v for v in N], [-v for v in F]",
         "pass",
         BALL_KERNEL,
+    ),
+    Mutant(
+        "dominant pair read as a positive term",
+        "src/scbcert/recursion.py",
+        "return 0 if c.modulus_bounds()[0] > 0 else None",
+        "return 1 if c.modulus_bounds()[0] > 0 else None",
+        DOMINANT_SIGN,
+    ),
+    Mutant(
+        "dominant sign ignores a negative coefficient",
+        "src/scbcert/recursion.py",
+        "if z_hi < 0 or c_hi < 0:",
+        "if z_hi < 0:",
+        DOMINANT_SIGN,
+    ),
+    Mutant(
+        "positive-tail certifier stops at sign 1 without a tail certificate",
+        "src/scbcert/analyzer.py",
+        "tc = tail_certificate(cf)  # None unless the sign is 1\n        if tc is not None:",
+        "tc = tail_certificate(cf)  # None unless the sign is 1\n        if cf.dominant_sign() == 1:",
+        "tests/test_analyzer.py::TestScbExists",
     ),
     Mutant(
         "quotient worked one bit finer",

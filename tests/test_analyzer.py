@@ -133,6 +133,18 @@ class TestCheckScb:
         assert v.evidence.tail is not None
         assert v.evidence.tail.n_start <= 93
 
+    def test_tail_past_the_scan_cap_falls_back_to_the_scan(self, monkeypatch):
+        # the tail certificate at 83/100 starts at n = 54: with the exact scan
+        # capped at 40 terms the finite range is left open, and the witness
+        # scan over the horizon finds nothing
+        m, g = catalog("bdf3"), F(83, 100)
+        assert recursion.tail_certificate(recursion.closed_form(m, g, 64)).n_start == 54
+        monkeypatch.setattr(analyzer, "EXACT_SCAN_CAP", 40)
+        v = check_scb(m, g)
+        assert v.status is Feasibility.INCONCLUSIVE
+        assert (v.evidence.n_max, v.evidence.digits) == (32, 64)
+        assert v.horizon_used == 32 and v.digits_used == 64
+
     def test_infeasible_above_bdf3_optimum(self):
         # just above the optimum the first negative member is the sixth (the
         # optimum is its smallest root); farther out earlier members dip first
@@ -334,6 +346,17 @@ class TestScbExists:
         assert v.status is Existence.INCONCLUSIVE and v.evidence.digits == 10
         assert scb_exists(ms, digits=100).evidence.digits == 100
 
+    def test_multiple_root_leaves_it_open(self):
+        # rho = (z - 1)(z - 1/2)^2: tau has no closed form at any precision,
+        # so the verdict stays open at the ladder's first rung
+        m = Method(3, (F(2), F(-5, 4), F(1, 4)), (F(0), F(1, 4), F(0), F(0)))
+        assert validate(m).ok
+        assert list(generating_polys(m).rho) == [4, -8, 5, -1]
+        v = scb_exists(m)
+        assert v.status is Existence.INCONCLUSIVE
+        assert v.only_circle_root_is_one is True
+        assert v.evidence.digits == 64
+
     def test_exhausted_ladder_reports_the_cap(self):
         v = scb_exists(near_unit_method(80), digits_cap=128)
         assert v.status is Existence.INCONCLUSIVE
@@ -401,7 +424,7 @@ def dominance_evidence(name, gamma):
     cf = recursion.closed_form(catalog(name), gamma)
     di = cf.dominant_index()
     assert di is not None
-    return analyzer._complex_dominance(cf, di) if cf.roots[di].is_pair else None
+    return analyzer._complex_dominance(cf) if cf.roots[di].is_pair else None
 
 
 class TestComplexDominance:

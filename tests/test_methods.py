@@ -206,6 +206,8 @@ class TestCatalogInvariants:
             assert sum((j + 1) * a for j, a in enumerate(m.a)) == sum(m.b)
 
     def test_ebdf_tau_values_exact(self):
+        # the catalog derives the ebdf weights from the BDF's; the published
+        # starting values of tau check them
         from scbcert.published import EBDF_TAU
 
         for k, taus in EBDF_TAU.items():

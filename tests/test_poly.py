@@ -238,10 +238,28 @@ def _check_against_sturm(p, digits=64):
     return classes
 
 
+def _oracle_sign(roots, residues, eps):
+    """The eventual sign of the dominant term from roots and residues, as
+    ClosedForm.dominant_sign reports it; None where the largest moduli, or
+    the dominant residue and 0, lie within eps."""
+    top = max(abs(z) for z in roots)
+    dom = [(z, c) for z, c in zip(roots, residues) if abs(z) > top - eps]
+    if len(dom) == 2 and abs(dom[0][0].imag) > eps and abs(dom[0][0] - dom[1][0].conjugate()) < eps:
+        return 0 if abs(dom[0][1]) > eps else None
+    if len(dom) != 1:
+        return None
+    z, c = dom[0]
+    if z.real < -eps or c.real < -eps:
+        return -1
+    return 1 if z.real > eps and c.real > eps else None
+
+
 def _check_residues(m, g):
     """Every coefficient ball of closed_form at 64 digits holds the residue
     z^(order-1) B(1/z) / chi'(z) at the root in its class, computed apart
-    with mpmath at 120 digits from polyroots' own roots."""
+    with mpmath at 120 digits from polyroots' own roots; a dominant sign
+    the closed form decides is the one those roots and residues give, and a
+    modulus tie among them leaves it undecided."""
     try:
         cf = recursion.closed_form(m, g, 64)
     except recursion.MultipleRootError:
@@ -259,15 +277,20 @@ def _check_residues(m, g):
 
         ref = mpmath.polyroots([mp(c) for c in char], maxsteps=500, extraprec=300)
         dchi = [mp(c) for c in poly.derivative(char)]
+        residues = [
+            sum(mp(m.b[n]) * z ** (cf.order - 1 - n) for n in range(n_b + 1))
+            / mpmath.polyval(dchi, z)
+            for z in ref
+        ]
         for rec, c in zip(cf.roots, cf.coeffs):
-            (z,) = [
-                z for z in ref
+            ((z, res),) = [
+                (z, res) for z, res in zip(ref, residues)
                 if rec.ball.contains(*(F(*to_rational(x._mpf_)) for x in (z.real, z.imag)))
             ]
-            res = sum(mp(m.b[n]) * z ** (cf.order - 1 - n) for n in range(n_b + 1))
-            res /= mpmath.polyval(dchi, z)
             re, im = (F(*to_rational(mpmath.mpf(x)._mpf_)) for x in (res.real, res.imag))
             assert c.contains(re, im), (m.name, g, z)
+        oracle = _oracle_sign(ref, residues, mpmath.mpf(10) ** -60)
+        assert cf.dominant_sign() in (None, oracle), (m.name, g, oracle)
 
 class TestRootEngine:
     def test_seed_keeps_its_precision(self):

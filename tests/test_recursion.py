@@ -764,6 +764,36 @@ class TestClosedForm:
         assert lo <= F("0.50155510") and hi >= F("0.50155509")
 
 
+class TestDominantSign:
+    """Each outcome of ClosedForm.dominant_sign at 64 digits, on cases whose
+    roots and coefficients are known by hand; only sign 1 gives a tail
+    certificate."""
+
+    @pytest.mark.parametrize(
+        "m, g, sign",
+        [
+            # a positive real root dominates with a positive coefficient
+            (catalog("bdf3"), F(83, 100), 1),
+            # chi = z + 1/20: the only root is negative
+            (catalog("ab1"), F(21, 20), -1),
+            # chi = (z - 1/2)(z - 1/4) and mu = x(1 - x)/((1 - x/2)(1 - x/4)):
+            # the dominant root 1/2 carries the coefficient -4
+            (Method(2, (F(7, 4), F(-9, 8)), (F(0), F(1), F(-1))), F(1), -1),
+            # a dominant conjugate pair with a coefficient clear of 0
+            (catalog("bdf4"), F(1, 2), 0),
+            # chi = z^2 - 6/77: the roots +-sqrt(6/77) tie in modulus
+            (Method(2, (F(1, 2), F(1, 2)), (F(1, 3), F(1, 5), F(1, 7))), F(5, 2), None),
+            # chi = (z - 1/2)(z - 1/4) and mu = 4^(1-n): the dominant root
+            # 1/2 has the coefficient 0, an exact ball that holds no sign
+            (Method(2, (F(7, 4), F(-5, 8)), (F(0), F(1), F(-1, 2))), F(1), None),
+        ],
+    )
+    def test_outcomes(self, m, g, sign):
+        cf = closed_form(m, g, 64)
+        assert cf.dominant_sign() == sign
+        assert (tail_certificate(cf) is not None) == (sign == 1)
+
+
 class TestTailCertificate:
     def test_ebdf3(self):
         cf = closed_form(catalog("ebdf3"), F(0), 64)
